@@ -19,6 +19,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import neareval
 from .spectral import panel_grid
+from .stokes import layer_matrices
 
 
 def star_contour(n_panels: int, amplitude: float = 0.3, mode: int = 3):
@@ -71,16 +72,7 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
     grid, z, zp, zpp, z_edges = star_contour(n_panels, amplitude, mode)
     w = grid.weights
     n = z.shape[0]
-    dz = z[None, :] - z[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M1 = np.imag(zp[None, :] / dz)
-        cj = np.conj(dz)
-        M2 = np.imag(zp[None, :] * cj) / cj**2
-    idx = np.arange(n)
-    M1[idx, idx] = np.imag(zpp / (2 * zp))
-    M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
-    M1w = M1 * w[None, :]
-    M2w = M2 * w[None, :]
+    _, M1w, M2w = layer_matrices(z, zp, zpp, w)
 
     u_b = boundary_velocity(z)
     data = 1j * u_b  # stream-gradient form of the velocity data
@@ -115,29 +107,11 @@ def _plain_kernel_value(sol: DirichletSolution, z0: complex) -> complex:
 def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
     """Interior velocity; near-panel contributions use the special rule."""
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    out = np.empty(t.shape[0], dtype=complex)
-    mu_inf = [np.abs(sol.mu[16 * p:16 * (p + 1)]).max()
-              for p in range(len(sol.panels))]
-    for k, z0 in enumerate(t):
-        val = _plain_kernel_value(sol, z0)
-        if corrected:
-            for ip, panel in enumerate(sol.panels):
-                frame = neareval.needs_correction(panel, z0, mu_inf[ip])
-                if frame is None:
-                    continue
-                sl = slice(16 * ip, 16 * (ip + 1))
-                mu_p = sol.mu[sl]
-                r1, rJ2, rJ3 = neareval.kernel_rows(panel, frame)
-                p1, pJ2, pJ3 = neareval.plain_rows(panel, z0)
-                # J1-part carries Im of the Cauchy integral; the conjugate
-                # kernel splits into the two special integrals
-                dI1 = (r1 - p1) @ mu_p
-                dI1c = np.conj((r1 - p1) @ np.conj(mu_p))
-                dJ1 = (dI1 - dI1c) / 2j
-                dJ2 = 0.5j * (np.conj((rJ2 - pJ2) @ mu_p)
-                              + np.conj((rJ3 - pJ3) @ mu_p))
-                val += (-1j / np.pi) * dJ1 + (1j / np.pi) * dJ2
-        out[k] = val
+    out = np.array([_plain_kernel_value(sol, z0) for z0 in t], dtype=complex)
+    if corrected:
+        # J1 carries the imaginary part of the Cauchy increment
+        dI, dIc, dJ = neareval.near_correct(sol.panels, sol.mu, t)
+        out += (-1j / np.pi) * (dI - dIc) / 2j + (1j / np.pi) * dJ
     return out
 
 

@@ -7,11 +7,10 @@ Interfaces are stored clockwise on an equal-arclength parameter grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import spectral
 from .spectral import (PeriodicSamples, antiderivative, fourier_interp,
                        krasny_filter, resample, spectral_derivative,
                        trapezoid, uniform_alpha)
@@ -25,7 +24,8 @@ class Interface:
 
     z holds complex positions at the equidistant-in-arclength nodes,
     traversed clockwise (negative signed area).  lam is the viscosity
-    ratio of the drop interior to the bulk.
+    ratio of the drop interior to the bulk; this is its only home, and
+    stokes.solve_density reads it from here.
     """
 
     z: np.ndarray
@@ -144,12 +144,6 @@ def advance_positions(iface: Interface, decomp: VelocityDecomposition,
     return replace(iface, z=krasny_filter(znew), check=check)
 
 
-def velocity_to_motion(iface: Interface, u) -> np.ndarray:
-    """dz/dt samples for the equidistant-preserving interface motion."""
-    d = modified_tangential_velocity(iface, u)
-    return (d.u_n + 1j * d.u_t_mod) * normals(iface)
-
-
 def adapt_resolution(iface: Interface, fields=(), ds_target: float = None,
                      grow: float = 1.2, shrink: float = 0.5):
     """Double or halve N to keep the mean spacing near ds_target.
@@ -186,6 +180,11 @@ def min_distance(a: Interface, b: Interface, refine: int = 4) -> float:
     return float(np.abs(za[:, None] - zb[None, :]).min())
 
 
+def _cross(u, v):
+    """z-component of the cross product of 2-vectors stored in the last axis."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
 def self_intersects(iface: Interface) -> bool:
     """Coarse segment-pair test for self-intersection."""
     z = iface.z
@@ -197,10 +196,10 @@ def self_intersects(iface: Interface) -> bool:
         a, b = p[i], q[i]
         mask = (js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)
         c, d = p[mask], q[mask]
-        d1 = np.cross(b - a, c - a)
-        d2 = np.cross(b - a, d - a)
-        d3 = np.cross(d - c, a - c)
-        d4 = np.cross(d - c, b - c)
+        d1 = _cross(b - a, c - a)
+        d2 = _cross(b - a, d - a)
+        d3 = _cross(d - c, a - c)
+        d4 = _cross(d - c, b - c)
         if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
             return True
     return False

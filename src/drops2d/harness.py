@@ -12,17 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import (Interface, circle, ellipse, min_distance, normals,
-                       self_intersects, to_equal_arclength)
-from .spectral import fourier_interp, krasny_filter, resample, uniform_alpha
-from .stepper import (CoupledState, StepController, advance_fixed, advance_to,
-                      clean_fields)
+from .geometry import (Interface, ellipse, min_distance, self_intersects,
+                       signed_area, to_equal_arclength)
+from .spectral import fourier_interp, resample, uniform_alpha
+from .stepper import CoupledState, StepController, advance_to
 from .stokes import FlowConfig
-from .surfactant import SurfactantField, surface_tension, surfactant_mass
+from .surfactant import SurfactantField, surface_tension
 
 
 @dataclass
@@ -92,7 +91,6 @@ class ScenarioConfig:
                 d["axes"] = tuple(d["axes"])
             drops.append(DropSpec(**d))
         fl = dict(raw["flow"])
-        fl["lambdas"] = tuple(fl["lambdas"])
         if fl.get("Pe") is None:
             fl["Pe"] = np.inf
         flow = FlowConfig(**fl)
@@ -200,8 +198,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
         state, ctrl, counter = load_checkpoint(restart_from, cfg)
     else:
         state = build_state(cfg)
-        ctrl = StepController(tol=cfg.run.tol, dt=cfg.run.dt0,
-                              dt_max=cfg.run.dt_max)
+        ctrl = _controller(cfg.run)
         counter = 0
     rec = RunRecord(config=cfg)
     rec.snapshots.append(_snapshot(state))
@@ -227,26 +224,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
             if self_intersects(iface):
                 raise RuntimeError(f"interface crossing at t={s.t:.6g}")
 
-    if cfg.run.fixed_dt is not None:
-        # fixed-step integration with the same recording contract
-        mu_prev = None
-        from .stepper import step
-        n_steps = int(round((cfg.run.t_end - state.t) / cfg.run.fixed_dt))
-        fixed = StepController(tol=1e30, dt=cfg.run.fixed_dt,
-                               dt_min=cfg.run.fixed_dt, dt_max=cfg.run.fixed_dt)
-        for _ in range(n_steps):
-            fixed.dt = cfg.run.fixed_dt
-            cand, info, mu2, _ = step(state, cfg.flow, fixed,
-                                      cfg.run.stokes_tol, mu0=mu_prev)
-            state, mu_prev = cand, mu2
-            cb(state, info)
-        final, steady = state, False
-    else:
-        final, steady = advance_to(
-            state, cfg.flow, ctrl,
-            t_end=cfg.run.t_end, stokes_tol=cfg.run.stokes_tol, callback=cb,
-            steady_unorm=cfg.run.steady_unorm if cfg.run.steady else None,
-            adapt_spacing=spacing)
+    final, steady = advance_to(
+        state, cfg.flow, ctrl,
+        t_end=cfg.run.t_end, stokes_tol=cfg.run.stokes_tol, callback=cb,
+        steady_unorm=cfg.run.steady_unorm if cfg.run.steady else None,
+        adapt_spacing=spacing)
     rec.final_state = final
     rec.steady = steady
     if rec.snapshots[-1]["t"] != final.t:
@@ -297,11 +279,23 @@ def write_outputs(rec: RunRecord, out_dir: str):
         fh.write(rec.config.to_json() + "\n")
 
 
+def _controller(run: RunSpec, dt: float = None) -> StepController:
+    """Step controller of a run, starting from dt (default run.dt0).
+
+    A fixed_dt run pins the step: dt_min = dt_max = fixed_dt and a
+    tolerance that accepts every attempt.
+    """
+    if run.fixed_dt is not None:
+        return StepController(tol=np.inf, dt=run.fixed_dt,
+                              dt_min=run.fixed_dt, dt_max=run.fixed_dt)
+    return StepController(tol=run.tol, dt=run.dt0 if dt is None else dt,
+                          dt_max=run.dt_max)
+
+
 def save_checkpoint(path: str, state: CoupledState, ctrl: StepController,
                     counter: int):
     arrays = {}
-    meta = {"t": state.t, "dt": ctrl.dt, "tol": ctrl.tol,
-            "dt_max": ctrl.dt_max, "retakes": ctrl.retake_count,
+    meta = {"t": state.t, "dt": ctrl.dt, "retakes": ctrl.retake_count,
             "counter": counter, "n_drops": len(state.ifaces)}
     for k, (ifc, f) in enumerate(zip(state.ifaces, state.fields)):
         arrays[f"z_{k}"] = ifc.z
@@ -323,7 +317,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
         fields.append(SurfactantField(rho=data[f"rho_{k}"], E=meta[f"E_{k}"],
                                       Pe=meta[f"Pe_{k}"], eos=meta[f"eos_{k}"]))
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
-    ctrl = StepController(tol=meta["tol"], dt=meta["dt"], dt_max=meta["dt_max"])
+    ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
     return state, ctrl, meta["counter"]
 
@@ -377,8 +371,7 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
             name=name,
             drops=[DropSpec(shape="circle", center=0.0, radius=1.0,
                             lam=0.0, rho0=1.0, n=n)],
-            flow=FlowConfig(Q=0.14, lambdas=(0.0,), E=0.5, Pe=np.inf,
-                            eos="linear"),
+            flow=FlowConfig(Q=0.14, E=0.5, Pe=np.inf, eos="linear"),
             run=RunSpec(t_end=200.0, steady=True, steady_unorm=1e-8,
                         tol=1e-6, dt0=1e-3, dt_max=0.1, output_every=200))
     if name == "pair_clean":
@@ -390,7 +383,7 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
                           lam=0.0, rho0=0.0, n=n, phase=-np.pi / 2)]
         return ScenarioConfig(
             name=name, drops=drops,
-            flow=FlowConfig(Q=0.5, lambdas=(0.0, 0.0), E=0.5, Pe=np.inf),
+            flow=FlowConfig(Q=0.5, E=0.5, Pe=np.inf),
             run=RunSpec(t_end=1.5, tol=1e-6, dt0=1e-3, dt_max=0.02,
                         output_every=100))
     if name == "pair_surfactant":
@@ -402,8 +395,7 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
                           lam=0.0, rho0=1.0, n=n, phase=-np.pi / 2)]
         return ScenarioConfig(
             name=name, drops=drops,
-            flow=FlowConfig(Q=0.5, lambdas=(0.0, 0.0), E=0.5, Pe=10.0,
-                            eos="linear"),
+            flow=FlowConfig(Q=0.5, E=0.5, Pe=10.0, eos="linear"),
             run=RunSpec(t_end=1.0, tol=1e-6, dt0=1e-3, dt_max=0.02,
                         output_every=100))
     if name == "swiss_roll":
@@ -416,7 +408,7 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
                                      np.sin(t) * (1 + 0.3 * np.cos(3 * t)))
                                     for t in np.linspace(0, 2 * np.pi, 400,
                                                          endpoint=False)])],
-            flow=FlowConfig(lambdas=(0.0,)),
+            flow=FlowConfig(),
             run=RunSpec(t_end=0.0))
     raise ValueError(f"unknown preset {name}")
 
@@ -450,7 +442,7 @@ def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
     smooth = np.fft.ifft(coef * boundary.shape[0])
     z = resample(smooth, n_roll)
     roll = to_equal_arclength(Interface(z=z, lam=1.0, id=0, check=False))
-    if signed_area_of(roll.z) > 0:
+    if signed_area(roll.z) > 0:
         roll = to_equal_arclength(Interface(z=roll.z[::-1], lam=1.0, id=0,
                                             check=False))
     ells = []
@@ -464,11 +456,6 @@ def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
         ells.append(to_equal_arclength(
             Interface(z=z_rot, lam=1.0, id=i + 1, check=False)))
     return [roll] + ells
-
-
-def signed_area_of(z):
-    from .geometry import signed_area
-    return signed_area(z)
 
 
 def _swiss_roll_config() -> ScenarioConfig:
@@ -486,8 +473,7 @@ def _swiss_roll_config() -> ScenarioConfig:
             points=[(p.real * scale, p.imag * scale) for p in ifc.z]))
     return ScenarioConfig(
         name="swiss_roll", drops=drops,
-        flow=FlowConfig(Q=0.0, lambdas=tuple(1.0 for _ in drops), E=0.1,
-                        Pe=10.0, eos="linear"),
+        flow=FlowConfig(Q=0.0, E=0.1, Pe=10.0, eos="linear"),
         run=RunSpec(t_end=100.0, tol=1e-5, dt0=1e-4, dt_max=0.05,
                     output_every=200, adapt_spacing=True))
 

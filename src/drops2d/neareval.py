@@ -21,7 +21,7 @@ import numpy as np
 
 from numpy.polynomial import legendre as npleg
 
-from .spectral import GL_NODES, GL_WEIGHTS
+from .spectral import GL_NODES
 
 N_GL = 16
 
@@ -144,7 +144,9 @@ def _residue_correction(panel: PanelData, z0t: complex, xi0) -> complex:
     if abs(z0t.imag) < 1e-14 and abs(z0t.real) <= 1.0:
         return 0.0
     if xi0 is not None and abs(xi0) < 1.2:
-        between = (xi0.imag * z0t.imag) < 0.0
+        # beyond the panel ends (|Re xi0| > 1) the target is outside the
+        # lens whatever the sign of Im(xi0)
+        between = abs(xi0.real) <= 1.0 and (xi0.imag * z0t.imag) < 0.0
         if between:
             return -2j * np.pi * np.sign(z0t.imag)
         return 0.0
@@ -255,6 +257,41 @@ def correct_panel_integrals(panel: PanelData, mu_panel, z0: complex):
     K1 = 0.5 * (I1 + np.conj(I1c))
     K2 = 0.5j * (np.conj(J2) + np.conj(J3))
     return K1, K2
+
+
+def near_correct(panels, mu, targets):
+    """Special-minus-plain panel integrals, summed per target.
+
+    mu holds the density at the nodes of panels, N_GL values per panel in
+    panel order.  For every target z0 and every panel that
+    needs_correction flags, with (r1, rJ2, rJ3) the kernel_rows and
+    (p1, pJ2, pJ3) the plain_rows of the pair, the increments
+
+        dI  = sum (r1 - p1) mu
+        dIc = sum conj(r1 - p1) mu
+        dJ  = (i/2) conj(sum (rJ2 - pJ2) mu) + (i/2) conj(sum (rJ3 - pJ3) mu)
+
+    are accumulated.  The real and imaginary parts of the Cauchy-integral
+    increment are (dI + dIc)/2 and (dI - dIc)/2i; dJ is the increment of
+    the conjugate kernel.  Returns (dI, dIc, dJ), one value per target.
+    """
+    t = np.atleast_1d(np.asarray(targets, dtype=complex))
+    mu_p = np.asarray(mu).reshape(len(panels), N_GL)
+    mu_inf = np.abs(mu_p).max(axis=1)
+    out = np.zeros((3, t.shape[0]), dtype=complex)
+    for k, z0 in enumerate(t):
+        for panel, m, m_inf in zip(panels, mu_p, mu_inf):
+            frame = needs_correction(panel, z0, m_inf)
+            if frame is None:
+                continue
+            r1, rJ2, rJ3 = kernel_rows(panel, frame)
+            p1, pJ2, pJ3 = plain_rows(panel, z0)
+            d1 = r1 - p1
+            out[0, k] += d1 @ m
+            out[1, k] += np.conj(d1 @ np.conj(m))
+            out[2, k] += 0.5j * (np.conj((rJ2 - pJ2) @ m)
+                                 + np.conj((rJ3 - pJ3) @ m))
+    return out[0], out[1], out[2]
 
 
 def _kn(xi: complex, n: int = N_GL):

@@ -36,13 +36,12 @@ bubble-area quadratic each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .spectral import antiderivative
-from .surfactant import SurfactantField  # noqa: F401  (shared eos conventions)
 
 FLOW_RESIDUAL_TOL = 1e-9
 
@@ -210,8 +209,7 @@ def solve_flow(state: ConformalPairState, Q: float, sigma=None) -> PairFlowField
     Mfull = np.vstack([Mreal, crow_re, crow_im, rot])
     bfull = np.concatenate([breal, [closure, 0.0, 0.0]])
     x, *_ = np.linalg.lstsq(Mfull, bfull, rcond=None)
-    residual = float(np.abs(A @ (x[:ncol]) - rhs_grid).max()) if False else \
-        float(np.abs(Mfull @ x - bfull).max())
+    residual = float(np.abs(Mfull @ x - bfull).max())
     if residual > FLOW_RESIDUAL_TOL:
         raise PairOracleError(f"flow solve residual {residual:.3e} exceeds "
                               f"{FLOW_RESIDUAL_TOL:.0e} (NV={nv}, phi={phi:.4f})")

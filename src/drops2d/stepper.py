@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (Interface, adapt_resolution,
-                       modified_tangential_velocity, normals)
+from .geometry import adapt_resolution, modified_tangential_velocity, normals
 from .spectral import krasny_filter
 from .stokes import FlowConfig, interface_velocity
 from .surfactant import (SurfactantField, rhs_explicit, rhs_implicit_apply,
@@ -203,21 +202,6 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
         if callback is not None:
             callback(state, info)
     return state, False
-
-
-def advance_fixed(state: CoupledState, cfg: FlowConfig, dt: float,
-                  t_end: float, stokes_tol: float = 1e-11) -> CoupledState:
-    """Fixed-step integration with the same coupled scheme (no adaptivity)."""
-    mu_prev = None
-    n_steps = int(round((t_end - state.t) / dt))
-    ctrl = StepController(tol=np.inf if False else 1e30, dt=dt,
-                          dt_min=dt, dt_max=dt)
-    for _ in range(n_steps):
-        ctrl.dt = dt
-        cand, info, mu2, _ = step(state, cfg, ctrl, stokes_tol, mu0=mu_prev)
-        state = cand
-        mu_prev = mu2
-    return state
 
 
 def clean_fields(ifaces, E: float = 0.5) -> list:

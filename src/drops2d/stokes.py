@@ -1,25 +1,28 @@
-"""Sherman-Lauricella boundary integral solver for 2D multiphase Stokes flow.
+"""Boundary-integral solver for drops in 2D Stokes flow.
 
-Solves for the complex layer density mu on composite 16-point
-Gauss-Legendre grids, then evaluates interfacial and off-grid velocities.
-Interfaces are stored clockwise; with that orientation the correctly
-oriented system reads
-
-    mu - (beta/pi) [M1 mu + M2 conj(mu)] + beta sum_j mu_j w_j |z'_j|
-        = -(sigma gamma / 2) z'/|z'| - beta (B - iQ) conj(z)
-
-and the interfacial velocity is
+The velocity is represented by a complex layer density mu sampled on
+composite 16-point Gauss-Legendre grids, one per drop.  Interfaces are
+stored clockwise; with quadrature weights w the interfacial velocity is
 
     u = -(w/pi) mu' - (1/pi) sum_{j!=i} (mu_j - mu_i) w_j Re{z'_j/(z_j-z_i)}
-        - (1/(i pi)) sum_j conj(mu_j) M2_ij + (Q + iB) conj(z) - (iG/2) z.
+        - (1/(i pi)) sum_j conj(mu_j) M2_ij + (Q + iB) conj(z) - (iG/2) z,
+
+and the stress balance on a drop with viscosity ratio lambda reads
+
+    2 i lambda mu + (1 - lambda) [u + 2 f] = -(i/2) sigma z'/|z'|,
+
+with f the fluid-side limit of the Cauchy transform of mu.  Each drop
+adds three real gauge unknowns (a real multiple of z and a complex
+constant on its own nodes) and one real row asking for zero net normal
+flux through it.  solve_density solves the resulting real
+(2N + n_d) x (2N + 3 n_d) system by weighted least squares.
 
 The minus signs on the integral sums are the orientation cost of storing
-interfaces clockwise; right-hand side and velocity formula keep their
-conventional form.  The sign set is pinned by four independent physical
-checks: a circular interface under uniform tension is stationary, a clean
-ellipse relaxes toward a circle, Marangoni flow runs from low to high
-surface tension, and an isolated drop in extension moves with
-u.n = 2 Q cos(2 theta)/(1 + lambda).
+interfaces clockwise.  The sign set is pinned by four independent
+physical checks: a circular interface under uniform tension is
+stationary, a clean ellipse relaxes toward a circle, Marangoni flow runs
+from low to high surface tension, and an isolated drop in extension moves
+with u.n = 2 Q cos(2 theta)/(1 + lambda).
 
 Matrix-vector products use direct dense summation behind a small
 acceleration interface; near-singular cross-interface blocks are replaced
@@ -31,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+import scipy.linalg as sla
 
 from . import neareval
-from .geometry import Interface
-from .spectral import (fourier_interp, panel_derivative, panel_grid,
-                       spectral_derivative, uniform_to_gl)
+from .spectral import (DIFF16, fourier_interp, panel_derivative, panel_grid,
+                       uniform_to_gl)
 
 DEFAULT_TOL = 1e-12
 
@@ -46,15 +48,14 @@ class FlowConfig:
     """Far-field and material parameters.
 
     Q is the extensional rate (capillary number), B and G the shear
-    parameters of the linear far field, lambdas the per-drop viscosity
-    ratios.  E and Pe describe the surfactant (Pe = inf disables surface
-    diffusion); eos selects the equation of state.
+    parameters of the linear far field.  E and Pe describe the surfactant
+    (Pe = inf disables surface diffusion); eos selects the equation of
+    state.  Viscosity ratios are per drop and live on Interface.lam.
     """
 
     Q: float = 0.0
     B: float = 0.0
     G: float = 0.0
-    lambdas: tuple = (0.0,)
     E: float = 0.5
     Pe: float = np.inf
     eos: str = "linear"
@@ -63,8 +64,6 @@ class FlowConfig:
         for v, name in ((self.Q, "Q"), (self.B, "B"), (self.G, "G")):
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        if any(l < 0 for l in self.lambdas):
-            raise ValueError("viscosity ratios must be nonnegative")
         if self.eos not in ("linear", "langmuir"):
             raise ValueError("eos must be 'linear' or 'langmuir'")
         if not (self.Pe > 0):
@@ -154,8 +153,8 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _near_pairs(disc: Discretization, cross_only: bool = True):
-    """Point-panel pairs requiring special quadrature, with frames."""
+def _near_pairs(disc: Discretization):
+    """Cross-drop point-panel pairs requiring special quadrature, with frames."""
     pairs = []
     centers = np.array([0.5 * (p.za + p.zb) for p in disc.panels])
     lengths = np.array([p.length for p in disc.panels])
@@ -163,14 +162,37 @@ def _near_pairs(disc: Discretization, cross_only: bool = True):
         d = np.abs(disc.z - centers[ip])
         cand = np.nonzero(d < (neareval.CULL_FACTOR + 0.75) * lengths[ip])[0]
         for i in cand:
-            if cross_only and disc.drop_of[i] == disc.panel_drop[ip]:
-                continue
-            if not cross_only and disc.panel_slices[ip].start <= i < disc.panel_slices[ip].stop:
+            if disc.drop_of[i] == disc.panel_drop[ip]:
                 continue
             frame = neareval.needs_correction(panel, disc.z[i], 1.0)
             if frame is not None:
                 pairs.append((i, ip, frame))
     return pairs
+
+
+def layer_matrices(z, zp, zpp, w):
+    """Weighted dense kernels of the layer potential on one node set.
+
+    Returns (C, M1, M2) with, for i != j,
+
+        C_ij  = w_j z'_j/(z_j - z_i)
+        M1_ij = Im C_ij
+        M2_ij = w_j Im{z'_j conj(z_j - z_i)}/conj(z_j - z_i)^2.
+
+    C has a zero diagonal (the sums that use it subtract the singularity);
+    M1 and M2 carry their smooth diagonal limits.
+    """
+    dz = z[None, :] - z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = zp[None, :] / dz
+        cj = np.conj(dz)
+        M2 = np.imag(zp[None, :] * cj) / cj**2
+    M1 = C.imag.copy()
+    idx = np.arange(z.shape[0])
+    C[idx, idx] = 0.0
+    M1[idx, idx] = np.imag(zpp / (2 * zp))
+    M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
+    return C * w[None, :], M1 * w[None, :], M2 * w[None, :]
 
 
 class DirectKernels:
@@ -182,33 +204,16 @@ class DirectKernels:
 
     def __init__(self, disc: Discretization, correct: bool = True):
         self.disc = disc
-        z, zp, w = disc.z, disc.zp, disc.w
-        dz = z[None, :] - z[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            M1 = np.imag(zp[None, :] / dz)
-            cj = np.conj(dz)
-            M2 = np.imag(zp[None, :] * cj) / cj**2
-            K1re = np.real(zp[None, :] / dz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            CAU = zp[None, :] / dz
-        idx = np.arange(disc.n)
-        M1[idx, idx] = np.imag(disc.zpp / (2 * zp))
-        M2[idx, idx] = np.imag(disc.zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
-        K1re[idx, idx] = 0.0
-        CAU[idx, idx] = 0.0
-        self.M1 = M1 * w[None, :]
-        self.M2 = M2 * w[None, :]
-        self.K1re = K1re * w[None, :]
-        self.CAU = CAU * w[None, :]
+        self.CAU, self.M1, self.M2 = layer_matrices(disc.z, disc.zp,
+                                                    disc.zpp, disc.w)
         self.pairs = _near_pairs(disc) if correct else []
         for i, ip, frame in self.pairs:
-            panel = disc.panels[ip]
             sl = disc.panel_slices[ip]
-            r1, rJ2, rJ3 = neareval.kernel_rows(panel, frame)
+            r1, rJ2, rJ3 = neareval.kernel_rows(disc.panels[ip], frame)
             self.M1[i, sl] = np.imag(r1)
             self.M2[i, sl] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
-            self.K1re[i, sl] = np.real(r1)
             self.CAU[i, sl] = r1
+        self.K1re = np.ascontiguousarray(self.CAU.real)
 
     def apply_m1(self, mu):
         return self.M1 @ mu
@@ -222,8 +227,6 @@ class DirectKernels:
 
 def _diff_operator(disc: Discretization) -> np.ndarray:
     """Block-diagonal per-panel differentiation matrix d/d alpha."""
-    from .spectral import DIFF16
-
     N = disc.n
     D = np.zeros((N, N))
     off = 0
@@ -250,25 +253,29 @@ def _velocity_operators(disc: Discretization, kernels: DirectKernels):
 
 def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
                   disc: Discretization = None, kernels: DirectKernels = None,
-                  mu0: np.ndarray = None, maxiter: int = 200) -> DensitySolution:
+                  mu0: np.ndarray = None) -> DensitySolution:
     """Solve the interfacial stress balance for the layer density.
 
     sigma_gl holds surface tension samples on the composite GL grid (all
-    drops concatenated).  The real-linear system (the conjugate-density
-    terms are antilinear) is solved dense by QR least squares; its only
-    null direction is the velocity-invisible per-drop pressure gauge.
-    mu0/tol are accepted for interface compatibility; the direct solve is
-    exact to conditioning.
+    drops concatenated); each drop's viscosity ratio is its Interface.lam.
+    The stress balance is real-linear in mu (the conjugate-density terms
+    are antilinear), so it is split into real and imaginary parts: 2N rows
+    of stress balance plus one zero-net-flux row per drop, against 2N
+    density unknowns plus three gauge columns per drop (-z, -1 and -i on
+    that drop's nodes).  This real (2N + n_d) x (2N + 3 n_d) system is
+    underdetermined; it is solved by pivoted-QR least squares (gelsy)
+    with the density columns weighted so that the minimum-norm solution
+    minimizes the discrete integral of |mu|^2 ds plus the squared gauge
+    coefficients.  That gauge does not depend on the resolution.  The
+    solve is direct: tol and mu0 are not used.  A residual above 1e-8
+    (relative 1e-10 for large data) raises SolverError.
     """
-    import scipy.linalg as sla
-
     if disc is None:
         disc = discretize(ifaces)
     N = disc.n
     nd = len(ifaces)
     z, zp, w = disc.z, disc.zp, disc.w
-    lam = np.array([cfg.lambdas[k] if k < len(cfg.lambdas) else cfg.lambdas[-1]
-                    for k in disc.drop_of])
+    lam = np.array([ifc.lam for ifc in ifaces])[disc.drop_of]
     if np.all(lam == 1.0):
         # the balance collapses to the exact identity (canonical gauge)
         mu = -0.25 * sigma_gl * zp / np.abs(zp)
@@ -313,42 +320,22 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
     # weight the density unknowns so the minimum-norm gauge minimizes the
     # continuous integral of |mu|^2 ds: the selected gauge is then
     # resolution-independent and densities converge pointwise under
-    # panel refinement.  The system is underdetermined (per-drop pressure
-    # gauge), so the minimum-norm solution comes from the normal
-    # equations of the second kind with a tiny ridge.
+    # panel refinement; rows are scaled to unit norm
     swt = 1.0 / np.sqrt(w * np.abs(zp))
     scale = np.concatenate([swt, swt, np.ones(3 * nd)])
     B = A * scale[None, :]
     rnorm = np.sqrt((B * B).sum(axis=1))
     rnorm[rnorm == 0] = 1.0
     B /= rnorm[:, None]
-    beq = b / rnorm
-    # fast path: min-norm via the second-kind normal equations; falls back
-    # to QR least squares when conditioning spoils the cheap route
-    x = None
-    try:
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error", sla.LinAlgWarning)
-            G = B @ B.T
-            G[np.diag_indices_from(G)] += 1e-14
-            y = sla.solve(G, beq, assume_a="pos")
-        x = scale * (B.T @ y)
-        if np.abs(A @ x - b).max() > 1e-9 * max(1.0, np.abs(b).max()):
-            x = None
-    except (sla.LinAlgError, sla.LinAlgWarning):
-        x = None
-    if x is None:
-        xw, _, _, _ = sla.lstsq(B, beq, cond=1e-12, lapack_driver="gelsy")
-        x = scale * xw
-    rank = A.shape[0]
+    xw, _, _, _ = sla.lstsq(B, b / rnorm, cond=1e-12, lapack_driver="gelsy")
+    x = scale * xw
     res = float(np.abs(A @ x - b).max())
     bnorm = float(np.abs(b).max())
     if res > max(1e-8, 1e-10 * max(1.0, bnorm)):
         raise SolverError(f"stress-balance solve residual {res:.2e}",
                           residuals=[res])
     mu = x[:N] + 1j * x[N:2 * N]
-    return DensitySolution(mu=mu, residual=res, iterations=int(rank))
+    return DensitySolution(mu=mu, residual=res, iterations=A.shape[0])
 
 
 def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
@@ -386,22 +373,9 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
     cj = np.conj(d)
     K2 = np.imag(base[None, :] * cj) / cj**2
     u = -(K1 @ mu) / np.pi - (K2 @ np.conj(mu)) / (1j * np.pi)
-    # near corrections, per target-panel pair
-    mu_inf_panel = [np.abs(mu[sl]).max() for sl in disc.panel_slices]
-    for ti, z0 in enumerate(t):
-        for ip, panel in enumerate(disc.panels):
-            frame = neareval.needs_correction(panel, z0, mu_inf_panel[ip])
-            if frame is None:
-                continue
-            sl = disc.panel_slices[ip]
-            r1, rJ2, rJ3 = neareval.kernel_rows(panel, frame)
-            mu_p = mu[sl]
-            K1_corr = np.real(r1) @ mu_p
-            K2_corr = 0.5j * (np.conj(rJ2 @ mu_p) + np.conj(rJ3 @ mu_p))
-            K1_plain = np.real(base[sl] / (panel.z_nodes - z0)) @ mu_p
-            p1, pJ2, pJ3 = neareval.plain_rows(panel, z0)
-            K2_plain = 0.5j * (np.conj(pJ2 @ mu_p) + np.conj(pJ3 @ mu_p))
-            u[ti] -= (K1_corr - K1_plain) / np.pi + (K2_corr - K2_plain) / (1j * np.pi)
+    # near corrections: K1 takes the real part of the Cauchy increment
+    dI, dIc, dJ = neareval.near_correct(disc.panels, mu, t)
+    u -= 0.5 * (dI + dIc) / np.pi + dJ / (1j * np.pi)
     u += (cfg.Q + 1j * cfg.B) * np.conj(t) - 0.5j * cfg.G * t
     return u
 

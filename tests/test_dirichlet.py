@@ -26,6 +26,18 @@ def test_interior_reproduction_near_boundary():
     assert err < 1e-9
 
 
+def test_target_beyond_panel_end_gets_no_lens_residue():
+    # near a concave part of the star the preimage of z0 on panel 24 is
+    # xi0 = 1.19 + 0.03i: beyond the panel end, so outside the lens
+    # between the panel and its chord even though Im(xi0) and Im(z0t)
+    # have opposite signs
+    ref = GoursatReference()
+    sol = solve_dirichlet(50, ref.velocity)
+    z0 = -0.69864 - 0.00861j
+    u = evaluate_velocity(sol, [z0])
+    assert abs(u[0] - ref.velocity(z0)) < 1e-10
+
+
 def test_plain_quadrature_fails_near_boundary():
     # sanity: without the correction the same points are badly wrong
     ref = GoursatReference()

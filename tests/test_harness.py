@@ -15,7 +15,7 @@ def tiny_config(fixed_dt=None, n=64):
         name="tiny",
         drops=[DropSpec(shape="circle", center=0.0, radius=1.0, lam=0.0,
                         rho0=1.0, n=n)],
-        flow=FlowConfig(Q=0.05, lambdas=(0.0,), E=0.3, Pe=10.0),
+        flow=FlowConfig(Q=0.05, E=0.3, Pe=10.0),
         run=RunSpec(t_end=0.02, tol=1e-6, dt0=2e-3, fixed_dt=fixed_dt,
                     output_every=2, checkpoint_every=0))
 
@@ -47,6 +47,14 @@ class TestConfigRoundTrip:
         cfg2 = ScenarioConfig.from_json(cfg.to_json())
         assert cfg2.to_json() == cfg.to_json()
         assert cfg2.config_hash() == cfg.config_hash()
+
+    def test_flow_lambdas_rejected(self):
+        # viscosity ratios live on the drops; a stale flow key must fail
+        import json
+        raw = json.loads(tiny_config().to_json())
+        raw["flow"]["lambdas"] = [0.0]
+        with pytest.raises(TypeError, match="lambdas"):
+            ScenarioConfig.from_json(json.dumps(raw))
 
     def test_infinite_pe_round_trip(self):
         cfg = preset("steady_single")
@@ -125,7 +133,7 @@ def test_build_state_rejects_overlap():
     cfg = ScenarioConfig(
         name="overlap",
         drops=[DropSpec(center=0.0, n=64), DropSpec(center=0.5, n=64)],
-        flow=FlowConfig(lambdas=(0.0, 0.0)),
+        flow=FlowConfig(),
         run=RunSpec())
     with pytest.raises(ValueError):
         build_state(cfg)

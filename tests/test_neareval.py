@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from drops2d import neareval
 from drops2d.neareval import (PanelData, correct_panel_integrals,
                               correction_rows, estimate_error, kernel_rows,
-                              locate_preimage, needs_correction, plain_rows,
-                              prepare_panel, recursion_pq)
+                              locate_preimage, near_correct, needs_correction,
+                              plain_rows, prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
 
 warnings.filterwarnings("ignore", message=".*roundoff.*")
@@ -209,3 +209,56 @@ def test_idempotence_where_plain_accurate():
     p1, pJ2, pJ3 = plain_rows(panel, z0)
     for rc, rp in ((r1, p1), (rJ2, pJ2), (rJ3, pJ3)):
         assert abs(rc @ mu - rp @ mu) < 1e-12
+
+
+class TestNearCorrect:
+    """near_correct against the per-panel reference correct_panel_integrals."""
+
+    @staticmethod
+    def reference(panels, mu, targets):
+        """Summed (K1, K2) increments over the panels the estimate flags."""
+        mu_p = mu.reshape(len(panels), 16)
+        dK1 = np.zeros(len(targets), dtype=complex)
+        dK2 = np.zeros(len(targets), dtype=complex)
+        dI = np.zeros(len(targets), dtype=complex)
+        hits = 0
+        for k, z0 in enumerate(targets):
+            for panel, m in zip(panels, mu_p):
+                if needs_correction(panel, z0, np.abs(m).max()) is None:
+                    continue
+                hits += 1
+                K1, K2 = correct_panel_integrals(panel, m, z0)
+                p1, pJ2, pJ3 = plain_rows(panel, z0)
+                dK1[k] += K1 - np.real(p1) @ m
+                dK2[k] += K2 - 0.5j * (np.conj(pJ2 @ m) + np.conj(pJ3 @ m))
+                r1, _, _ = kernel_rows(panel, locate_preimage(panel, z0))
+                dI[k] += r1 @ m - p1 @ m
+        return dK1, dK2, dI, hits
+
+    def check(self, panels, mu, targets):
+        dI, dIc, dJ = near_correct(panels, mu, targets)
+        ref_K1, ref_K2, ref_I, hits = self.reference(panels, mu, targets)
+        assert hits > 0
+        assert np.abs(0.5 * (dI + dIc) - ref_K1).max() < 1e-13
+        assert np.abs(dJ - ref_K2).max() < 1e-13
+        assert np.abs(dI - ref_I).max() < 1e-13
+
+    def test_two_drop_discretization(self):
+        from drops2d.geometry import circle
+        from drops2d.stokes import discretize
+
+        disc = discretize([circle(64, center=1.15, id=0),
+                           circle(64, center=-1.15, id=1)])
+        mu = (1 + 0.3j) * np.exp(0.4 * disc.z) + 0.2 * np.conj(disc.z)
+        targets = np.array([0.0, 0.05 + 0.1j, -0.08 - 0.2j, 0.1 + 0.02j,
+                            1.15 + 1.02j, -1.15 - 0.97j])
+        self.check(disc.panels, mu, targets)
+
+    def test_star_contour(self):
+        from drops2d.dirichlet import GoursatReference, solve_dirichlet
+
+        sol = solve_dirichlet(25, GoursatReference().velocity)
+        th = np.linspace(0.1, 2 * np.pi, 7, endpoint=False)
+        depth = np.array([1e-3, 0.01, 0.03, 0.1, 0.02, 5e-3, 0.06])
+        targets = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
+        self.check(sol.panels, sol.mu, targets)

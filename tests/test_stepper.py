@@ -55,7 +55,7 @@ class TestLocalErrors:
 class TestEquilibrium:
     def test_step_accepted_positions_frozen(self):
         state = make_state(n=64)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         ctrl = StepController(tol=1e-6, dt=1e-3)
         cand, info, mu2, _ = step(state, cfg, ctrl)
         assert info.accepted
@@ -64,7 +64,7 @@ class TestEquilibrium:
 
     def test_advance_keeps_circle(self):
         state = make_state(n=64)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         ctrl = StepController(tol=1e-6, dt=1e-2, dt_max=0.1)
         out, _ = advance_to(state, cfg, ctrl, t_end=0.5)
         assert np.abs(np.abs(out.ifaces[0].z) - 1).max() < 1e-9
@@ -73,7 +73,7 @@ class TestEquilibrium:
 class TestCoupledRun:
     def test_area_and_mass_conservation(self):
         state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.2)
-        cfg = FlowConfig(Q=0.05, lambdas=(0.0,), E=0.2, Pe=10.0)
+        cfg = FlowConfig(Q=0.05, E=0.2, Pe=10.0)
         ctrl = StepController(tol=1e-7, dt=1e-3)
         area0 = state.areas()[0]
         mass0 = state.masses()[0]
@@ -84,7 +84,7 @@ class TestCoupledRun:
 
     def test_spacing_stays_equidistant(self):
         state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.3)
-        cfg = FlowConfig(Q=0.08, lambdas=(0.0,), E=0.3, Pe=10.0)
+        cfg = FlowConfig(Q=0.08, E=0.3, Pe=10.0)
         ctrl = StepController(tol=1e-7, dt=1e-3)
         out, _ = advance_to(state, cfg, ctrl, t_end=0.2)
         zp = np.abs(out.ifaces[0].z_alpha())
@@ -92,7 +92,7 @@ class TestCoupledRun:
 
     def test_rejected_steps_shrink_dt(self):
         state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.5)
-        cfg = FlowConfig(Q=0.3, lambdas=(0.0,), E=0.5, Pe=10.0)
+        cfg = FlowConfig(Q=0.3, E=0.5, Pe=10.0)
         ctrl = StepController(tol=1e-10, dt=5e-2)
         cand, info, _, _ = step(state, cfg, ctrl)
         assert not info.accepted
@@ -104,7 +104,7 @@ def test_clean_reduces_to_midpoint():
     # with surfactants disabled the accepted state comes from the plain
     # midpoint update on z
     state = make_state(n=64)
-    cfg = FlowConfig(Q=0.05, lambdas=(0.0,))
+    cfg = FlowConfig(Q=0.05)
     ctrl = StepController(tol=1e-5, dt=1e-3)
     cand, info, _, stage1 = step(state, cfg, ctrl)
     assert info.accepted

@@ -22,7 +22,7 @@ def solve_setup(ifaces, cfg, sigma=None):
 class TestSolveDensity:
     def test_lambda_one_identity(self):
         c = circle(128, lam=1.0)
-        cfg = FlowConfig(lambdas=(1.0,))
+        cfg = FlowConfig()
         disc, kern, sol = solve_setup([c], cfg)
         sig_gl = sigma_to_gl([c], [np.ones(128)])
         expected = -sig_gl * 0.25 * disc.zp / np.abs(disc.zp)
@@ -31,7 +31,7 @@ class TestSolveDensity:
     def test_lambda_one_operator_is_identity(self):
         # applying the assembled operator to random mu returns mu
         c = circle(64, lam=1.0)
-        cfg = FlowConfig(lambdas=(1.0,))
+        cfg = FlowConfig()
         disc = discretize([c])
         kern = DirectKernels(disc)
         rng = np.random.default_rng(0)
@@ -44,7 +44,7 @@ class TestSolveDensity:
         # the density itself carries a per-drop pressure gauge; the
         # physical content is the zero velocity (checked in TestVelocity)
         c = circle(128, lam=0.0)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         disc, kern, sol = solve_setup([c], cfg)
         assert sol.residual < 1e-10
         assert np.isfinite(sol.mu).all()
@@ -54,7 +54,7 @@ class TestSolveDensity:
         a = uniform_alpha(256)
         z = (1 + 0.2 * np.cos(3 * a)) * np.exp(-1j * a)
         base = to_equal_arclength(Interface(z=z, check=False))
-        cfg = FlowConfig(Q=0.05, lambdas=(0.0,))
+        cfg = FlowConfig(Q=0.05)
         for n in (128, 256):
             from drops2d.spectral import resample
             iface = Interface(z=resample(base.z, n), check=False)
@@ -65,7 +65,7 @@ class TestSolveDensity:
 class TestVelocity:
     def test_equilibrium_circle_velocity(self):
         c = circle(128, lam=0.0)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         disc, kern, sol = solve_setup([c], cfg)
         u = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kern)
         n = -1j * disc.zp / np.abs(disc.zp)
@@ -74,7 +74,7 @@ class TestVelocity:
 
     def test_far_field_only_extension(self):
         c = circle(64, lam=0.0)
-        cfg = FlowConfig(Q=0.1, lambdas=(0.0,))
+        cfg = FlowConfig(Q=0.1)
         disc = discretize([c])
         sol_zero = type("S", (), {"mu": np.zeros(disc.n, dtype=complex)})()
         u = evaluate_velocity_offgrid(disc, sol_zero, cfg, [1.0 + 1.0j])
@@ -82,7 +82,7 @@ class TestVelocity:
 
     def test_far_field_only_shear(self):
         c = circle(64, lam=0.0)
-        cfg = FlowConfig(Q=0.0, B=1.0, G=2.0, lambdas=(0.0,))
+        cfg = FlowConfig(Q=0.0, B=1.0, G=2.0)
         disc = discretize([c])
         sol_zero = type("S", (), {"mu": np.zeros(disc.n, dtype=complex)})()
         zt = 0.5 + 1.0j
@@ -94,7 +94,7 @@ class TestVelocity:
         # exact instantaneous response: u = 2 Q conj(z) on the unit circle
         Q = 0.3
         c = circle(160, lam=0.0)
-        cfg = FlowConfig(Q=Q, lambdas=(0.0,))
+        cfg = FlowConfig(Q=Q)
         disc, kern, sol = solve_setup([c], cfg)
         u = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kern)
         assert np.abs(u - 2 * Q * np.conj(disc.z)).max() < 1e-11
@@ -104,7 +104,7 @@ class TestVelocity:
         # normal velocity 2 Q cos(2 theta)/(1 + lambda), outward
         Q = 0.3
         c = circle(160, lam=lam)
-        cfg = FlowConfig(Q=Q, lambdas=(lam,))
+        cfg = FlowConfig(Q=Q)
         disc, kern, sol = solve_setup([c], cfg)
         u = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kern)
         n_in = -1j * disc.zp / np.abs(disc.zp)
@@ -114,7 +114,7 @@ class TestVelocity:
 
     def test_exterior_quiescent_ring(self):
         c = circle(128, lam=0.0)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         disc, kern, sol = solve_setup([c], cfg)
         ring = 1.5 * np.exp(1j * uniform_alpha(32))
         u = evaluate_velocity_offgrid(disc, sol, cfg, ring)
@@ -123,7 +123,7 @@ class TestVelocity:
     def test_off_grid_far_disturbance_matches_analytic(self):
         Q = 0.3
         c = circle(160, lam=0.0)
-        cfg = FlowConfig(Q=Q, lambdas=(0.0,))
+        cfg = FlowConfig(Q=Q)
         disc, kern, sol = solve_setup([c], cfg)
         t0 = 5.0 + 3.0j
         u = evaluate_velocity_offgrid(disc, sol, cfg, [t0])[0]
@@ -135,7 +135,7 @@ class TestVelocity:
         # evaluation 1e-3 from the interface agrees with the analytic field
         Q = 0.2
         c = circle(160, lam=0.0)
-        cfg = FlowConfig(Q=Q, lambdas=(0.0,))
+        cfg = FlowConfig(Q=Q)
         disc, kern, sol = solve_setup([c], cfg)
         t0 = (1.0 + 1e-3) * np.exp(0.37j)
         u = evaluate_velocity_offgrid(disc, sol, cfg, [t0])[0]
@@ -144,7 +144,7 @@ class TestVelocity:
 
     def test_node_target_rejected(self):
         c = circle(64, lam=0.0)
-        cfg = FlowConfig(lambdas=(0.0,))
+        cfg = FlowConfig()
         disc, kern, sol = solve_setup([c], cfg)
         with pytest.raises(ValueError):
             evaluate_velocity_offgrid(disc, sol, cfg, [disc.z[3]])
@@ -155,7 +155,7 @@ class TestSelfConvergence:
         a = uniform_alpha(192)
         z = (1 + 0.1 * np.cos(3 * a)) * np.exp(-1j * a)
         base = to_equal_arclength(Interface(z=z, check=False))
-        cfg = FlowConfig(Q=0.05, lambdas=(0.0,))
+        cfg = FlowConfig(Q=0.05)
         from drops2d.spectral import resample
 
         mus = {}
@@ -177,7 +177,7 @@ class TestSelfConvergence:
         a = uniform_alpha(192)
         z = (1 + 0.1 * np.cos(3 * a)) * np.exp(-1j * a)
         base = to_equal_arclength(Interface(z=z, check=False))
-        cfg = FlowConfig(Q=0.05, lambdas=(0.0,))
+        cfg = FlowConfig(Q=0.05)
         from drops2d.spectral import resample
 
         us = {}
@@ -195,7 +195,7 @@ def test_two_bubble_solve_basics():
     n = 128
     i1 = circle(n, center=c0, lam=0.0, id=0)
     i2 = circle(n, center=-c0, lam=0.0, id=1)
-    cfg = FlowConfig(Q=-0.1, lambdas=(0.0, 0.0))
+    cfg = FlowConfig(Q=-0.1)
     disc, kern, sol = solve_setup([i1, i2], cfg)
     u = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kern)
     n_in = -1j * disc.zp / np.abs(disc.zp)
