@@ -72,7 +72,10 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
     grid, z, zp, zpp, z_edges = star_contour(n_panels, amplitude, mode)
     w = grid.weights
     n = z.shape[0]
-    _, M1w, M2w = layer_matrices(z, zp, zpp, w)
+    Cw, M2w = layer_matrices(z, zp, zpp, w)
+    # Im C with its smooth diagonal limit
+    M1w = Cw.imag.copy()
+    M1w[np.arange(n), np.arange(n)] = w * np.imag(zpp / (2 * zp))
 
     u_b = boundary_velocity(z)
     data = 1j * u_b  # stream-gradient form of the velocity data
@@ -123,16 +126,10 @@ def estimate_field(sol: DirichletSolution, targets):
     out = np.zeros(t.shape[0])
     for k, z0 in enumerate(t):
         tot = 0.0
-        for ip, panel in enumerate(sol.panels):
-            dmin = np.min(np.abs(panel.z_nodes - z0))
-            if dmin > neareval.CULL_FACTOR * panel.length:
-                continue
-            frame = neareval.locate_preimage(panel, z0)
-            if not frame.newton_ok:
-                continue
-            est = neareval.estimate_error(panel, frame, mu_inf[ip])
-            if np.isfinite(est):
-                tot += est
+        for panel, m_inf in zip(sol.panels, mu_inf):
+            hit = neareval.pair_estimate(panel, z0, m_inf)
+            if hit is not None and np.isfinite(hit[1]):
+                tot += hit[1]
         out[k] = tot
     return out
 

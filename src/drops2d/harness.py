@@ -133,18 +133,19 @@ def build_state(cfg: ScenarioConfig) -> CoupledState:
         else:
             raise ValueError(f"unknown shape {d.shape}")
         ifaces.append(ifc)
-        if d.rho0 > 0:
-            fields.append(SurfactantField(rho=d.rho0 * np.ones(d.n),
-                                          E=cfg.flow.E, Pe=cfg.flow.Pe,
-                                          eos=cfg.flow.eos))
-        else:
-            fields.append(SurfactantField(rho=np.zeros(d.n), E=cfg.flow.E,
-                                          Pe=np.inf, eos=cfg.flow.eos))
+        fields.append(_field(cfg, d, np.full(d.n, max(d.rho0, 0.0))))
     for a in ifaces:
         for b in ifaces:
             if a.id < b.id and _overlapping(a, b):
                 raise ValueError("drops must start disjoint")
     return CoupledState(ifaces=ifaces, fields=fields)
+
+
+def _field(cfg: ScenarioConfig, d: DropSpec, rho) -> SurfactantField:
+    """Surfactant field of drop d carrying rho; clean drops do not diffuse."""
+    return SurfactantField(rho=rho, E=cfg.flow.E,
+                           Pe=cfg.flow.Pe if d.rho0 > 0 else np.inf,
+                           eos=cfg.flow.eos)
 
 
 def _point_inside(pt: complex, iface: Interface) -> bool:
@@ -300,22 +301,25 @@ def save_checkpoint(path: str, state: CoupledState, ctrl: StepController,
     for k, (ifc, f) in enumerate(zip(state.ifaces, state.fields)):
         arrays[f"z_{k}"] = ifc.z
         arrays[f"rho_{k}"] = f.rho
-        meta[f"lam_{k}"] = ifc.lam
-        meta[f"E_{k}"] = f.E
-        meta[f"Pe_{k}"] = f.Pe
-        meta[f"eos_{k}"] = f.eos
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
 def load_checkpoint(path: str, cfg: ScenarioConfig):
+    """State and controller saved by save_checkpoint.
+
+    The checkpoint holds positions, concentrations, t and the controller;
+    the material parameters (lambda, E, Pe, eos) come from cfg.
+    """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
+    if meta["n_drops"] != len(cfg.drops):
+        raise ValueError(f"checkpoint has {meta['n_drops']} drops, "
+                         f"config has {len(cfg.drops)}")
     ifaces, fields = [], []
-    for k in range(meta["n_drops"]):
-        ifaces.append(Interface(z=data[f"z_{k}"], lam=meta[f"lam_{k}"],
-                                id=k, check=False))
-        fields.append(SurfactantField(rho=data[f"rho_{k}"], E=meta[f"E_{k}"],
-                                      Pe=meta[f"Pe_{k}"], eos=meta[f"eos_{k}"]))
+    for k, d in enumerate(cfg.drops):
+        ifaces.append(Interface(z=data[f"z_{k}"], lam=d.lam, id=k,
+                                check=False))
+        fields.append(_field(cfg, d, data[f"rho_{k}"]))
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]

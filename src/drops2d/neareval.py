@@ -330,12 +330,11 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf: float) -> f
     return abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi) + np.conj(R3) / (2 * np.pi))
 
 
-def needs_correction(panel: PanelData, z0: complex, mu_inf: float,
-                     threshold: float = ACTIVATION_THRESHOLD):
-    """Decide whether the special rule is needed for this point-panel pair.
+def pair_estimate(panel: PanelData, z0: complex, mu_inf: float):
+    """Preimage frame and plain-GL error estimate of one point-panel pair.
 
-    Returns the frame when correction should be applied, otherwise None.
-    A cheap distance cull skips the estimate for clearly-far targets.
+    Returns (frame, estimate), or None when a cheap distance cull rejects
+    the target or Newton finds no reliable preimage.
     """
     dmin = np.min(np.abs(panel.z_nodes - z0))
     if dmin > CULL_FACTOR * panel.length:
@@ -343,6 +342,16 @@ def needs_correction(panel: PanelData, z0: complex, mu_inf: float,
     frame = locate_preimage(panel, z0)
     if not frame.newton_ok:
         return None
-    if estimate_error(panel, frame, max(mu_inf, 1e-30)) <= threshold:
+    return frame, estimate_error(panel, frame, mu_inf)
+
+
+def needs_correction(panel: PanelData, z0: complex, mu_inf: float,
+                     threshold: float = ACTIVATION_THRESHOLD):
+    """Decide whether the special rule is needed for this point-panel pair.
+
+    Returns the frame when correction should be applied, otherwise None.
+    """
+    hit = pair_estimate(panel, z0, max(mu_inf, 1e-30))
+    if hit is None or hit[1] <= threshold:
         return None
-    return frame
+    return hit[0]

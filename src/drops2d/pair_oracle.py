@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .spectral import antiderivative
+from .spectral import antiderivative, modes
 
 FLOW_RESIDUAL_TOL = 1e-9
 
@@ -134,7 +134,7 @@ def geometry(state: ConformalPairState):
     sq = np.sqrt(state.phi)
     zeta = state.zeta
     a = state.spectrum().astype(complex)
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
+    n_idx = modes(m)
     da = a * n_idx
     dda = da * (n_idx - 1)
     z = state.b / (zeta - sq) + _ev(a, m)
@@ -285,7 +285,7 @@ def solve_b(state: ConformalPairState, b_prev: float) -> float:
     zeta = state.zeta
     a = state.spectrum().astype(complex)
     a[0] = 0.0  # a_0 is b-dependent; fold it into the quadratic instead
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
+    n_idx = modes(m)
     da = a * n_idx
     zh_inv = _ev(_flip(a), m)
     zh_z = _ev(da, m) / zeta
@@ -315,7 +315,7 @@ def bubble_area(state: ConformalPairState) -> float:
     sq = np.sqrt(state.phi)
     zeta = state.zeta
     a = state.spectrum().astype(complex)
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
+    n_idx = modes(m)
     z_inv = state.b / (1 / zeta - sq) + _ev(_flip(a), m)
     zz = -state.b / (zeta - sq) ** 2 + _ev(a * n_idx, m) / zeta
     val = np.sum(z_inv * zz * 1j * zeta) * (2 * np.pi / m)
@@ -330,26 +330,27 @@ def surfactant_sigma(state: ConformalPairState) -> np.ndarray:
     return 1.0 - state.E * state.rho
 
 
-def surfactant_rhs(state: ConformalPairState, fl: PairFlowField):
-    """Explicit transport term f_exp on the nu grid (surfactant case)."""
+def surfactant_rhs(state: ConformalPairState, zt, u):
+    """Explicit transport term f_exp on the nu grid (surfactant case).
+
+    zt and u are the map velocity and the interface velocity that
+    mapping_rhs returns for the same state.
+    """
     m = state.n_grid
     if state.rho is None:
         raise PairOracleError("clean state has no surfactant equation")
-    sigma = surfactant_sigma(state)
-    z, zz, _, zzz = geometry(state)
+    _, zz, _, zzz = geometry(state)
     zeta = state.zeta
     z_nu = 1j * zeta * zz
     z_nunu = -zeta * zz - zeta**2 * zzz
     sp = np.abs(z_nu)
-    _, _, zt, u = mapping_rhs(state, fl, sigma)
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
+    n_idx = modes(m)
     rho_nu = np.fft.ifft(np.fft.fft(state.rho) * 1j * n_idx).real
     P = u * np.conj(z_nu) * state.rho / sp
     dReP = np.fft.ifft(np.fft.fft(P.real) * 1j * n_idx).real
-    f_exp = (np.real(rho_nu / z_nu * zt)
-             - dReP / sp
-             + np.imag(z_nunu / z_nu) * P.imag / sp)
-    return f_exp, zt, u
+    return (np.real(rho_nu / z_nu * zt)
+            - dReP / sp
+            + np.imag(z_nunu / z_nu) * P.imag / sp)
 
 
 def surfactant_implicit_solve(state: ConformalPairState, rhs, dt_coeff: float,
@@ -362,13 +363,7 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs, dt_coeff: float,
     if not np.isfinite(state.Pe):
         return np.asarray(rhs, dtype=float).copy()
     m = state.n_grid
-    z, zz, _, _ = geometry(state)
-    sp = np.abs(1j * state.zeta * zz)
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
-
-    def L(r):
-        r_nu = np.fft.ifft(np.fft.fft(r) * 1j * n_idx).real
-        return np.fft.ifft(np.fft.fft(r_nu / sp) * 1j * n_idx).real / (sp * state.Pe)
+    L = _diffusion(state)
 
     def mv(x):
         return x - dt_coeff * L(x)
@@ -379,6 +374,18 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs, dt_coeff: float,
     if info != 0:
         raise PairOracleError("implicit surfactant solve stagnated")
     return x
+
+
+def _diffusion(state: ConformalPairState):
+    """Surface diffusion L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|)."""
+    _, zz, _, _ = geometry(state)
+    sp = np.abs(1j * state.zeta * zz)
+    n_idx = modes(state.n_grid)
+
+    def L(r):
+        r_nu = np.fft.ifft(np.fft.fft(r) * 1j * n_idx).real
+        return np.fft.ifft(np.fft.fft(r_nu / sp) * 1j * n_idx).real / (sp * state.Pe)
+    return L
 
 
 def surfactant_mass_pair(state: ConformalPairState) -> float:
@@ -416,7 +423,7 @@ def _stage(state: ConformalPairState, Q: float):
     f_pos, phidot, zt, u = mapping_rhs(state, fl, sigma)
     f_exp = None
     if state.rho is not None:
-        f_exp, _, _ = surfactant_rhs(state, fl)
+        f_exp = surfactant_rhs(state, zt, u)
     return sigma, fl, f_pos.real, phidot, f_exp, u
 
 
@@ -454,7 +461,7 @@ def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     r_rho = 0.0
     if state.rho is not None:
         if np.isfinite(state.Pe):
-            fI2 = _diffusion_apply(half, half.rho)
+            fI2 = _diffusion(half)(half.rho)
         else:
             fI2 = 0.0
         rho_new = _krasny_real(state.rho + dt * fe2 + dt * fI2)
@@ -464,15 +471,6 @@ def step_midpoint(state: ConformalPairState, Q: float, dt: float):
         r_rho = abs(mass1 - mass0) / abs(mass0) if mass0 != 0 else 0.0
     new.t = state.t + dt
     return new, max(r_map, r_rho)
-
-
-def _diffusion_apply(state: ConformalPairState, rho):
-    m = state.n_grid
-    _, zz, _, _ = geometry(state)
-    sp = np.abs(1j * state.zeta * zz)
-    n_idx = np.fft.fftfreq(m, 1 / m).round().astype(int)
-    r_nu = np.fft.ifft(np.fft.fft(rho) * 1j * n_idx).real
-    return np.fft.ifft(np.fft.fft(r_nu / sp) * 1j * n_idx).real / (sp * state.Pe)
 
 
 def pair_from_circles(nv: int, phi: float = None, center: float = None,

@@ -290,13 +290,3 @@ def panel_interp_to_uniform(g, n_panels: int, n_out: int, filt: bool = True) -> 
         res = krasny_filter(res)
     return res
 
-
-def panel_derivative(g, n_panels: int) -> np.ndarray:
-    """d/d alpha of panel samples via the per-panel degree-15 interpolant."""
-    vals = np.asarray(g)
-    h = 2.0 * np.pi / n_panels
-    out = np.empty_like(vals, dtype=complex if np.iscomplexobj(vals) else float)
-    for p in range(n_panels):
-        sl = slice(16 * p, 16 * (p + 1))
-        out[sl] = (2.0 / h) * (DIFF16 @ vals[sl])
-    return out

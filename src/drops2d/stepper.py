@@ -39,7 +39,11 @@ class StepController:
             raise ValueError("tolerance must be positive")
         self.dt = min(max(self.dt, self.dt_min), self.dt_max)
 
-    def update(self, r: float) -> float:
+    def update(self, r: float, t: float) -> float:
+        """Next step size after an error r at time t; raises on a non-finite r."""
+        if not np.isfinite(r):
+            raise RuntimeError(f"non-finite step error at t={t:.6g} "
+                               f"(dt={self.dt:.3e}, r={r})")
         if r == 0.0:
             new = GROWTH_CAP * self.dt
         else:
@@ -146,7 +150,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     r = max(r_z, r_rho if has_surf else 0.0)
 
     accepted = r <= ctrl.tol
-    new_dt = ctrl.update(r)
+    new_dt = ctrl.update(r, state.t)
     if not accepted:
         ctrl.retake_count += 1
         if new_dt <= ctrl.dt_min:

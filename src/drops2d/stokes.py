@@ -24,9 +24,10 @@ stationary, a clean ellipse relaxes toward a circle, Marangoni flow runs
 from low to high surface tension, and an isolated drop in extension moves
 with u.n = 2 Q cos(2 theta)/(1 + lambda).
 
-Matrix-vector products use direct dense summation behind a small
-acceleration interface; near-singular cross-interface blocks are replaced
-by the special quadrature of the neareval module.
+DirectKernels assembles the two dense operators of u once per geometry,
+u = U mu + Uc conj(mu) + far field; the density solve and the velocity
+evaluation both read them.  Near-singular cross-interface blocks are
+replaced by the special quadrature of the neareval module.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import neareval
-from .spectral import (DIFF16, fourier_interp, panel_derivative, panel_grid,
-                       uniform_to_gl)
+from .spectral import DIFF16, fourier_interp, panel_grid, uniform_to_gl
 
 DEFAULT_TOL = 1e-12
 
@@ -173,82 +173,58 @@ def _near_pairs(disc: Discretization):
 def layer_matrices(z, zp, zpp, w):
     """Weighted dense kernels of the layer potential on one node set.
 
-    Returns (C, M1, M2) with, for i != j,
+    Returns (C, M2) with, for i != j,
 
         C_ij  = w_j z'_j/(z_j - z_i)
-        M1_ij = Im C_ij
         M2_ij = w_j Im{z'_j conj(z_j - z_i)}/conj(z_j - z_i)^2.
 
     C has a zero diagonal (the sums that use it subtract the singularity);
-    M1 and M2 carry their smooth diagonal limits.
+    M2 carries its smooth diagonal limit.
     """
     dz = z[None, :] - z[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         C = zp[None, :] / dz
         cj = np.conj(dz)
         M2 = np.imag(zp[None, :] * cj) / cj**2
-    M1 = C.imag.copy()
     idx = np.arange(z.shape[0])
     C[idx, idx] = 0.0
-    M1[idx, idx] = np.imag(zpp / (2 * zp))
     M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
-    return C * w[None, :], M1 * w[None, :], M2 * w[None, :]
+    return C * w[None, :], M2 * w[None, :]
 
 
 class DirectKernels:
-    """Dense kernel matrices with near-singular corrections folded in.
+    """Dense, near-corrected operators of the interfacial velocity.
 
-    This is the direct O(N^2) acceleration backend; a fast summation
-    method could replace it behind the same apply_* methods.
+    CAU is the weighted Cauchy matrix of layer_matrices.  U and Uc are
+    the C-linear and antilinear parts of u = U mu + Uc conj(mu) + far:
+
+        U  = -(w/pi) D - (Re CAU - diag(sum_j Re CAU_ij))/pi,
+        Uc = i M2/pi,
+
+    with D the block-diagonal per-panel d/d alpha.  Cross-drop
+    point-panel pairs flagged by neareval get special-quadrature rows in
+    CAU and M2 before U and Uc are formed.
     """
 
-    def __init__(self, disc: Discretization, correct: bool = True):
-        self.disc = disc
-        self.CAU, self.M1, self.M2 = layer_matrices(disc.z, disc.zp,
-                                                    disc.zpp, disc.w)
-        self.pairs = _near_pairs(disc) if correct else []
+    def __init__(self, disc: Discretization):
+        self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        self.pairs = _near_pairs(disc)
         for i, ip, frame in self.pairs:
             sl = disc.panel_slices[ip]
             r1, rJ2, rJ3 = neareval.kernel_rows(disc.panels[ip], frame)
-            self.M1[i, sl] = np.imag(r1)
-            self.M2[i, sl] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
+            M2[i, sl] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
             self.CAU[i, sl] = r1
-        self.K1re = np.ascontiguousarray(self.CAU.real)
-
-    def apply_m1(self, mu):
-        return self.M1 @ mu
-
-    def apply_m2_conj(self, mu):
-        return self.M2 @ np.conj(mu)
-
-    def apply_re_subtracted(self, mu):
-        return self.K1re @ mu - self.K1re.sum(axis=1) * mu
+        D = sla.block_diag(*[(npan / np.pi) * DIFF16
+                             for npan in disc.n_panels for _ in range(npan)])
+        Kre = self.CAU.real
+        self.U = (-(disc.w[:, None] / np.pi) * D
+                  - (Kre - np.diag(Kre.sum(axis=1))) / np.pi)
+        self.Uc = 1j * M2 / np.pi
 
 
-def _diff_operator(disc: Discretization) -> np.ndarray:
-    """Block-diagonal per-panel differentiation matrix d/d alpha."""
-    N = disc.n
-    D = np.zeros((N, N))
-    off = 0
-    for k in range(len(disc.ifaces)):
-        npan = disc.n_panels[k]
-        h = 2 * np.pi / npan
-        for p in range(npan):
-            sl = slice(off + 16 * p, off + 16 * (p + 1))
-            D[sl, sl] = (2 / h) * DIFF16
-        off += 16 * npan
-    return D
-
-
-def _velocity_operators(disc: Discretization, kernels: DirectKernels):
-    """Dense (C-linear, anti-linear) parts of the layer velocity."""
-    w = disc.w
-    D = _diff_operator(disc)
-    Kre = kernels.K1re
-    U_lin = (-(w[:, None] / np.pi) * D
-             - (Kre - np.diag(Kre.sum(axis=1))) / np.pi)
-    U_conj = -kernels.M2 / (1j * np.pi)
-    return U_lin, U_conj, D
+def far_field(cfg: FlowConfig, z) -> np.ndarray:
+    """Velocity of the linear far field at the points z."""
+    return (cfg.Q + 1j * cfg.B) * np.conj(z) - 0.5j * cfg.G * z
 
 
 def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
@@ -282,24 +258,27 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
         return DensitySolution(mu=mu, residual=0.0, iterations=0)
     if kernels is None:
         kernels = DirectKernels(disc)
-    U_lin, U_conj, D = _velocity_operators(disc, kernels)
-    CAU = kernels.CAU
-    # fluid-side limit of the Cauchy transform (constants cancel):
-    # 2 f(mu) = (1/pi) [sum_{j != i} (mu_j - mu_i) CAU_ij + w_i mu'_i]
-    F2_lin = (CAU - np.diag(CAU.sum(axis=1)) + w[:, None] * D) / np.pi
+    U, Uc = kernels.U, kernels.Uc
+    # The fluid-side limit of the Cauchy transform is
+    # 2 f(mu) = (1/pi) [sum_{j != i} (mu_j - mu_i) CAU_ij + w_i mu'_i], so
+    # the C-linear part of u + 2 f is U + (CAU - diag(row sums) + w D)/pi.
+    # w and D are real: the mu' terms and the real parts cancel, leaving
+    # i (Im CAU - diag(row sums of Im CAU))/pi.  The C-linear part of the
+    # stress balance is therefore i K with K real.
+    ImC = kernels.CAU.imag
     oml = (1.0 - lam)[:, None]
-    L = np.diag(2j * lam) + oml * (U_lin + F2_lin)
-    A_conj = oml * U_conj
+    K = np.diag(2 * lam) + oml * (ImC - np.diag(ImC.sum(axis=1))) / np.pi
+    A_conj = oml * Uc
     tau = zp / np.abs(zp)
-    far = (cfg.Q + 1j * cfg.B) * np.conj(z) - 0.5j * cfg.G * z
+    far = far_field(cfg, z)
     rhs = -0.5j * sigma_gl * tau - oml[:, 0] * far
 
     ncol = 2 * N + 3 * nd
     A = np.zeros((2 * N + nd, ncol))
-    A[:N, :N] = L.real + A_conj.real
-    A[:N, N:2 * N] = -L.imag + A_conj.imag
-    A[N:2 * N, :N] = L.imag + A_conj.imag
-    A[N:2 * N, N:2 * N] = L.real - A_conj.real
+    A[:N, :N] = A_conj.real
+    A[:N, N:2 * N] = A_conj.imag - K
+    A[N:2 * N, :N] = K + A_conj.imag
+    A[N:2 * N, N:2 * N] = -A_conj.real
     b = np.zeros(2 * N + nd)
     b[:N] = rhs.real
     b[N:2 * N] = rhs.imag
@@ -312,8 +291,8 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
             A[N:2 * N, 2 * N + 3 * k + j] = colc.imag
         wt = sel * w * np.abs(zp)
         avec = np.conj(n_in) * wt
-        rc = avec @ U_lin
-        ra = avec @ U_conj
+        rc = avec @ U
+        ra = avec @ Uc
         A[2 * N + k, :N] = rc.real + ra.real
         A[2 * N + k, N:2 * N] = -rc.imag + ra.imag
         b[2 * N + k] = -np.sum(wt * np.real(far * np.conj(n_in)))
@@ -345,16 +324,7 @@ def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
     if kernels is None:
         kernels = DirectKernels(disc)
     mu = sol.mu
-    mup = np.concatenate([
-        panel_derivative(mu[disc.offsets[k]:disc.offsets[k] + 16 * disc.n_panels[k]],
-                         disc.n_panels[k])
-        for k in range(len(disc.ifaces))])
-    u = (-(disc.w / np.pi) * mup
-         - kernels.apply_re_subtracted(mu) / np.pi
-         - kernels.apply_m2_conj(mu) / (1j * np.pi)
-         + (cfg.Q + 1j * cfg.B) * np.conj(disc.z)
-         - 0.5j * cfg.G * disc.z)
-    return u
+    return kernels.U @ mu + kernels.Uc @ np.conj(mu) + far_field(cfg, disc.z)
 
 
 def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
@@ -376,8 +346,7 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
     # near corrections: K1 takes the real part of the Cauchy increment
     dI, dIc, dJ = neareval.near_correct(disc.panels, mu, t)
     u -= 0.5 * (dI + dIc) / np.pi + dJ / (1j * np.pi)
-    u += (cfg.Q + 1j * cfg.B) * np.conj(t) - 0.5j * cfg.G * t
-    return u
+    return u + far_field(cfg, t)
 
 
 def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,

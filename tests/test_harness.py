@@ -1,12 +1,13 @@
 import glob
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
-                             circularity, compare_to_oracle, preset,
-                             run_scenario)
+                             circularity, compare_to_oracle, load_checkpoint,
+                             preset, run_scenario)
 from drops2d.stokes import FlowConfig
 
 
@@ -85,6 +86,21 @@ class TestDeterminism:
         assert np.array_equal(zf, zt)
         assert np.array_equal(rec_full.final_state.fields[0].rho,
                               rec_tail.final_state.fields[0].rho)
+
+    def test_restart_takes_material_parameters_from_config(self, tmp_path):
+        cfg = tiny_config(fixed_dt=2e-3)
+        cfg.run.t_end = 0.014
+        cfg.run.checkpoint_every = 5
+        run_scenario(cfg, out_dir=str(tmp_path))
+        cfg2 = tiny_config(fixed_dt=2e-3)
+        cfg2.run.t_end = 0.014
+        cfg2.flow = replace(cfg2.flow, E=0.1)
+        rec = run_scenario(cfg2, restart_from=str(tmp_path / "checkpoint.npz"))
+        assert len(rec.series) == 2
+        assert [f.E for f in rec.final_state.fields] == [0.1]
+        cfg2.drops = cfg2.drops * 2
+        with pytest.raises(ValueError, match="drops"):
+            load_checkpoint(str(tmp_path / "checkpoint.npz"), cfg2)
 
 
 class TestCompare:

@@ -21,17 +21,26 @@ def make_state(n=64, rho0=None, Pe=np.inf, E=0.5, lam=0.0, radius=1.0):
 class TestController:
     def test_exact_tolerance_shrink(self):
         ctrl = StepController(tol=1e-6, dt=0.01)
-        new = ctrl.update(1e-6)
+        new = ctrl.update(1e-6, 0.0)
         assert abs(new / 0.01 - np.sqrt(0.9)) < 1e-12
 
     def test_large_error_strong_shrink(self):
         ctrl = StepController(tol=1e-6, dt=0.01)
-        new = ctrl.update(1e-4)
+        new = ctrl.update(1e-4, 0.0)
         assert abs(new / 0.01 - np.sqrt(0.9 / 100)) < 1e-12
 
     def test_growth_capped(self):
         ctrl = StepController(tol=1e-6, dt=0.01, dt_max=1.0)
-        assert ctrl.update(1e-12) == pytest.approx(0.02)
+        assert ctrl.update(1e-12, 0.0) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("ctrl", [
+        StepController(tol=1e-6, dt=0.01),
+        StepController(tol=np.inf, dt=0.01, dt_min=0.01, dt_max=0.01)])
+    def test_non_finite_error_raises(self, ctrl):
+        # nan compares false with both tol and dt_min, so without this
+        # check a step would be neither accepted nor refused
+        with pytest.raises(RuntimeError, match=r"t=0\.25 .*dt=1\.000e-02.*r=nan"):
+            ctrl.update(np.nan, 0.25)
 
 
 class TestLocalErrors:

@@ -28,18 +28,6 @@ class TestSolveDensity:
         expected = -sig_gl * 0.25 * disc.zp / np.abs(disc.zp)
         assert np.abs(sol.mu - expected).max() < 1e-13
 
-    def test_lambda_one_operator_is_identity(self):
-        # applying the assembled operator to random mu returns mu
-        c = circle(64, lam=1.0)
-        cfg = FlowConfig()
-        disc = discretize([c])
-        kern = DirectKernels(disc)
-        rng = np.random.default_rng(0)
-        mu = rng.standard_normal(disc.n) + 1j * rng.standard_normal(disc.n)
-        beta = 0.0
-        out = mu - (beta / np.pi) * (kern.apply_m1(mu) + kern.apply_m2_conj(mu))
-        assert np.abs(out - mu).max() < 1e-14
-
     def test_equilibrium_circle_density(self):
         # the density itself carries a per-drop pressure gauge; the
         # physical content is the zero velocity (checked in TestVelocity)
