@@ -99,18 +99,11 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
                              panels=panels, residual=res)
 
 
-def _plain_kernel_value(sol: DirichletSolution, z0: complex) -> complex:
-    d = sol.z - z0
-    base = sol.w * sol.zp
-    J1 = np.sum(sol.mu * np.imag(base / d))
-    J2 = np.sum(np.conj(sol.mu) * np.imag(base * np.conj(d)) / np.conj(d) ** 2)
-    return (-1j / np.pi) * J1 + (1j / np.pi) * J2
-
-
 def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
     """Interior velocity; near-panel contributions use the special rule."""
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    out = np.array([_plain_kernel_value(sol, z0) for z0 in t], dtype=complex)
+    C, M2 = layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t)
+    out = (-1j / np.pi) * (C.imag @ sol.mu) + (1j / np.pi) * (M2 @ np.conj(sol.mu))
     if corrected:
         # J1 carries the imaginary part of the Cauchy increment
         dI, dIc, dJ = neareval.near_correct(sol.panels, sol.mu, t)
@@ -121,16 +114,12 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
 def estimate_field(sol: DirichletSolution, targets):
     """Summed per-panel remainder estimates at each target."""
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    mu_inf = [np.abs(sol.mu[16 * p:16 * (p + 1)]).max()
-              for p in range(len(sol.panels))]
+    mu_inf = np.abs(sol.mu).reshape(len(sol.panels), 16).max(axis=1)
     out = np.zeros(t.shape[0])
-    for k, z0 in enumerate(t):
-        tot = 0.0
-        for panel, m_inf in zip(sol.panels, mu_inf):
-            hit = neareval.pair_estimate(panel, z0, m_inf)
-            if hit is not None and np.isfinite(hit[1]):
-                tot += hit[1]
-        out[k] = tot
+    for k, ip in zip(*neareval.candidates(sol.panels, t)):
+        hit = neareval.pair_estimate(sol.panels[ip], t[k], mu_inf[ip])
+        if hit is not None and np.isfinite(hit[1]):
+            out[k] += hit[1]
     return out
 
 

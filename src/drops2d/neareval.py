@@ -10,7 +10,8 @@ position variable, and the singular moments
 
 are generated by forward recursion.  A separate contour-integral remainder
 estimate predicts the plain Gauss-Legendre error for each point-panel pair
-and decides when the special rule is needed.
+and decides when the special rule is needed.  candidates is the one
+distance cull: only the pairs it returns are ever estimated or corrected.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
+import scipy.linalg as sla
 from numpy.polynomial import legendre as npleg
 
 from .spectral import GL_NODES
@@ -35,6 +36,20 @@ ACTIVATION_THRESHOLD = 1e-13
 CULL_FACTOR = 1.5
 
 
+def candidates(panels, targets):
+    """(target, panel) index pairs that may need the special rule.
+
+    A pair is a candidate when the panel node nearest the target lies
+    within CULL_FACTOR panel lengths of it.  Returns two index arrays,
+    target-major, as np.nonzero does.
+    """
+    t = np.atleast_1d(np.asarray(targets, dtype=complex))
+    nodes = np.array([p.z_nodes for p in panels])
+    lengths = np.array([p.length for p in panels])
+    dmin = np.abs(nodes[None, :, :] - t[:, None, None]).min(axis=2)
+    return np.nonzero(dmin <= CULL_FACTOR * lengths)
+
+
 @dataclass
 class PanelData:
     """Reusable per-panel quantities for near evaluation.
@@ -46,8 +61,6 @@ class PanelData:
     z_nodes: np.ndarray          # physical node positions
     zp_nodes: np.ndarray         # dz/dalpha at the nodes
     w_alpha: np.ndarray          # parameter-space GL weights
-    za: complex                  # physical start point
-    zb: complex                  # physical end point
     scale: complex               # affine scale: t = scale*(z - mid)
     mid: complex
     nodes_t: np.ndarray          # transformed node positions
@@ -77,8 +90,6 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     scale = 2.0 / (zb - za)
     nodes_t = scale * (np.asarray(z_nodes) - mid)
     V = np.vander(nodes_t, N_GL, increasing=True)
-    import scipy.linalg as sla
-
     lu = sla.lu_factor(V)
     # degree-15 parametrization of the transformed panel: eta(xi) with
     # eta(GL_NODES[k]) = nodes_t[k], stored as Legendre coefficients;
@@ -92,8 +103,6 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
         z_nodes=np.asarray(z_nodes),
         zp_nodes=np.asarray(zp_nodes),
         w_alpha=np.asarray(w_alpha),
-        za=za,
-        zb=zb,
         scale=scale,
         mid=mid,
         nodes_t=nodes_t,
@@ -194,8 +203,6 @@ def correction_rows(panel: PanelData, frame: PanelLocalFrame):
     where f is sampled at the panel nodes and interpolated in the
     transformed position variable.
     """
-    import scipy.linalg as sla
-
     p, q = recursion_pq(frame.z0t, frame.residue)
     # I1: row = p^T V^{-1}; I2 carries the affine Jacobian of 1/(tau-z0)^2
     r1 = sla.lu_solve(panel.vand_lu, p, trans=1)
@@ -263,9 +270,9 @@ def near_correct(panels, mu, targets):
     """Special-minus-plain panel integrals, summed per target.
 
     mu holds the density at the nodes of panels, N_GL values per panel in
-    panel order.  For every target z0 and every panel that
-    needs_correction flags, with (r1, rJ2, rJ3) the kernel_rows and
-    (p1, pJ2, pJ3) the plain_rows of the pair, the increments
+    panel order.  For every candidate pair that needs_correction flags,
+    with (r1, rJ2, rJ3) the kernel_rows and (p1, pJ2, pJ3) the plain_rows
+    of the pair, the increments
 
         dI  = sum (r1 - p1) mu
         dIc = sum conj(r1 - p1) mu
@@ -279,18 +286,18 @@ def near_correct(panels, mu, targets):
     mu_p = np.asarray(mu).reshape(len(panels), N_GL)
     mu_inf = np.abs(mu_p).max(axis=1)
     out = np.zeros((3, t.shape[0]), dtype=complex)
-    for k, z0 in enumerate(t):
-        for panel, m, m_inf in zip(panels, mu_p, mu_inf):
-            frame = needs_correction(panel, z0, m_inf)
-            if frame is None:
-                continue
-            r1, rJ2, rJ3 = kernel_rows(panel, frame)
-            p1, pJ2, pJ3 = plain_rows(panel, z0)
-            d1 = r1 - p1
-            out[0, k] += d1 @ m
-            out[1, k] += np.conj(d1 @ np.conj(m))
-            out[2, k] += 0.5j * (np.conj((rJ2 - pJ2) @ m)
-                                 + np.conj((rJ3 - pJ3) @ m))
+    for k, ip in zip(*candidates(panels, t)):
+        panel, m = panels[ip], mu_p[ip]
+        frame = needs_correction(panel, t[k], mu_inf[ip])
+        if frame is None:
+            continue
+        r1, rJ2, rJ3 = kernel_rows(panel, frame)
+        p1, pJ2, pJ3 = plain_rows(panel, t[k])
+        d1 = r1 - p1
+        out[0, k] += d1 @ m
+        out[1, k] += np.conj(d1 @ np.conj(m))
+        out[2, k] += 0.5j * (np.conj((rJ2 - pJ2) @ m)
+                             + np.conj((rJ3 - pJ3) @ m))
     return out[0], out[1], out[2]
 
 
@@ -333,12 +340,9 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf: float) -> f
 def pair_estimate(panel: PanelData, z0: complex, mu_inf: float):
     """Preimage frame and plain-GL error estimate of one point-panel pair.
 
-    Returns (frame, estimate), or None when a cheap distance cull rejects
-    the target or Newton finds no reliable preimage.
+    Returns (frame, estimate), or None when Newton finds no reliable
+    preimage.  Callers pass only the pairs that candidates returns.
     """
-    dmin = np.min(np.abs(panel.z_nodes - z0))
-    if dmin > CULL_FACTOR * panel.length:
-        return None
     frame = locate_preimage(panel, z0)
     if not frame.newton_ok:
         return None

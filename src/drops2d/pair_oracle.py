@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .spectral import antiderivative, modes
+from .spectral import antiderivative, modes, spectral_derivative
 
 FLOW_RESIDUAL_TOL = 1e-9
 
@@ -336,7 +336,6 @@ def surfactant_rhs(state: ConformalPairState, zt, u):
     zt and u are the map velocity and the interface velocity that
     mapping_rhs returns for the same state.
     """
-    m = state.n_grid
     if state.rho is None:
         raise PairOracleError("clean state has no surfactant equation")
     _, zz, _, zzz = geometry(state)
@@ -344,10 +343,9 @@ def surfactant_rhs(state: ConformalPairState, zt, u):
     z_nu = 1j * zeta * zz
     z_nunu = -zeta * zz - zeta**2 * zzz
     sp = np.abs(z_nu)
-    n_idx = modes(m)
-    rho_nu = np.fft.ifft(np.fft.fft(state.rho) * 1j * n_idx).real
+    rho_nu = spectral_derivative(state.rho)
     P = u * np.conj(z_nu) * state.rho / sp
-    dReP = np.fft.ifft(np.fft.fft(P.real) * 1j * n_idx).real
+    dReP = spectral_derivative(P.real)
     return (np.real(rho_nu / z_nu * zt)
             - dReP / sp
             + np.imag(z_nunu / z_nu) * P.imag / sp)
@@ -380,11 +378,10 @@ def _diffusion(state: ConformalPairState):
     """Surface diffusion L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|)."""
     _, zz, _, _ = geometry(state)
     sp = np.abs(1j * state.zeta * zz)
-    n_idx = modes(state.n_grid)
 
     def L(r):
-        r_nu = np.fft.ifft(np.fft.fft(r) * 1j * n_idx).real
-        return np.fft.ifft(np.fft.fft(r_nu / sp) * 1j * n_idx).real / (sp * state.Pe)
+        r_nu = spectral_derivative(r)
+        return spectral_derivative(r_nu / sp) / (sp * state.Pe)
     return L
 
 

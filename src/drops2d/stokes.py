@@ -156,39 +156,39 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
 def _near_pairs(disc: Discretization):
     """Cross-drop point-panel pairs requiring special quadrature, with frames."""
     pairs = []
-    centers = np.array([0.5 * (p.za + p.zb) for p in disc.panels])
-    lengths = np.array([p.length for p in disc.panels])
-    for ip, panel in enumerate(disc.panels):
-        d = np.abs(disc.z - centers[ip])
-        cand = np.nonzero(d < (neareval.CULL_FACTOR + 0.75) * lengths[ip])[0]
-        for i in cand:
-            if disc.drop_of[i] == disc.panel_drop[ip]:
-                continue
-            frame = neareval.needs_correction(panel, disc.z[i], 1.0)
+    for i, ip in zip(*neareval.candidates(disc.panels, disc.z)):
+        if disc.drop_of[i] != disc.panel_drop[ip]:
+            frame = neareval.needs_correction(disc.panels[ip], disc.z[i], 1.0)
             if frame is not None:
                 pairs.append((i, ip, frame))
     return pairs
 
 
-def layer_matrices(z, zp, zpp, w):
-    """Weighted dense kernels of the layer potential on one node set.
+def layer_matrices(z, zp, zpp, w, targets=None):
+    """Weighted dense kernels of the layer potential on the nodes z.
 
-    Returns (C, M2) with, for i != j,
+    Returns (C, M2), one row per target t_i (the nodes themselves when
+    targets is None), with, for t_i != z_j,
 
-        C_ij  = w_j z'_j/(z_j - z_i)
-        M2_ij = w_j Im{z'_j conj(z_j - z_i)}/conj(z_j - z_i)^2.
+        C_ij  = w_j z'_j/(z_j - t_i)
+        M2_ij = w_j Im{z'_j conj(z_j - t_i)}/conj(z_j - t_i)^2.
 
-    C has a zero diagonal (the sums that use it subtract the singularity);
-    M2 carries its smooth diagonal limit.
+    On the nodes, C has a zero diagonal (the sums that use it subtract the
+    singularity) and M2 carries its smooth diagonal limit from z''.
+    Off-grid targets must not coincide with a node (ValueError).
     """
-    dz = z[None, :] - z[:, None]
+    t = z if targets is None else np.atleast_1d(np.asarray(targets, dtype=complex))
+    dz = z[None, :] - t[:, None]
+    if targets is not None and np.any(dz == 0):
+        raise ValueError("target coincides with a quadrature node")
     with np.errstate(divide="ignore", invalid="ignore"):
         C = zp[None, :] / dz
         cj = np.conj(dz)
         M2 = np.imag(zp[None, :] * cj) / cj**2
-    idx = np.arange(z.shape[0])
-    C[idx, idx] = 0.0
-    M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
+    if targets is None:
+        idx = np.arange(z.shape[0])
+        C[idx, idx] = 0.0
+        M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
     return C * w[None, :], M2 * w[None, :]
 
 
@@ -291,7 +291,8 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
             A[N:2 * N, 2 * N + 3 * k + j] = colc.imag
         wt = sel * w * np.abs(zp)
         avec = np.conj(n_in) * wt
-        rc = avec @ U
+        # real and imaginary parts apart: a complex product would copy U
+        rc = avec.real @ U + 1j * (avec.imag @ U)
         ra = avec @ Uc
         A[2 * N + k, :N] = rc.real + ra.real
         A[2 * N + k, N:2 * N] = -rc.imag + ra.imag
@@ -323,8 +324,10 @@ def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
     """Interfacial velocity at the GL nodes via singularity subtraction."""
     if kernels is None:
         kernels = DirectKernels(disc)
-    mu = sol.mu
-    return kernels.U @ mu + kernels.Uc @ np.conj(mu) + far_field(cfg, disc.z)
+    mu, U = sol.mu, kernels.U
+    # U is real: applied to the real and imaginary parts apart, not copied
+    return (U @ mu.real + 1j * (U @ mu.imag) + kernels.Uc @ np.conj(mu)
+            + far_field(cfg, disc.z))
 
 
 def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
@@ -335,14 +338,8 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu = sol.mu
-    if np.any(np.min(np.abs(disc.z[None, :] - t[:, None]), axis=1) == 0.0):
-        raise ValueError("target coincides with a quadrature node")
-    d = disc.z[None, :] - t[:, None]
-    base = disc.w * disc.zp
-    K1 = np.real(base[None, :] / d)
-    cj = np.conj(d)
-    K2 = np.imag(base[None, :] * cj) / cj**2
-    u = -(K1 @ mu) / np.pi - (K2 @ np.conj(mu)) / (1j * np.pi)
+    C, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w, targets=t)
+    u = -(C.real @ mu) / np.pi - (M2 @ np.conj(mu)) / (1j * np.pi)
     # near corrections: K1 takes the real part of the Cauchy increment
     dI, dIc, dJ = neareval.near_correct(disc.panels, mu, t)
     u -= 0.5 * (dI + dIc) / np.pi + dJ / (1j * np.pi)

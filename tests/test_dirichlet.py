@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from drops2d import neareval
 from drops2d.dirichlet import (DirichletSolution, GoursatReference,
                                estimate_field, evaluate_velocity,
                                inside_star, solve_dirichlet)
@@ -63,6 +65,24 @@ def test_estimate_tracks_measured_error():
     assert np.any(sel)
     ratio = est[sel] / measured[sel]
     assert np.all(ratio > 0.1) and np.all(ratio < 10.0)
+
+
+@pytest.mark.parametrize("n_panels", [25, 50])
+def test_estimate_field_matches_uncull_sum(n_panels):
+    # the cull drops only pairs whose estimates are far below rounding
+    sol = solve_dirichlet(n_panels, GoursatReference().velocity)
+    rng = np.random.default_rng(7)
+    th = rng.uniform(0, 2 * np.pi, 400)
+    depth = rng.uniform(0.002, 0.6, 400)
+    pts = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
+    mu_inf = np.abs(sol.mu).reshape(n_panels, 16).max(axis=1)
+    want = np.zeros(pts.shape[0])
+    for k, z0 in enumerate(pts):
+        for panel, m_inf in zip(sol.panels, mu_inf):
+            hit = neareval.pair_estimate(panel, z0, m_inf)
+            if hit is not None and np.isfinite(hit[1]):
+                want[k] += hit[1]
+    assert np.abs(estimate_field(sol, pts) - want).max() < 1e-20
 
 
 def test_inside_star_mask():

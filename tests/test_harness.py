@@ -75,12 +75,17 @@ class TestDeterminism:
 
     def test_restart_reproduces_tail(self, tmp_path):
         cfg = tiny_config(fixed_dt=2e-3)
+        cfg.run.t_end = 0.014
         cfg.run.checkpoint_every = 5
         d_full = tmp_path / "full"
         rec_full = run_scenario(cfg, out_dir=str(d_full))
-        # restart from the checkpoint written at step 5 and finish the run
+        # restart from the checkpoint written at step 5 and finish the run;
+        # 7 steps in all, so that no later checkpoint overwrites that one
         cfg2 = tiny_config(fixed_dt=2e-3)
+        cfg2.run.t_end = 0.014
         rec_tail = run_scenario(cfg2, restart_from=str(d_full / "checkpoint.npz"))
+        assert len(rec_full.series) == 7
+        assert len(rec_tail.series) == 2
         zf = rec_full.final_state.ifaces[0].z
         zt = rec_tail.final_state.ifaces[0].z
         assert np.array_equal(zf, zt)

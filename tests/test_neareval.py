@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from drops2d import neareval
-from drops2d.neareval import (PanelData, correct_panel_integrals,
-                              correction_rows, estimate_error, kernel_rows,
+from drops2d.neareval import (CULL_FACTOR, PanelData, candidates,
+                              correct_panel_integrals, correction_rows,
+                              estimate_error, kernel_rows,
                               locate_preimage, near_correct, needs_correction,
                               plain_rows, prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
@@ -209,6 +210,26 @@ def test_idempotence_where_plain_accurate():
     p1, pJ2, pJ3 = plain_rows(panel, z0)
     for rc, rp in ((r1, p1), (rJ2, pJ2), (rJ3, pJ3)):
         assert abs(rc @ mu - rp @ mu) < 1e-12
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("n_panels", [25, 50])
+    def test_matches_brute_force(self, n_panels):
+        from drops2d.dirichlet import GoursatReference, solve_dirichlet
+
+        panels = solve_dirichlet(n_panels, GoursatReference().velocity).panels
+        rng = np.random.default_rng(n_panels)
+        # points in and around the star, two nodes and a chord midpoint
+        box = 3 * (rng.random(300) - 0.5) + 3j * (rng.random(300) - 0.5)
+        targets = np.concatenate([box, panels[3].z_nodes[:2], [panels[7].mid]])
+        want = {(k, ip) for k, z0 in enumerate(targets)
+                for ip, panel in enumerate(panels)
+                if np.min(np.abs(panel.z_nodes - z0)) <= CULL_FACTOR * panel.length}
+        ti, pi = candidates(panels, targets)
+        got = set(zip(ti.tolist(), pi.tolist()))
+        assert len(got) == len(ti)
+        assert got == want
+        assert len(want) > len(targets)
 
 
 class TestNearCorrect:

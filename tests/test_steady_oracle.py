@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from drops2d.geometry import Interface, modified_tangential_velocity
+from drops2d.spectral import fourier_interp, spectral_derivative, uniform_alpha
 from drops2d.steady_oracle import (SteadyMap, b_from_q, d_q_curve, steady_q,
                                    steady_solution)
+from drops2d.stokes import FlowConfig, interface_velocity
+from drops2d.surfactant import SurfactantField, rhs_explicit, surface_tension
 
 
 class TestSteadyMap:
@@ -68,3 +72,38 @@ def test_known_regime_values():
     b = b_from_q(0.14, 0.5)
     sol = steady_solution(SteadyMap.from_b(b), E=0.5)
     assert 0.28 < sol["D"] < 0.30
+
+
+def oracle_on_uniform_alpha(sol, n):
+    """Oracle shape and surfactant at n nodes equidistant in arclength."""
+    per = sol["alphaV"] - sol["nu"]
+    alpha = uniform_alpha(n)
+    dper = spectral_derivative(per)
+    t = alpha.copy()
+    for _ in range(50):
+        t -= (t + fourier_interp(per, t) - alpha) / (1 + fourier_interp(dper, t))
+    return fourier_interp(sol["z"], t), fourier_interp(sol["rho"], t)
+
+
+class TestSolverConvention:
+    """One Stokes solve at the oracle state, with solver Q = oracle Q / 2."""
+
+    @staticmethod
+    def solve(Q):
+        sol = steady_solution(SteadyMap.from_b(b_from_q(0.14, 0.5)), E=0.5)
+        z, rho = oracle_on_uniform_alpha(sol, 128)
+        iface = Interface(z, lam=0.0)
+        field = SurfactantField(rho, E=0.5)
+        u, _, _ = interface_velocity([iface], [surface_tension(field)],
+                                     FlowConfig(Q=Q, E=0.5))
+        decomp = modified_tangential_velocity(iface, u[0])
+        return u[0], decomp.u_n, rhs_explicit(iface, field, decomp)
+
+    def test_half_oracle_q_is_a_fixed_point(self):
+        u, _, drho = self.solve(0.07)
+        assert np.abs(u).max() < 5e-9
+        assert np.abs(drho).max() < 5e-8
+
+    def test_oracle_q_is_not_at_rest(self):
+        _, u_n, _ = self.solve(0.14)
+        assert np.abs(u_n).max() > 0.1
