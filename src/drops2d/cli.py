@@ -153,7 +153,7 @@ def main(argv=None):
     g.add_argument("--config", help="JSON scenario file")
     g.add_argument("--preset", help="named preset",
                    choices=["steady_single", "pair_clean", "pair_surfactant",
-                            "swiss_roll", "estimate_study"])
+                            "swiss_roll"])
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--checkpoint-every", type=int, default=0)
     p_run.add_argument("--restart-from", default=None)

@@ -404,16 +404,6 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
                         output_every=100))
     if name == "swiss_roll":
         return _swiss_roll_config()
-    if name == "estimate_study":
-        return ScenarioConfig(
-            name=name,
-            drops=[DropSpec(shape="custom", n=400,
-                            points=[(np.cos(t) * (1 + 0.3 * np.cos(3 * t)),
-                                     np.sin(t) * (1 + 0.3 * np.cos(3 * t)))
-                                    for t in np.linspace(0, 2 * np.pi, 400,
-                                                         endpoint=False)])],
-            flow=FlowConfig(),
-            run=RunSpec(t_end=0.0))
     raise ValueError(f"unknown preset {name}")
 
 

@@ -34,6 +34,9 @@ _LEGV_INV = np.linalg.inv(_LEGV)
 ACTIVATION_THRESHOLD = 1e-13
 # targets farther than this many panel lengths are never corrected
 CULL_FACTOR = 1.5
+# Newton for the panel preimage: iteration cap and relative acceptance
+NEWTON_MAXITER = 20
+NEWTON_TOL = 1e-13
 
 
 def candidates(panels, targets):
@@ -117,13 +120,12 @@ def _polyval(coef, x):
     return npleg.legval(x, coef)
 
 
-def locate_preimage(panel: PanelData, z0: complex, maxiter: int = 20,
-                    tol: float = 1e-13) -> PanelLocalFrame:
+def locate_preimage(panel: PanelData, z0: complex) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess."""
     z0t = panel.transform(z0)
     xi = z0t
     ok = False
-    for _ in range(maxiter):
+    for _ in range(NEWTON_MAXITER):
         dp = _polyval(panel.eta_p, xi)
         if dp == 0:
             break
@@ -131,7 +133,8 @@ def locate_preimage(panel: PanelData, z0: complex, maxiter: int = 20,
         xi = xi - step
         if abs(step) < 1e-15:
             break
-    if abs(_polyval(panel.eta, xi) - z0t) <= tol * max(1.0, abs(z0t)) and abs(xi) < 10.0:
+    if (abs(_polyval(panel.eta, xi) - z0t) <= NEWTON_TOL * max(1.0, abs(z0t))
+            and abs(xi) < 10.0):
         ok = True
     residue = _residue_correction(panel, z0t, xi if ok else None)
     return PanelLocalFrame(z0=z0, z0t=z0t, xi0=xi, newton_ok=ok, residue=residue)
@@ -349,13 +352,12 @@ def pair_estimate(panel: PanelData, z0: complex, mu_inf: float):
     return frame, estimate_error(panel, frame, mu_inf)
 
 
-def needs_correction(panel: PanelData, z0: complex, mu_inf: float,
-                     threshold: float = ACTIVATION_THRESHOLD):
+def needs_correction(panel: PanelData, z0: complex, mu_inf: float):
     """Decide whether the special rule is needed for this point-panel pair.
 
     Returns the frame when correction should be applied, otherwise None.
     """
     hit = pair_estimate(panel, z0, max(mu_inf, 1e-30))
-    if hit is None or hit[1] <= threshold:
+    if hit is None or hit[1] <= ACTIVATION_THRESHOLD:
         return None
     return hit[0]

@@ -90,10 +90,9 @@ def local_errors(z_mid, z_euler, mass_before, mass_after):
     return r_z, r_rho
 
 
-def _stage_eval(state: CoupledState, cfg: FlowConfig, tol, mu0=None):
+def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
     sigmas = [surface_tension(f) for f in state.fields]
-    u_list, sol, _ = interface_velocity(state.ifaces, sigmas, cfg,
-                                        tol=tol, mu0=mu0)
+    u_list, sol, _ = interface_velocity(state.ifaces, sigmas, cfg, tol=tol)
     decomps = [modified_tangential_velocity(i, u)
                for i, u in zip(state.ifaces, u_list)]
     motions = [(d.u_n + 1j * d.u_t_mod) * normals(i)
@@ -104,20 +103,20 @@ def _stage_eval(state: CoupledState, cfg: FlowConfig, tol, mu0=None):
 
 
 def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
-         stokes_tol: float = 1e-11, mu0=None, stage1=None):
+         stokes_tol: float = 1e-11, stage1=None):
     """One coupled midpoint/IMEX2 attempt; ctrl.dt is updated in place.
 
-    Returns (candidate_state, info, mu_stage2, stage1) where stage1 can
-    be fed back in on a retake to avoid recomputing the first Stokes
-    solve at the unchanged state.
+    Returns (candidate_state, info, stage1) where stage1 can be fed back
+    in on a retake to avoid recomputing the first Stokes solve at the
+    unchanged state.
     """
     dt = ctrl.dt
     has_surf = any(np.isfinite(f.Pe) or np.any(f.rho != 0.0)
                    for f in state.fields)
 
     if stage1 is None:
-        stage1 = _stage_eval(state, cfg, stokes_tol, mu0=mu0)
-    u1, dec1, g1, fE1, sol1 = stage1
+        stage1 = _stage_eval(state, cfg, stokes_tol)
+    u1, dec1, g1, fE1, _ = stage1
     un_max = max(np.abs(d.u_n).max() for d in dec1)
 
     ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g), check=False)
@@ -130,7 +129,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     half = CoupledState(ifaces=ifaces_half, fields=fields_half,
                         t=state.t + 0.5 * dt)
 
-    u2, dec2, g2, fE2, sol2 = _stage_eval(half, cfg, stokes_tol, mu0=sol1.mu)
+    u2, dec2, g2, fE2, sol2 = _stage_eval(half, cfg, stokes_tol)
 
     z_new = [krasny_filter(i.z + dt * g) for i, g in zip(state.ifaces, g2)]
     z_eul = [i.z + dt * g for i, g in zip(state.ifaces, g1)]
@@ -158,7 +157,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     info = StepInfo(r=r, r_z=r_z, r_rho=r_rho, dt_used=dt, accepted=accepted,
                     un_max=un_max, iterations=sol2.iterations)
     ctrl.dt = new_dt
-    return cand, info, sol2.mu, stage1
+    return cand, info, stage1
 
 
 def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
@@ -171,15 +170,13 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     each accepted step; steady_unorm stops the run once max |u.n| at the
     start of an accepted step falls below the threshold.
     """
-    mu_prev = None
     stage1 = None
     steps = 0
     while state.t < t_end - 1e-14 and steps < max_steps:
         dt_wanted = ctrl.dt
         ctrl.dt = min(ctrl.dt, t_end - state.t)
         clipped = ctrl.dt < dt_wanted
-        cand, info, mu2, stage1 = step(state, cfg, ctrl, stokes_tol,
-                                       mu0=mu_prev, stage1=stage1)
+        cand, info, stage1 = step(state, cfg, ctrl, stokes_tol, stage1=stage1)
         if clipped:
             ctrl.dt = min(dt_wanted, ctrl.dt_max)
         steps += 1
@@ -190,7 +187,6 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
                 callback(state, info)
             return state, True
         state = cand
-        mu_prev = mu2
         stage1 = None
         if adapt_spacing is not None:
             changed = False
@@ -202,7 +198,6 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
                 fields.append(with_rho(f, rho2))
             if changed:
                 state = CoupledState(ifaces=ifaces, fields=fields, t=state.t)
-                mu_prev = None
         if callback is not None:
             callback(state, info)
     return state, False

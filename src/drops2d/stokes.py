@@ -11,11 +11,11 @@ and the stress balance on a drop with viscosity ratio lambda reads
 
     2 i lambda mu + (1 - lambda) [u + 2 f] = -(i/2) sigma z'/|z'|,
 
-with f the fluid-side limit of the Cauchy transform of mu.  Each drop
-adds three real gauge unknowns (a real multiple of z and a complex
-constant on its own nodes) and one real row asking for zero net normal
-flux through it.  solve_density solves the resulting real
-(2N + n_d) x (2N + 3 n_d) system by weighted least squares.
+with f the fluid-side limit of the Cauchy transform of mu.  On a drop
+with lambda = 0 the rigid motions {1, i, iz} of mu span the null space
+of the balance; solve_density completes it (Greengard, Kropinski & Mayo
+1996) into one square, nonsingular, real-linear 2N x 2N system and
+solves that matrix-free by GMRES.
 
 The minus signs on the integral sums are the orientation cost of storing
 interfaces clockwise.  The sign set is pinned by four independent
@@ -36,11 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import neareval
 from .spectral import DIFF16, fourier_interp, panel_grid, uniform_to_gl
 
 DEFAULT_TOL = 1e-12
+# GMRES iteration cap; its basis takes (KRYLOV_DIM + 1) x 2N floats
+KRYLOV_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -228,94 +231,77 @@ def far_field(cfg: FlowConfig, z) -> np.ndarray:
 
 
 def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
-                  disc: Discretization = None, kernels: DirectKernels = None,
-                  mu0: np.ndarray = None) -> DensitySolution:
+                  disc: Discretization = None,
+                  kernels: DirectKernels = None) -> DensitySolution:
     """Solve the interfacial stress balance for the layer density.
 
     sigma_gl holds surface tension samples on the composite GL grid (all
     drops concatenated); each drop's viscosity ratio is its Interface.lam.
-    The stress balance is real-linear in mu (the conjugate-density terms
-    are antilinear), so it is split into real and imaginary parts: 2N rows
-    of stress balance plus one zero-net-flux row per drop, against 2N
-    density unknowns plus three gauge columns per drop (-z, -1 and -i on
-    that drop's nodes).  This real (2N + n_d) x (2N + 3 n_d) system is
-    underdetermined; it is solved by pivoted-QR least squares (gelsy)
-    with the density columns weighted so that the minimum-norm solution
-    minimizes the discrete integral of |mu|^2 ds plus the squared gauge
-    coefficients.  That gauge does not depend on the resolution.  The
-    solve is direct: tol and mu0 are not used.  A residual above 1e-8
-    (relative 1e-10 for large data) raises SolverError.
+    The balance i K mu + (1 - lambda) Uc conj(mu) = rhs is real-linear in
+    mu, with K real (see below) and Uc from DirectKernels.  On a drop with
+    lambda = 0 its left side vanishes on the rigid motions {1, i, iz};
+    adding G V^T mu, with V their orthonormal basis in the ds-weighted
+    real inner product and G the gauge columns -z, -1, -i on that drop,
+    makes the 2N x 2N system nonsingular.  The gauge of mu is then its
+    resolution-independent component along V.  GMRES solves the system
+    divided by i (K = 2 I at lambda = 1) on [Re mu, Im mu] to the
+    relative residual tol in at most KRYLOV_DIM iterations, without
+    restarts; iterations is its count.  SolverError is raised when it
+    does not converge or the max-norm residual exceeds
+    max(1e-8, 1e-10 max(1, |rhs|)).
     """
     if disc is None:
         disc = discretize(ifaces)
-    N = disc.n
-    nd = len(ifaces)
-    z, zp, w = disc.z, disc.zp, disc.w
-    lam = np.array([ifc.lam for ifc in ifaces])[disc.drop_of]
-    if np.all(lam == 1.0):
-        # the balance collapses to the exact identity (canonical gauge)
-        mu = -0.25 * sigma_gl * zp / np.abs(zp)
-        return DensitySolution(mu=mu, residual=0.0, iterations=0)
     if kernels is None:
         kernels = DirectKernels(disc)
-    U, Uc = kernels.U, kernels.Uc
+    N = disc.n
+    lam_drop = np.array([ifc.lam for ifc in ifaces])
+    lam = lam_drop[disc.drop_of]
+    oml = 1.0 - lam
     # The fluid-side limit of the Cauchy transform is
     # 2 f(mu) = (1/pi) [sum_{j != i} (mu_j - mu_i) CAU_ij + w_i mu'_i], so
     # the C-linear part of u + 2 f is U + (CAU - diag(row sums) + w D)/pi.
     # w and D are real: the mu' terms and the real parts cancel, leaving
     # i (Im CAU - diag(row sums of Im CAU))/pi.  The C-linear part of the
-    # stress balance is therefore i K with K real.
-    ImC = kernels.CAU.imag
-    oml = (1.0 - lam)[:, None]
-    K = np.diag(2 * lam) + oml * (ImC - np.diag(ImC.sum(axis=1))) / np.pi
-    A_conj = oml * Uc
-    tau = zp / np.abs(zp)
-    far = far_field(cfg, z)
-    rhs = -0.5j * sigma_gl * tau - oml[:, 0] * far
+    # stress balance is therefore i K with K real; CAU has a zero diagonal.
+    K = kernels.CAU.imag * (oml / np.pi)[:, None]
+    idx = np.arange(N)
+    K[idx, idx] = 2 * lam - K.sum(axis=1)
+    # rigid-motion completion: G holds the gauge columns of each lambda = 0
+    # drop and Re(W mu) the coordinates of mu along its rigid motions,
+    # orthonormal in <a, b> = sum ds Re(conj(a) b)
+    sq = np.sqrt(disc.w * np.abs(disc.zp))
+    G, W = [], []
+    for k in np.flatnonzero(lam_drop == 0.0):
+        sel = (disc.drop_of == k).astype(float)
+        rigid = np.stack([sel, 1j * sel, 1j * disc.z * sel]) * sq
+        q, _ = np.linalg.qr(np.concatenate([rigid.real, rigid.imag], axis=1).T)
+        W.extend((q[:N] - 1j * q[N:]).T * sq)
+        G.extend([-disc.z * sel, -sel, -1j * sel])
+    G, W = np.reshape(G, (-1, N)).T, np.reshape(W, (-1, N))
+    Uc = kernels.Uc
+    tau = disc.zp / np.abs(disc.zp)
+    # the balance divided by i: K mu - i [(1 - lambda) Uc conj(mu) + G V^T mu]
+    rhs = -0.5 * sigma_gl * tau + 1j * oml * far_field(cfg, disc.z)
 
-    ncol = 2 * N + 3 * nd
-    A = np.zeros((2 * N + nd, ncol))
-    A[:N, :N] = A_conj.real
-    A[:N, N:2 * N] = A_conj.imag - K
-    A[N:2 * N, :N] = K + A_conj.imag
-    A[N:2 * N, N:2 * N] = -A_conj.real
-    b = np.zeros(2 * N + nd)
-    b[:N] = rhs.real
-    b[N:2 * N] = rhs.imag
-    n_in = -1j * tau
-    for k in range(nd):
-        sel = disc.drop_of == k
-        cols = (-z * sel, -1.0 * sel + 0j, -1j * sel + 0j)
-        for j, colc in enumerate(cols):
-            A[:N, 2 * N + 3 * k + j] = colc.real
-            A[N:2 * N, 2 * N + 3 * k + j] = colc.imag
-        wt = sel * w * np.abs(zp)
-        avec = np.conj(n_in) * wt
-        # real and imaginary parts apart: a complex product would copy U
-        rc = avec.real @ U + 1j * (avec.imag @ U)
-        ra = avec @ Uc
-        A[2 * N + k, :N] = rc.real + ra.real
-        A[2 * N + k, N:2 * N] = -rc.imag + ra.imag
-        b[2 * N + k] = -np.sum(wt * np.real(far * np.conj(n_in)))
-    # weight the density unknowns so the minimum-norm gauge minimizes the
-    # continuous integral of |mu|^2 ds: the selected gauge is then
-    # resolution-independent and densities converge pointwise under
-    # panel refinement; rows are scaled to unit norm
-    swt = 1.0 / np.sqrt(w * np.abs(zp))
-    scale = np.concatenate([swt, swt, np.ones(3 * nd)])
-    B = A * scale[None, :]
-    rnorm = np.sqrt((B * B).sum(axis=1))
-    rnorm[rnorm == 0] = 1.0
-    B /= rnorm[:, None]
-    xw, _, _, _ = sla.lstsq(B, b / rnorm, cond=1e-12, lapack_driver="gelsy")
-    x = scale * xw
+    def matvec(x):
+        mu = x[:N] + 1j * x[N:]
+        out = (K @ x[:N] + 1j * (K @ x[N:])
+               - 1j * (oml * (Uc @ np.conj(mu)) + G @ (W @ mu).real))
+        return np.concatenate([out.real, out.imag])
+
+    A = LinearOperator((2 * N, 2 * N), matvec=matvec)
+    b = np.concatenate([rhs.real, rhs.imag])
+    steps = []
+    x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM, maxiter=1,
+                    callback=steps.append, callback_type="pr_norm")
     res = float(np.abs(A @ x - b).max())
-    bnorm = float(np.abs(b).max())
-    if res > max(1e-8, 1e-10 * max(1.0, bnorm)):
-        raise SolverError(f"stress-balance solve residual {res:.2e}",
+    if info != 0 or res > max(1e-8, 1e-10 * max(1.0, np.abs(b).max())):
+        raise SolverError(f"stress-balance solve residual {res:.2e} after "
+                          f"{len(steps)} GMRES iterations (info={info})",
                           residuals=[res])
-    mu = x[:N] + 1j * x[N:2 * N]
-    return DensitySolution(mu=mu, residual=res, iterations=A.shape[0])
+    return DensitySolution(mu=x[:N] + 1j * x[N:], residual=res,
+                           iterations=len(steps))
 
 
 def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
@@ -347,7 +333,7 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
 
 
 def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,
-                       tol: float = DEFAULT_TOL, mu0=None):
+                       tol: float = DEFAULT_TOL):
     """One Stokes solve: returns per-drop uniform-grid velocities.
 
     Handles the hybrid-grid transfers: uniform -> GL for the solve,
@@ -360,7 +346,7 @@ def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,
     kernels = DirectKernels(disc)
     sigma_gl = sigma_to_gl(ifaces, sigma_uniform)
     sol = solve_density(ifaces, sigma_gl, cfg, tol=tol, disc=disc,
-                        kernels=kernels, mu0=mu0)
+                        kernels=kernels)
     u_gl = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kernels)
     out = []
     for k, ifc in enumerate(ifaces):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drops2d.harness import PAIR_CLEAN_PHI0, _pair_center, build_state, preset
 from drops2d.pair_oracle import (ConformalPairState, PairOracleError,
                                  bubble_area, evolve_pair, geometry,
                                  interface_velocity, kinematic_coefficients,
@@ -146,21 +147,50 @@ def test_physical_frame_orientation():
     assert np.all(np.diff(aV) > 0)
 
 
-def test_solver_velocity_matches_oracle_at_t0():
-    # the boundary-integral solver and the conformal-map oracle describe
-    # the same clean pair (Q = 0.5, phi = 0.35) at t = 0; the oracle works
-    # in a frame rotated by -90 degrees, so its velocity is rotated by i
-    from drops2d.harness import PAIR_CLEAN_PHI0, build_state, preset
+def _solver_oracle_error(phi, n, nv):
+    """Largest upper-drop velocity error of the solver against the oracle.
+
+    The boundary-integral solver and the conformal-map oracle describe the
+    same clean pair (Q = 0.5, unit circles at +-i c(phi)) at t = 0; the
+    oracle works in a frame rotated by -90 degrees, so its velocity is
+    rotated by i.  Returns the error and the solver's near-pair count.
+    """
+    from dataclasses import replace
+
     from drops2d.spectral import fourier_interp
+    from drops2d.stokes import DirectKernels
     from drops2d.stokes import interface_velocity as solver_velocity
 
-    cfg = preset("pair_clean", n=192)
+    cfg = preset("pair_clean", n=n)
+    c = _pair_center(phi)
+    cfg.drops = [replace(d, center=s * 1j * c)
+                 for d, s in zip(cfg.drops, (1, -1))]
     state = build_state(cfg)
-    u_list, _, _ = solver_velocity(state.ifaces,
-                                   [np.ones(i.n) for i in state.ifaces],
-                                   cfg.flow)
-    st = pair_from_circles(48, phi=PAIR_CLEAN_PHI0)
+    u_list, _, disc = solver_velocity(state.ifaces,
+                                      [np.ones(i.n) for i in state.ifaces],
+                                      cfg.flow)
+    st = pair_from_circles(nv, phi=phi)
     u_oracle = 1j * interface_velocity(st, solve_flow(st, -cfg.flow.Q))
     _, _, alphaV = physical_frame(st)
     u_upper = fourier_interp(u_list[0], alphaV)
-    assert np.abs(u_upper - u_oracle).max() < 1e-10
+    return np.abs(u_upper - u_oracle).max(), len(DirectKernels(disc).pairs)
+
+
+# gaps 2 (c - 1): 0.28 at phi = 0.35, 0.066 at 0.6, 0.0028 at 0.9; at
+# the smaller gaps the oracle needs nv >= 256 and is the weaker side
+@pytest.mark.parametrize("phi, n, nv, tol", [
+    (PAIR_CLEAN_PHI0, 192, 48, 1e-10),
+    (0.6, 256, 128, 1e-8),
+    (0.9, 256, 256, 1e-3),
+], ids=["phi0.35", "phi0.6", "phi0.9"])
+def test_solver_velocity_matches_oracle_at_t0(phi, n, nv, tol):
+    err, pairs = _solver_oracle_error(phi, n, nv)
+    assert err < tol
+    assert pairs > 0
+
+
+def test_close_pair_error_falls_under_refinement():
+    # gap 0.0125
+    e256, _ = _solver_oracle_error(0.8, 256, 256)
+    e512, _ = _solver_oracle_error(0.8, 512, 256)
+    assert e512 < e256

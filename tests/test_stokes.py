@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from drops2d import stokes
 from drops2d.geometry import Interface, circle, normals, to_equal_arclength
 from drops2d.spectral import uniform_alpha
-from drops2d.stokes import (DirectKernels, FlowConfig, discretize,
+from drops2d.stokes import (DirectKernels, FlowConfig, SolverError, discretize,
                             evaluate_velocity_offgrid,
                             evaluate_velocity_on_interface, interface_velocity,
                             sigma_to_gl, solve_density)
@@ -48,6 +49,34 @@ class TestSolveDensity:
             iface = Interface(z=resample(base.z, n), check=False)
             disc, kern, sol = solve_setup([iface], cfg)
             assert sol.residual < 1e-8
+
+    def test_iterations_independent_of_n(self):
+        # GMRES on the completed system: the count does not grow with N
+        from drops2d.harness import build_state, preset
+        from drops2d.surfactant import surface_tension
+
+        its = []
+        for n in (192, 576):
+            cfg = preset("pair_surfactant", n=n)
+            state = build_state(cfg)
+            _, sol, _ = interface_velocity(
+                state.ifaces, [surface_tension(f) for f in state.fields],
+                cfg.flow, tol=cfg.run.stokes_tol)
+            its.append(sol.iterations)
+        assert max(its) <= 50
+        assert abs(its[0] - its[1]) <= 5
+
+    def test_lambda_one_takes_one_iteration(self):
+        disc, kern, sol = solve_setup([circle(64, lam=1.0)], FlowConfig(Q=0.1))
+        assert sol.iterations == 1
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(stokes, "KRYLOV_DIM", 2)
+        pair = [circle(64, center=1.6, lam=0.0, id=0),
+                circle(64, center=-1.6, lam=0.0, id=1)]
+        with pytest.raises(SolverError) as exc:
+            solve_setup(pair, FlowConfig(Q=-0.1))
+        assert exc.value.residuals[0] > 1e-8
 
 
 class TestVelocity:
