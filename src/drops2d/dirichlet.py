@@ -112,15 +112,19 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
 
 
 def estimate_field(sol: DirichletSolution, targets):
-    """Summed per-panel remainder estimates at each target."""
+    """Summed per-panel remainder estimates at each target.
+
+    One batched preimage and estimate pass covers every candidate pair.
+    """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu_inf = np.abs(sol.mu).reshape(len(sol.panels), 16).max(axis=1)
-    out = np.zeros(t.shape[0])
-    for k, ip in zip(*neareval.candidates(sol.panels, t)):
-        hit = neareval.pair_estimate(sol.panels[ip], t[k], mu_inf[ip])
-        if hit is not None and np.isfinite(hit[1]):
-            out[k] += hit[1]
-    return out
+    ti, ip = neareval.candidates(sol.panels, t)
+    pk = neareval.gather(sol.panels, ip)
+    est = neareval.estimate_error(pk, neareval.locate_preimage(pk, t[ti]),
+                                  mu_inf[ip])
+    # pairs without a usable preimage carry inf and are left out
+    fin = np.isfinite(est)
+    return np.bincount(ti[fin], weights=est[fin], minlength=t.shape[0])
 
 
 def inside_star(points, amplitude: float = 0.3, mode: int = 3,

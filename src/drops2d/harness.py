@@ -212,6 +212,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
         rec.series.append({
             "t": s.t, "dt": info.dt_used, "r": info.r, "r_z": info.r_z,
             "r_rho": info.r_rho, "accepted": 1, "un_max": info.un_max,
+            "iterations": info.iterations,
             "areas": s.areas(), "masses": s.masses(),
             "min_dist": _min_dist_all(s),
         })
@@ -247,7 +248,8 @@ def write_outputs(rec: RunRecord, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     nd = len(rec.config.drops)
     with open(os.path.join(out_dir, "series.csv"), "w") as fh:
-        head = ["t", "dt", "r", "r_z", "r_rho", "accepted", "un_max"]
+        head = ["t", "dt", "r", "r_z", "r_rho", "accepted", "un_max",
+                "iterations"]
         head += [f"area_{k}" for k in range(nd)]
         head += [f"mass_{k}" for k in range(nd)]
         head += ["min_dist"]
@@ -256,6 +258,7 @@ def write_outputs(rec: RunRecord, out_dir: str):
             vals = [_fmt(row[k]) for k in ("t", "dt", "r", "r_z", "r_rho")]
             vals.append(str(row["accepted"]))
             vals.append(_fmt(row["un_max"] if row["un_max"] is not None else np.nan))
+            vals.append(str(row["iterations"]))
             vals += [_fmt(a) for a in row["areas"]]
             vals += [_fmt(m) for m in row["masses"]]
             vals.append(_fmt(row["min_dist"]))

@@ -1,9 +1,9 @@
-"""Per point-panel special quadrature and quadrature-error estimation.
+"""Point-panel special quadrature and quadrature-error estimation.
 
 The near-singular layer-potential integrals over a 16-point panel are
-replaced, target by target, by a semi-analytic rule: the density is
-interpolated by a degree-15 polynomial in the affinely transformed
-position variable, and the singular moments
+replaced by a semi-analytic rule: the density is interpolated by a
+degree-15 polynomial in the affinely transformed position variable, and
+the singular moments
 
     p_j = int_{-1}^{1} tau^j/(tau - z0) dtau
     q_j = int_{-1}^{1} tau^j/(tau - z0)^2 dtau
@@ -12,11 +12,20 @@ are generated by forward recursion.  A separate contour-integral remainder
 estimate predicts the plain Gauss-Legendre error for each point-panel pair
 and decides when the special rule is needed.  candidates is the one
 distance cull: only the pairs it returns are ever estimated or corrected.
+
+Every stage runs on a batch of (target, panel) pairs at once.  gather
+stacks the panel data of all candidate pairs of a call along a leading
+pair axis; locate_preimage then runs Newton elementwise over the batch,
+and estimate_error and needs_correction act on whole arrays.
+corrected_pairs builds the kernel rows of the flagged pairs panel by
+panel: one moment recursion over all of a panel's targets and one
+Vandermonde solve with one right-hand side per target.  One panel and one
+target form a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,7 +67,9 @@ class PanelData:
     """Reusable per-panel quantities for near evaluation.
 
     All positions live in the transformed frame where the panel endpoints
-    sit at -1 and +1.
+    sit at -1 and +1.  A PanelData made by gather describes one panel per
+    pair: every field but vand_lu gains a leading pair axis, and vand_lu
+    is None.
     """
 
     z_nodes: np.ndarray          # physical node positions
@@ -72,19 +83,29 @@ class PanelData:
     eta_p: np.ndarray            # derivative coefficients of eta
     length: float                # physical panel length (approx)
 
-    def transform(self, z0: complex) -> complex:
+    def transform(self, z0):
         return self.scale * (z0 - self.mid)
 
 
 @dataclass
 class PanelLocalFrame:
-    """Target-specific frame for one point-panel pair."""
+    """Target-specific frames of a batch of point-panel pairs.
 
-    z0: complex
-    z0t: complex                 # transformed target
-    xi0: complex                 # preimage of the target under eta
-    newton_ok: bool
-    residue: complex             # 0 or +-2*pi*i added to p_0
+    Each field holds one entry per pair, shaped like the batch (0-d for a
+    single pair).  pair numbers the pairs in the batch that
+    locate_preimage solved; take keeps those numbers.
+    """
+
+    z0: np.ndarray
+    z0t: np.ndarray              # transformed target
+    xi0: np.ndarray              # preimage of the target under eta
+    newton_ok: np.ndarray
+    residue: np.ndarray          # 0 or +-2*pi*i added to p_0
+    pair: np.ndarray
+
+    def take(self, sel) -> PanelLocalFrame:
+        return PanelLocalFrame(*(getattr(self, f.name)[sel]
+                                 for f in fields(self)))
 
 
 def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
@@ -116,32 +137,65 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     )
 
 
-def _polyval(coef, x):
-    return npleg.legval(x, coef)
+def gather(panels, ip) -> PanelData:
+    """Panel data of a batch of pairs: row k describes panels[ip[k]]."""
+    ip = np.asarray(ip, dtype=int)
+    return PanelData(vand_lu=None, **{
+        f.name: np.array([getattr(p, f.name) for p in panels])[ip]
+        for f in fields(PanelData) if f.name != "vand_lu"})
 
 
-def locate_preimage(panel: PanelData, z0: complex) -> PanelLocalFrame:
-    """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess."""
-    z0t = panel.transform(z0)
-    xi = z0t
-    ok = False
+def _per_pair(panel: PanelData, name: str, shape):
+    """Field name of panel with one row per pair of a batch, flattened.
+
+    A single panel is shared by every pair; a gathered one already has
+    its leading pair axis.
+    """
+    a = np.asarray(getattr(panel, name))
+    tail = a.shape[np.ndim(panel.scale):]
+    return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
+
+
+def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
+    """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
+
+    panel is one panel shared by all targets z0, or a gather with one
+    panel per target.  Each pair stops when eta' vanishes at its iterate
+    or its Newton step falls below 1e-15, or after NEWTON_MAXITER steps;
+    its preimage is accepted (newton_ok) when the residual is within
+    NEWTON_TOL relative to max(1, |z0t|) and |xi0| < 10.
+    """
+    shape = np.broadcast_shapes(np.shape(z0), np.shape(panel.scale))
+    z0 = np.broadcast_to(np.asarray(z0, dtype=complex), shape)
+    # flat arrays throughout: a single pair then takes the same array
+    # arithmetic as a batch (NumPy scalar operators round differently)
+    zt = panel.transform(z0.ravel())
+    eta = _per_pair(panel, "eta", shape)
+    eta_p = _per_pair(panel, "eta_p", shape)
+    xi = zt.copy()
+    live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
-        dp = _polyval(panel.eta_p, xi)
-        if dp == 0:
+        dp = npleg.legval(xi[live], eta_p[live].T, tensor=False)
+        moving = dp != 0
+        live, dp = live[moving], dp[moving]
+        step = (npleg.legval(xi[live], eta[live].T, tensor=False)
+                - zt[live]) / dp
+        xi[live] -= step
+        live = live[~(np.abs(step) < 1e-15)]
+        if live.size == 0:
             break
-        step = (_polyval(panel.eta, xi) - z0t) / dp
-        xi = xi - step
-        if abs(step) < 1e-15:
-            break
-    if (abs(_polyval(panel.eta, xi) - z0t) <= NEWTON_TOL * max(1.0, abs(z0t))
-            and abs(xi) < 10.0):
-        ok = True
-    residue = _residue_correction(panel, z0t, xi if ok else None)
-    return PanelLocalFrame(z0=z0, z0t=z0t, xi0=xi, newton_ok=ok, residue=residue)
+    resid = np.abs(npleg.legval(xi, eta.T, tensor=False) - zt)
+    ok = ((resid <= NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
+          & (np.abs(xi) < 10.0))
+    residue = _residue_correction(panel, shape, zt, xi, ok)
+    return PanelLocalFrame(
+        z0=z0, z0t=zt.reshape(shape), xi0=xi.reshape(shape),
+        newton_ok=ok.reshape(shape), residue=residue.reshape(shape),
+        pair=np.arange(zt.size).reshape(shape))
 
 
-def _residue_correction(panel: PanelData, z0t: complex, xi0) -> complex:
-    """Path-deformation residue for targets between the panel and [-1, 1].
+def _residue_correction(panel: PanelData, shape, z0t, xi0, ok):
+    """Path-deformation residues for targets between the panel and [-1, 1].
 
     Near the panel, eta is a graph-like perturbation of the identity, so
     the target sits in the lens between the curved panel and the straight
@@ -151,90 +205,107 @@ def _residue_correction(panel: PanelData, z0t: complex, xi0) -> complex:
     bulges below the segment and clockwise when above.  Away from the panel
     (no reliable preimage) a comparison of the principal-branch p_0 with
     the 16-point rule along the actual arc settles the branch; plain
-    quadrature of p_0 is accurate there.
+    quadrature of p_0 is accurate there.  z0t, xi0 and ok are flat arrays
+    over the batch of the given shape.
     """
-    if abs(z0t.imag) < 1e-14 and abs(z0t.real) <= 1.0:
-        return 0.0
-    if xi0 is not None and abs(xi0) < 1.2:
-        # beyond the panel ends (|Re xi0| > 1) the target is outside the
-        # lens whatever the sign of Im(xi0)
-        between = abs(xi0.real) <= 1.0 and (xi0.imag * z0t.imag) < 0.0
-        if between:
-            return -2j * np.pi * np.sign(z0t.imag)
-        return 0.0
-    tp = panel.scale * panel.zp_nodes
-    p0_num = np.sum(panel.w_alpha * tp / (panel.nodes_t - z0t))
-    p0_an = np.log(complex(1.0 - z0t)) - np.log(complex(-1.0 - z0t))
-    best, corr = abs(p0_num - p0_an), 0.0
+    residue = np.zeros(z0t.shape, dtype=complex)
+    on_segment = (np.abs(z0t.imag) < 1e-14) & (np.abs(z0t.real) <= 1.0)
+    lens_test = ~on_segment & ok & (np.abs(xi0) < 1.2)
+    # beyond the panel ends (|Re xi0| > 1) the target is outside the lens
+    # whatever the sign of Im(xi0)
+    between = (lens_test & (np.abs(xi0.real) <= 1.0)
+               & (xi0.imag * z0t.imag < 0.0))
+    residue[between] = -2j * np.pi * np.sign(z0t.imag[between])
+    far = np.flatnonzero(~on_segment & ~lens_test)
+    zt = z0t[far]
+    tp = (_per_pair(panel, "scale", shape)[far, None]
+          * _per_pair(panel, "zp_nodes", shape)[far])
+    p0_num = np.sum(_per_pair(panel, "w_alpha", shape)[far] * tp
+                    / (_per_pair(panel, "nodes_t", shape)[far] - zt[:, None]),
+                    axis=1)
+    p0_an = np.log(1.0 - zt) - np.log(-1.0 - zt)
+    best, corr = np.abs(p0_num - p0_an), np.zeros(far.size, dtype=complex)
     for s in (-1.0, 1.0):
         cand = 2j * np.pi * s
-        d = abs(p0_num - (p0_an + cand))
-        if d < best:
-            best, corr = d, cand
-    return corr
+        d = np.abs(p0_num - (p0_an + cand))
+        closer = d < best
+        best, corr = np.where(closer, d, best), np.where(closer, cand, corr)
+    residue[far] = corr
+    return residue
 
 
-def recursion_pq(z0t: complex, residue: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial moments p_j, q_j on [-1, 1].
+def recursion_pq(z0t, residue=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial moments p_j, q_j on [-1, 1], moment index first.
 
-    A nonzero residue (+-2*pi*i) is folded into p_0 before recursing; the
-    recursions then propagate it to every higher moment consistently.
-    Forward recursion is stable in the activation region (preimages within
-    about half a panel length, |z0| <~ 1.5); farther out the absolute error
-    grows like eps |z0|^15, where the special rule is never selected.
+    p[j] and q[j] have the shape of z0t.  A nonzero residue (+-2*pi*i) is
+    folded into p_0 before recursing; the recursions then propagate it to
+    every higher moment consistently.  Forward recursion is stable in the
+    activation region (preimages within about half a panel length,
+    |z0| <~ 1.5); farther out the absolute error grows like eps |z0|^15,
+    where the special rule is never selected.
     """
-    if z0t.imag == 0.0 and abs(z0t.real) <= 1.0:
+    shape = np.shape(z0t)
+    z = np.ravel(np.asarray(z0t, dtype=complex))
+    if np.any((z.imag == 0.0) & (np.abs(z.real) <= 1.0)):
         raise ValueError("target preimage lies on the panel segment")
-    p = np.empty(N_GL, dtype=complex)
-    q = np.empty(N_GL, dtype=complex)
-    p[0] = np.log(complex(1.0 - z0t)) - np.log(complex(-1.0 - z0t)) + residue
-    q[0] = -1.0 / (1.0 + z0t) - 1.0 / (1.0 - z0t)
+    p = np.empty((N_GL, z.size), dtype=complex)
+    q = np.empty_like(p)
+    p[0] = np.log(1.0 - z) - np.log(-1.0 - z) + np.ravel(residue)
+    q[0] = -1.0 / (1.0 + z) - 1.0 / (1.0 - z)
     for j in range(1, N_GL):
-        p[j] = z0t * p[j - 1] + (1.0 - (-1.0) ** j) / j
-        q[j] = z0t * q[j - 1] + p[j - 1]
-    return p, q
+        p[j] = z * p[j - 1] + (1.0 - (-1.0) ** j) / j
+        q[j] = z * q[j - 1] + p[j - 1]
+    return p.reshape((N_GL,) + shape), q.reshape((N_GL,) + shape)
 
 
 def correction_rows(panel: PanelData, frame: PanelLocalFrame):
     """Row functionals for the two singular panel integrals.
 
-    Returns (r1, r2) with
+    Returns (r1, r2), one row of N_GL weights per target of frame, with
 
         int_panel f(tau)/(tau - z0) dtau          ~ r1 . f(nodes)
         int_panel f(tau)/(tau - z0)^2 dtau        ~ r2 . f(nodes)
 
-    where f is sampled at the panel nodes and interpolated in the
-    transformed position variable.
+    where f is sampled at the nodes of the one panel and interpolated in
+    the transformed position variable.
     """
+    shape = np.shape(frame.z0t) + (N_GL,)
     p, q = recursion_pq(frame.z0t, frame.residue)
-    # I1: row = p^T V^{-1}; I2 carries the affine Jacobian of 1/(tau-z0)^2
-    r1 = sla.lu_solve(panel.vand_lu, p, trans=1)
-    r2 = panel.scale * sla.lu_solve(panel.vand_lu, q, trans=1)
-    return r1, r2
+    # I1: row = p^T V^{-1}; I2 carries the affine Jacobian of 1/(tau-z0)^2;
+    # one solve takes the moments of every target as its right-hand sides
+    r1 = sla.lu_solve(panel.vand_lu, p.reshape(N_GL, -1), trans=1)
+    r2 = panel.scale * sla.lu_solve(panel.vand_lu, q.reshape(N_GL, -1),
+                                    trans=1)
+    return r1.T.reshape(shape), r2.T.reshape(shape)
 
 
 def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
     """Correction rows for the two kernels of the velocity representation.
 
-    For a target z0 and density samples mu on the panel,
+    For a target z0 and density samples mu on the one panel,
 
         int mu(tau) dtau/(tau - z0)                     = rI1 . mu
         int mu(tau) nbar^2 dtau/(tau - z0)              = rJ2 . mu
         int mu(tau) (conj(tau) - conj(z0)) dtau/(tau-z0)^2 = rJ3 . mu
 
     with nbar the conjugated outward unit normal factor entering the
-    split of the conjugate kernel.
+    split of the conjugate kernel; one row per target of frame.
     """
     r1, r2 = correction_rows(panel, frame)
     tang = panel.zp_nodes / np.abs(panel.zp_nodes)
     nbar2 = -np.conj(tang) ** 2
     rJ2 = r1 * nbar2
-    rJ3 = r2 * (np.conj(panel.z_nodes) - np.conj(frame.z0))
+    rJ3 = r2 * (np.conj(panel.z_nodes) - np.conj(frame.z0)[..., None])
     return r1, rJ2, rJ3
 
 
-def plain_rows(panel: PanelData, z0: complex):
-    """Plain Gauss-Legendre rows for the same three integrals."""
+def plain_rows(panel: PanelData, z0):
+    """Plain Gauss-Legendre rows for the same three integrals.
+
+    panel is one panel shared by all targets z0, or a gather with one
+    panel per target.
+    """
+    z0 = np.asarray(z0)[..., None]
     d = panel.z_nodes - z0
     base = panel.w_alpha * panel.zp_nodes
     r1 = base / d
@@ -269,6 +340,30 @@ def correct_panel_integrals(panel: PanelData, mu_panel, z0: complex):
     return K1, K2
 
 
+def corrected_pairs(panels, ti, ip, targets, mu_inf):
+    """The candidate pairs that need the special rule, with their rows.
+
+    (ti, ip) index candidate pairs into targets and panels, and mu_inf is
+    the density max-norm of each pair's panel (or one value for all).
+    Returns (ti, ip, rows) restricted to the pairs needs_correction flags,
+    in their candidate order, with rows[0], rows[1], rows[2] the
+    kernel_rows r1, rJ2, rJ3 of those pairs, one row per pair.  The rows
+    are built one panel at a time.
+    """
+    # no candidates, as for a lone drop in DirectKernels: skip the fixed
+    # cost of an empty pass
+    frame = (needs_correction(gather(panels, ip), targets[ti], mu_inf)
+             if ti.size else None)
+    if frame is None:
+        return ti[:0], ip[:0], np.zeros((3, 0, N_GL), dtype=complex)
+    ti, ip = ti[frame.pair], ip[frame.pair]
+    rows = np.empty((3, ti.size, N_GL), dtype=complex)
+    order = np.argsort(ip, kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(ip[order])) + 1):
+        rows[:, sel] = kernel_rows(panels[ip[sel[0]]], frame.take(sel))
+    return ti, ip, rows
+
+
 def near_correct(panels, mu, targets):
     """Special-minus-plain panel integrals, summed per target.
 
@@ -287,77 +382,68 @@ def near_correct(panels, mu, targets):
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu_p = np.asarray(mu).reshape(len(panels), N_GL)
-    mu_inf = np.abs(mu_p).max(axis=1)
+    ti, ip = candidates(panels, t)
+    ti, ip, (r1, rJ2, rJ3) = corrected_pairs(
+        panels, ti, ip, t, np.abs(mu_p).max(axis=1)[ip])
+    p1, pJ2, pJ3 = plain_rows(gather(panels, ip), t[ti])
+    m = mu_p[ip]
+    d1 = r1 - p1
     out = np.zeros((3, t.shape[0]), dtype=complex)
-    for k, ip in zip(*candidates(panels, t)):
-        panel, m = panels[ip], mu_p[ip]
-        frame = needs_correction(panel, t[k], mu_inf[ip])
-        if frame is None:
-            continue
-        r1, rJ2, rJ3 = kernel_rows(panel, frame)
-        p1, pJ2, pJ3 = plain_rows(panel, t[k])
-        d1 = r1 - p1
-        out[0, k] += d1 @ m
-        out[1, k] += np.conj(d1 @ np.conj(m))
-        out[2, k] += 0.5j * (np.conj((rJ2 - pJ2) @ m)
-                             + np.conj((rJ3 - pJ3) @ m))
+    np.add.at(out[0], ti, np.sum(d1 * m, axis=1))
+    np.add.at(out[1], ti, np.conj(np.sum(d1 * np.conj(m), axis=1)))
+    np.add.at(out[2], ti, 0.5j * (np.conj(np.sum((rJ2 - pJ2) * m, axis=1))
+                                  + np.conj(np.sum((rJ3 - pJ3) * m, axis=1))))
     return out[0], out[1], out[2]
 
 
-def _kn(xi: complex, n: int = N_GL):
-    """Characteristic remainder function of the n-point GL rule."""
-    s = np.sqrt(xi * xi - 1.0)
-    if abs(xi + s) < 1.0:
-        s = -s
-    return 2.0 * np.pi / (xi + s) ** (2 * n + 1), s
-
-
-def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf: float) -> float:
-    """Contour-integral estimate of the plain-GL error for this pair.
+def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
+    """Contour-integral estimate of the plain-GL error of each pair.
 
     Combines the remainders of the three kernel integrals, using the
-    max-norm of the density on the panel in place of its analytic
-    continuation.  Returns +inf when the preimage degenerates onto the
-    panel segment.
+    max-norm mu_inf of the density on the panel (per pair, or one value
+    for all) in place of its analytic continuation.  An estimate is +inf
+    where Newton found no preimage, where the preimage degenerates onto
+    the panel segment and where eta' vanishes at it.
     """
-    xi0 = frame.xi0
-    if not frame.newton_ok:
-        return np.inf
-    if abs(xi0.imag) < 1e-14 and abs(xi0.real) <= 1.0:
-        return np.inf
-    kn, s = _kn(xi0)
+    shape = np.shape(frame.xi0)
+    xi0 = np.ravel(frame.xi0)
+    mu = np.broadcast_to(mu_inf, shape).ravel()
+    est = np.full(xi0.shape, np.inf)
+    on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
+    k = np.flatnonzero(np.ravel(frame.newton_ok) & ~on_segment)
+    xi, mu = xi0[k], mu[k]
+    eta = _per_pair(panel, "eta", shape)[k]
+    eta_p = _per_pair(panel, "eta_p", shape)[k]
+    # characteristic remainder function of the N_GL-point GL rule
+    s = np.sqrt(xi * xi - 1.0)
+    s = np.where(np.abs(xi + s) < 1.0, -s, s)
+    kn = 2.0 * np.pi / (xi + s) ** (2 * N_GL + 1)
     knp = kn * (-(2 * N_GL + 1) / s)
-    etap0 = _polyval(panel.eta_p, xi0)
-    if etap0 == 0:
-        return np.inf
-    eta_conj = np.conj(panel.eta)
-    etap_conj = np.conj(panel.eta_p)
-    nbar2 = -_polyval(etap_conj, xi0) / etap0
-    R1 = np.imag(kn * mu_inf)
-    R2 = kn * mu_inf * nbar2
-    R3 = knp / etap0 * (np.conj(_polyval(panel.eta, np.conj(xi0))) -
-                        np.conj(_polyval(panel.eta, xi0))) * mu_inf
-    return abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi) + np.conj(R3) / (2 * np.pi))
+    etap0 = npleg.legval(xi, eta_p.T, tensor=False)
+    # pairs with eta'(xi0) == 0 divide by zero here and get inf below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nbar2 = -npleg.legval(xi, np.conj(eta_p).T, tensor=False) / etap0
+        R1 = np.imag(kn * mu)
+        R2 = kn * mu * nbar2
+        R3 = knp / etap0 * (
+            np.conj(npleg.legval(np.conj(xi), eta.T, tensor=False))
+            - np.conj(npleg.legval(xi, eta.T, tensor=False))) * mu
+        est[k] = np.where(etap0 == 0, np.inf,
+                          np.abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi)
+                                 + np.conj(R3) / (2 * np.pi)))
+    return est.reshape(shape)
 
 
-def pair_estimate(panel: PanelData, z0: complex, mu_inf: float):
-    """Preimage frame and plain-GL error estimate of one point-panel pair.
+def needs_correction(panel: PanelData, z0, mu_inf):
+    """Decide which point-panel pairs of a batch need the special rule.
 
-    Returns (frame, estimate), or None when Newton finds no reliable
-    preimage.  Callers pass only the pairs that candidates returns.
+    A pair needs it when Newton found its preimage and its estimate
+    exceeds ACTIVATION_THRESHOLD.  Returns the frame of those pairs
+    (pair numbers them in the batch), or None when there are none.
     """
     frame = locate_preimage(panel, z0)
-    if not frame.newton_ok:
+    est = estimate_error(panel, frame, np.maximum(mu_inf, 1e-30))
+    flag = frame.newton_ok & ~(est <= ACTIVATION_THRESHOLD)
+    if not flag.any():
         return None
-    return frame, estimate_error(panel, frame, mu_inf)
-
-
-def needs_correction(panel: PanelData, z0: complex, mu_inf: float):
-    """Decide whether the special rule is needed for this point-panel pair.
-
-    Returns the frame when correction should be applied, otherwise None.
-    """
-    hit = pair_estimate(panel, z0, max(mu_inf, 1e-30))
-    if hit is None or hit[1] <= ACTIVATION_THRESHOLD:
-        return None
-    return hit[0]
+    return frame.take(flag)

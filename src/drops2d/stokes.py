@@ -157,14 +157,15 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
 
 
 def _near_pairs(disc: Discretization):
-    """Cross-drop point-panel pairs requiring special quadrature, with frames."""
-    pairs = []
-    for i, ip in zip(*neareval.candidates(disc.panels, disc.z)):
-        if disc.drop_of[i] != disc.panel_drop[ip]:
-            frame = neareval.needs_correction(disc.panels[ip], disc.z[i], 1.0)
-            if frame is not None:
-                pairs.append((i, ip, frame))
-    return pairs
+    """Cross-drop point-panel pairs that need special quadrature.
+
+    Returns (i, ip, rows) as neareval.corrected_pairs does, with i the
+    node index of each pair's target.
+    """
+    i, ip = neareval.candidates(disc.panels, disc.z)
+    cross = disc.drop_of[i] != np.asarray(disc.panel_drop)[ip]
+    return neareval.corrected_pairs(disc.panels, i[cross], ip[cross],
+                                    disc.z, 1.0)
 
 
 def layer_matrices(z, zp, zpp, w, targets=None):
@@ -204,19 +205,21 @@ class DirectKernels:
         U  = -(w/pi) D - (Re CAU - diag(sum_j Re CAU_ij))/pi,
         Uc = i M2/pi,
 
-    with D the block-diagonal per-panel d/d alpha.  Cross-drop
-    point-panel pairs flagged by neareval get special-quadrature rows in
-    CAU and M2 before U and Uc are formed.
+    with D the block-diagonal per-panel d/d alpha.  The cross-drop
+    point-panel pairs that neareval flags, found and given their
+    special-quadrature rows in one batched pass over all candidate pairs,
+    have those rows written into CAU and M2 before U and Uc are formed.
+    pairs holds one (node, panel) index row per corrected pair.
     """
 
     def __init__(self, disc: Discretization):
         self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
-        self.pairs = _near_pairs(disc)
-        for i, ip, frame in self.pairs:
-            sl = disc.panel_slices[ip]
-            r1, rJ2, rJ3 = neareval.kernel_rows(disc.panels[ip], frame)
-            M2[i, sl] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
-            self.CAU[i, sl] = r1
+        i, ip, (r1, rJ2, rJ3) = _near_pairs(disc)
+        self.pairs = np.column_stack([i, ip])
+        start = np.array([sl.start for sl in disc.panel_slices])
+        rows, cols = i[:, None], start[ip][:, None] + np.arange(16)
+        M2[rows, cols] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
+        self.CAU[rows, cols] = r1
         D = sla.block_diag(*[(npan / np.pi) * DIFF16
                              for npan in disc.n_panels for _ in range(npan)])
         Kre = self.CAU.real

@@ -76,12 +76,14 @@ def test_estimate_field_matches_uncull_sum(n_panels):
     depth = rng.uniform(0.002, 0.6, 400)
     pts = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
     mu_inf = np.abs(sol.mu).reshape(n_panels, 16).max(axis=1)
+    # one batch per target over every panel, with no cull
+    pk = neareval.gather(sol.panels, np.arange(n_panels))
     want = np.zeros(pts.shape[0])
     for k, z0 in enumerate(pts):
-        for panel, m_inf in zip(sol.panels, mu_inf):
-            hit = neareval.pair_estimate(panel, z0, m_inf)
-            if hit is not None and np.isfinite(hit[1]):
-                want[k] += hit[1]
+        frame = neareval.locate_preimage(pk, np.full(n_panels, z0))
+        for e in neareval.estimate_error(pk, frame, mu_inf):
+            if np.isfinite(e):
+                want[k] += e
     assert np.abs(estimate_field(sol, pts) - want).max() < 1e-20
 
 

@@ -91,6 +91,8 @@ class TestDeterminism:
         assert np.array_equal(zf, zt)
         assert np.array_equal(rec_full.final_state.fields[0].rho,
                               rec_tail.final_state.fields[0].rho)
+        assert np.array_equal(rec_tail.series_array("iterations"),
+                              rec_full.series_array("iterations")[-2:])
 
     def test_restart_takes_material_parameters_from_config(self, tmp_path):
         cfg = tiny_config(fixed_dt=2e-3)
@@ -146,6 +148,11 @@ def test_series_contains_conservation_columns(tmp_path):
     rec = run_scenario(cfg, out_dir=str(tmp_path))
     head = open(tmp_path / "series.csv").readline().strip().split(",")
     assert "area_0" in head and "mass_0" in head and "min_dist" in head
+    # the true GMRES count of each step's second-stage density solve
+    iterations = np.loadtxt(tmp_path / "series.csv", delimiter=",",
+                            skiprows=1, ndmin=2)[:, head.index("iterations")]
+    assert np.all(iterations >= 1)
+    assert np.array_equal(iterations, rec.series_array("iterations"))
     areas = rec.series_array("areas")
     assert np.abs(areas / areas[0] - 1).max() < 1e-8
 

@@ -1,13 +1,18 @@
 import warnings
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from drops2d import neareval
-from drops2d.neareval import (CULL_FACTOR, PanelData, candidates,
-                              correct_panel_integrals, correction_rows,
-                              estimate_error, kernel_rows,
+from drops2d.neareval import (CULL_FACTOR, NEWTON_MAXITER, PanelData,
+                              candidates, correct_panel_integrals,
+                              correction_rows, corrected_pairs,
+                              estimate_error, gather, kernel_rows,
                               locate_preimage, near_correct, needs_correction,
                               plain_rows, prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
@@ -283,3 +288,133 @@ class TestNearCorrect:
         depth = np.array([1e-3, 0.01, 0.03, 0.1, 0.02, 5e-3, 0.06])
         targets = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
         self.check(sol.panels, sol.mu, targets)
+
+
+@lru_cache(maxsize=None)
+def batch_geometries():
+    """Panels of the 25-panel star and of the phi = 0.6 pair, and its c."""
+    from dataclasses import replace
+
+    from drops2d.dirichlet import GoursatReference, solve_dirichlet
+    from drops2d.harness import _pair_center, build_state, preset
+    from drops2d.stokes import discretize
+
+    star = solve_dirichlet(25, GoursatReference().velocity).panels
+    cfg = preset("pair_clean", n=256)
+    c = _pair_center(0.6)
+    cfg.drops = [replace(d, center=s * 1j * c)
+                 for d, s in zip(cfg.drops, (1, -1))]
+    return star, discretize(build_state(cfg).ifaces).panels, c
+
+
+# (target, star panel) pairs: Newton converges within 4 steps; Newton
+# cycles until NEWTON_MAXITER and is rejected; Newton converges to
+# |xi0| >= 10 and is rejected
+FEW = (0.1339 + 0.8428j, 5)
+CAP = (-0.8789 - 0.1114j, 11)
+FAR = (0.383 + 0.7848j, 3)
+
+
+def at_preimage(star, xi):
+    """The (target, panel) pair of star panel 5 whose preimage is xi.
+
+    At xi = 0.3 the target lies on the panel and its estimate is inf; at
+    xi = 0.3 + 0.01i it lies between the panel and its chord and carries
+    the residue 2 pi i.
+    """
+    panel = star[5]
+    return (complex(panel.mid + np.polynomial.legendre.legval(xi, panel.eta)
+                    / panel.scale), 5)
+
+
+class TestBatchInvariance:
+    """A mixed batch of pairs gives the frames of each pair on its own."""
+
+    def test_special_pairs_cover_the_newton_cases(self):
+        star, _, _ = batch_geometries()
+
+        def frame(pair, maxiter=NEWTON_MAXITER):
+            with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
+                return locate_preimage(star[pair[1]], pair[0])
+
+        few = frame(FEW)
+        assert few.newton_ok and few.xi0 == frame(FEW, 4).xi0
+        cap = frame(CAP)
+        assert not cap.newton_ok
+        assert cap.xi0 != frame(CAP, NEWTON_MAXITER + 1).xi0
+        far = frame(FAR)
+        assert not far.newton_ok and abs(far.xi0) >= 10
+        assert far.xi0 == frame(FAR, NEWTON_MAXITER + 1).xi0
+        on = frame(at_preimage(star, 0.3))
+        assert on.newton_ok and np.isinf(estimate_error(star[5], on, 1.0))
+        # the p_0 branch test that replaces the lens test without Newton
+        for maxiter in (NEWTON_MAXITER, 0):
+            lens = frame(at_preimage(star, 0.3 + 0.01j), maxiter)
+            assert lens.newton_ok == (maxiter > 0)
+            assert lens.residue == 2j * np.pi
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_star=st.integers(0, 8),
+           n_pair=st.integers(0, 8),
+           maxiter=st.sampled_from([NEWTON_MAXITER, 0]))
+    def test_mixed_batch_matches_batches_of_one(self, seed, n_star, n_pair,
+                                                maxiter):
+        # with maxiter = 0 only the flat panel's pairs keep a preimage; all
+        # others go through the p_0 branch test
+        with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
+            self.check_mixed_batch(seed, n_star, n_pair)
+
+    @staticmethod
+    def check_mixed_batch(seed, n_star, n_pair):
+        star, pair, c = batch_geometries()
+        panels = star + pair + [flat_panel()]
+        rng = np.random.default_rng(seed)
+        th = rng.uniform(0, 2 * np.pi, n_star)
+        depth = rng.uniform(-0.05, 0.3, n_star)
+        near_star = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
+        th = rng.uniform(0, 2 * np.pi, n_pair)
+        gap = rng.uniform(-0.03, 0.1, n_pair)
+        near_pair = (rng.choice([1j * c, -1j * c], n_pair)
+                     + (1 + gap) * np.exp(1j * th))
+        ts, ps = candidates(star, near_star)
+        tq, pq = candidates(pair, near_pair)
+        flat = len(panels) - 1
+        special = [FEW, CAP, FAR, at_preimage(star, 0.3),
+                   at_preimage(star, 0.3 + 0.01j), (0.5 + 0.3j, flat),
+                   (-0.2 - 0.1j, flat)]
+        z0 = np.concatenate([[z for z, _ in special], near_star[ts],
+                             near_pair[tq]])
+        ip = np.concatenate([[p for _, p in special], ps, len(star) + pq])
+        order = rng.permutation(z0.size)
+        z0, ip = z0[order], ip[order]
+        mu_inf = rng.uniform(0.5, 2.0, z0.size)
+        pk = gather(panels, ip)
+        frame = locate_preimage(pk, z0)
+        est = estimate_error(pk, frame, mu_inf)
+        assert np.isinf(est).sum() >= 3
+        assert np.any(frame.residue != 0)
+        for k in range(z0.size):
+            one = locate_preimage(panels[ip[k]], z0[k])
+            assert abs(frame.xi0[k] - one.xi0) <= 1e-15
+            assert frame.newton_ok[k] == one.newton_ok
+            assert frame.residue[k] == one.residue
+            e = estimate_error(panels[ip[k]], one, mu_inf[k])
+            assert e == est[k] or abs(e - est[k]) <= 1e-13 * abs(e)
+
+    def test_empty_batch(self):
+        # one drop: no cross-drop candidate pairs, as on single_n128
+        from drops2d.geometry import circle
+        from drops2d.stokes import DirectKernels, discretize
+
+        disc = discretize([circle(128, id=0)])
+        assert DirectKernels(disc).pairs.shape == (0, 2)
+        none = np.zeros(0, dtype=int)
+        pk = gather(disc.panels, none)
+        frame = locate_preimage(pk, np.zeros(0, dtype=complex))
+        assert frame.xi0.shape == (0,)
+        assert estimate_error(pk, frame, 1.0).shape == (0,)
+        assert needs_correction(pk, np.zeros(0, dtype=complex), 1.0) is None
+        ti, ip, rows = corrected_pairs(disc.panels, none, none, disc.z, 1.0)
+        assert ti.size == ip.size == 0 and rows.shape == (3, 0, 16)
+        dI, dIc, dJ = near_correct(disc.panels, np.ones(disc.n), [5.0 + 0j])
+        assert dI[0] == dIc[0] == dJ[0] == 0

@@ -178,15 +178,15 @@ def _solver_oracle_error(phi, n, nv):
 
 # gaps 2 (c - 1): 0.28 at phi = 0.35, 0.066 at 0.6, 0.0028 at 0.9; at
 # the smaller gaps the oracle needs nv >= 256 and is the weaker side
-@pytest.mark.parametrize("phi, n, nv, tol", [
-    (PAIR_CLEAN_PHI0, 192, 48, 1e-10),
-    (0.6, 256, 128, 1e-8),
-    (0.9, 256, 256, 1e-3),
+@pytest.mark.parametrize("phi, n, nv, tol, n_pairs", [
+    (PAIR_CLEAN_PHI0, 192, 48, 1e-10, 28),
+    (0.6, 256, 128, 1e-8, 96),
+    (0.9, 256, 256, 1e-3, 124),
 ], ids=["phi0.35", "phi0.6", "phi0.9"])
-def test_solver_velocity_matches_oracle_at_t0(phi, n, nv, tol):
+def test_solver_velocity_matches_oracle_at_t0(phi, n, nv, tol, n_pairs):
     err, pairs = _solver_oracle_error(phi, n, nv)
     assert err < tol
-    assert pairs > 0
+    assert pairs == n_pairs
 
 
 def test_close_pair_error_falls_under_refinement():
