@@ -62,7 +62,7 @@ class DirichletSolution:
     zpp: np.ndarray
     w: np.ndarray
     mu: np.ndarray
-    panels: list
+    panels: neareval.PanelData   # panel g covers nodes 16g:16g+16
     residual: float
 
 
@@ -89,14 +89,12 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
     b = np.concatenate([data.real, data.imag])
     x, info = gmres(A, b, rtol=tol, atol=0.0, maxiter=600, restart=600)
     res = float(np.abs(A @ x - b).max())
-    mu = x[:n] + 1j * x[n:]
-    panels = []
-    for p in range(n_panels):
-        sl = slice(16 * p, 16 * (p + 1))
-        panels.append(neareval.prepare_panel(z[sl], zp[sl], w[sl],
-                                             z_edges[p], z_edges[p + 1]))
-    return DirichletSolution(grid=grid, z=z, zp=zp, zpp=zpp, w=w, mu=mu,
-                             panels=panels, residual=res)
+    panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
+                                    w.reshape(-1, 16), z_edges[:-1],
+                                    z_edges[1:])
+    return DirichletSolution(grid=grid, z=z, zp=zp, zpp=zpp, w=w,
+                             mu=x[:n] + 1j * x[n:], panels=panels,
+                             residual=res)
 
 
 def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
@@ -119,7 +117,7 @@ def estimate_field(sol: DirichletSolution, targets):
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu_inf = np.abs(sol.mu).reshape(len(sol.panels), 16).max(axis=1)
     ti, ip = neareval.candidates(sol.panels, t)
-    pk = neareval.gather(sol.panels, ip)
+    pk = sol.panels[ip]
     est = neareval.estimate_error(pk, neareval.locate_preimage(pk, t[ti]),
                                   mu_inf[ip])
     # pairs without a usable preimage carry inf and are left out

@@ -13,14 +13,15 @@ estimate predicts the plain Gauss-Legendre error for each point-panel pair
 and decides when the special rule is needed.  candidates is the one
 distance cull: only the pairs it returns are ever estimated or corrected.
 
-Every stage runs on a batch of (target, panel) pairs at once.  gather
-stacks the panel data of all candidate pairs of a call along a leading
-pair axis; locate_preimage then runs Newton elementwise over the batch,
-and estimate_error and needs_correction act on whole arrays.
-corrected_pairs builds the kernel rows of the flagged pairs panel by
-panel: one moment recursion over all of a panel's targets and one
-Vandermonde solve with one right-hand side per target.  One panel and one
-target form a batch of one.
+Panels come as one stacked PanelData, built in one vectorised
+prepare_panel pass, with a leading panel axis on every field.  Indexing
+it like an array gives a subset: panels[k] is one panel and panels[ip]
+has one row per entry of ip.  Every stage runs on a batch of (target,
+panel) pairs whose panel rows match its targets one for one:
+locate_preimage runs Newton elementwise over the batch, estimate_error
+and needs_correction act on whole arrays, and kernel_rows takes one
+moment recursion and one batched Vandermonde solve for all of its pairs.
+One panel and one target form a batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial import legendre as npleg
 
 from .spectral import GL_NODES
@@ -48,6 +48,11 @@ NEWTON_MAXITER = 20
 NEWTON_TOL = 1e-13
 
 
+def _rows(obj, sel):
+    """obj with every field indexed by sel along their shared leading axis."""
+    return type(obj)(*(getattr(obj, f.name)[sel] for f in fields(obj)))
+
+
 def candidates(panels, targets):
     """(target, panel) index pairs that may need the special rule.
 
@@ -56,32 +61,35 @@ def candidates(panels, targets):
     target-major, as np.nonzero does.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    nodes = np.array([p.z_nodes for p in panels])
-    lengths = np.array([p.length for p in panels])
-    dmin = np.abs(nodes[None, :, :] - t[:, None, None]).min(axis=2)
-    return np.nonzero(dmin <= CULL_FACTOR * lengths)
+    dmin = np.abs(panels.z_nodes[None, :, :] - t[:, None, None]).min(axis=2)
+    return np.nonzero(dmin <= CULL_FACTOR * panels.length)
 
 
 @dataclass
 class PanelData:
-    """Reusable per-panel quantities for near evaluation.
+    """A stacked set of panels and the quantities near evaluation reuses.
 
-    All positions live in the transformed frame where the panel endpoints
-    sit at -1 and +1.  A PanelData made by gather describes one panel per
-    pair: every field but vand_lu gains a leading pair axis, and vand_lu
-    is None.
+    Every field has a leading panel axis (none for a single panel), and
+    node fields a trailing axis of N_GL nodes.  Positions of the
+    transformed frame put each panel's endpoints at -1 and +1.  Indexing
+    acts on all fields at once: panels[k] is panel k and panels[ip] holds
+    one row per entry of ip; len and iteration run over the panels.
     """
 
     z_nodes: np.ndarray          # physical node positions
     zp_nodes: np.ndarray         # dz/dalpha at the nodes
     w_alpha: np.ndarray          # parameter-space GL weights
-    scale: complex               # affine scale: t = scale*(z - mid)
-    mid: complex
+    scale: np.ndarray            # affine scale: t = scale*(z - mid)
+    mid: np.ndarray
     nodes_t: np.ndarray          # transformed node positions
-    vand_lu: tuple               # LU factors of the transformed Vandermonde
     eta: np.ndarray              # poly coefficients, eta(GL_NODES) = nodes_t
     eta_p: np.ndarray            # derivative coefficients of eta
-    length: float                # physical panel length (approx)
+    length: np.ndarray           # physical panel length (approx)
+
+    __getitem__ = _rows
+
+    def __len__(self):
+        return len(self.scale)
 
     def transform(self, z0):
         return self.scale * (z0 - self.mid)
@@ -103,98 +111,79 @@ class PanelLocalFrame:
     residue: np.ndarray          # 0 or +-2*pi*i added to p_0
     pair: np.ndarray
 
-    def take(self, sel) -> PanelLocalFrame:
-        return PanelLocalFrame(*(getattr(self, f.name)[sel]
-                                 for f in fields(self)))
+    take = _rows
 
 
 def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
-    """Precompute the transformed frame and interpolation data of a panel."""
+    """The transformed frames and interpolation data of a stack of panels.
+
+    z_nodes, zp_nodes and w_alpha hold (..., N_GL) node samples and za, zb
+    the (...) endpoints of each panel; the leading axes become the panel
+    axes of the result.
+    """
+    z_nodes = np.asarray(z_nodes, dtype=complex)
+    za, zb = np.asarray(za, dtype=complex), np.asarray(zb, dtype=complex)
     mid = 0.5 * (za + zb)
     scale = 2.0 / (zb - za)
-    nodes_t = scale * (np.asarray(z_nodes) - mid)
-    V = np.vander(nodes_t, N_GL, increasing=True)
-    lu = sla.lu_factor(V)
-    # degree-15 parametrization of the transformed panel: eta(xi) with
+    nodes_t = scale[..., None] * (z_nodes - mid[..., None])
+    # degree-15 parametrization of each transformed panel: eta(xi) with
     # eta(GL_NODES[k]) = nodes_t[k], stored as Legendre coefficients;
     # noise-level coefficients are zeroed so evaluation stays stable a
-    # couple of panel lengths out
-    eta = _LEGV_INV @ nodes_t
-    eta[np.abs(eta) < 1e-14 * np.abs(eta).max()] = 0.0
-    eta_p = npleg.legder(eta)
-    length = float(np.sum(np.abs(zp_nodes) * w_alpha))
-    return PanelData(
-        z_nodes=np.asarray(z_nodes),
-        zp_nodes=np.asarray(zp_nodes),
-        w_alpha=np.asarray(w_alpha),
-        scale=scale,
-        mid=mid,
-        nodes_t=nodes_t,
-        vand_lu=lu,
-        eta=eta,
-        eta_p=eta_p,
-        length=length,
-    )
+    # couple of panel lengths out; one matrix-vector product per panel
+    # keeps each panel's coefficients independent of the stack
+    eta = (_LEGV_INV @ nodes_t[..., None])[..., 0]
+    eta[np.abs(eta) < 1e-14 * np.abs(eta).max(axis=-1, keepdims=True)] = 0.0
+    return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
+                     w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
+                     nodes_t=nodes_t, eta=eta,
+                     eta_p=npleg.legder(eta, axis=-1),
+                     length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1))
 
 
-def gather(panels, ip) -> PanelData:
-    """Panel data of a batch of pairs: row k describes panels[ip[k]]."""
-    ip = np.asarray(ip, dtype=int)
-    return PanelData(vand_lu=None, **{
-        f.name: np.array([getattr(p, f.name) for p in panels])[ip]
-        for f in fields(PanelData) if f.name != "vand_lu"})
-
-
-def _per_pair(panel: PanelData, name: str, shape):
-    """Field name of panel with one row per pair of a batch, flattened.
-
-    A single panel is shared by every pair; a gathered one already has
-    its leading pair axis.
-    """
-    a = np.asarray(getattr(panel, name))
-    tail = a.shape[np.ndim(panel.scale):]
-    return np.broadcast_to(a, shape + tail).reshape((-1,) + tail)
+def _batch(panel: PanelData) -> PanelData:
+    """The panel rows of a batch with one leading axis (one for a single pair)."""
+    return panel if np.ndim(panel.scale) else panel[None]
 
 
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
 
-    panel is one panel shared by all targets z0, or a gather with one
-    panel per target.  Each pair stops when eta' vanishes at its iterate
-    or its Newton step falls below 1e-15, or after NEWTON_MAXITER steps;
-    its preimage is accepted (newton_ok) when the residual is within
-    NEWTON_TOL relative to max(1, |z0t|) and |xi0| < 10.
+    panel holds one row per target z0.  Each pair stops when eta'
+    vanishes at its iterate, when its Newton step falls below 1e-14
+    relative to max(1, |xi|), or after NEWTON_MAXITER steps; its preimage
+    is accepted (newton_ok) when the residual is within NEWTON_TOL
+    relative to max(1, |z0t|) and |xi0| < 10.
     """
-    shape = np.broadcast_shapes(np.shape(z0), np.shape(panel.scale))
+    shape = np.shape(panel.scale)
     z0 = np.broadcast_to(np.asarray(z0, dtype=complex), shape)
+    panel = _batch(panel)
     # flat arrays throughout: a single pair then takes the same array
     # arithmetic as a batch (NumPy scalar operators round differently)
     zt = panel.transform(z0.ravel())
-    eta = _per_pair(panel, "eta", shape)
-    eta_p = _per_pair(panel, "eta_p", shape)
     xi = zt.copy()
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
-        dp = npleg.legval(xi[live], eta_p[live].T, tensor=False)
+        dp = npleg.legval(xi[live], panel.eta_p[live].T, tensor=False)
         moving = dp != 0
         live, dp = live[moving], dp[moving]
-        step = (npleg.legval(xi[live], eta[live].T, tensor=False)
+        step = (npleg.legval(xi[live], panel.eta[live].T, tensor=False)
                 - zt[live]) / dp
         xi[live] -= step
-        live = live[~(np.abs(step) < 1e-15)]
+        live = live[~(np.abs(step)
+                      < 1e-14 * np.maximum(1.0, np.abs(xi[live])))]
         if live.size == 0:
             break
-    resid = np.abs(npleg.legval(xi, eta.T, tensor=False) - zt)
+    resid = np.abs(npleg.legval(xi, panel.eta.T, tensor=False) - zt)
     ok = ((resid <= NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
           & (np.abs(xi) < 10.0))
-    residue = _residue_correction(panel, shape, zt, xi, ok)
+    residue = _residue_correction(panel, zt, xi, ok)
     return PanelLocalFrame(
         z0=z0, z0t=zt.reshape(shape), xi0=xi.reshape(shape),
         newton_ok=ok.reshape(shape), residue=residue.reshape(shape),
         pair=np.arange(zt.size).reshape(shape))
 
 
-def _residue_correction(panel: PanelData, shape, z0t, xi0, ok):
+def _residue_correction(panel: PanelData, z0t, xi0, ok):
     """Path-deformation residues for targets between the panel and [-1, 1].
 
     Near the panel, eta is a graph-like perturbation of the identity, so
@@ -205,8 +194,8 @@ def _residue_correction(panel: PanelData, shape, z0t, xi0, ok):
     bulges below the segment and clockwise when above.  Away from the panel
     (no reliable preimage) a comparison of the principal-branch p_0 with
     the 16-point rule along the actual arc settles the branch; plain
-    quadrature of p_0 is accurate there.  z0t, xi0 and ok are flat arrays
-    over the batch of the given shape.
+    quadrature of p_0 is accurate there.  panel, z0t, xi0 and ok are flat
+    over the batch.
     """
     residue = np.zeros(z0t.shape, dtype=complex)
     on_segment = (np.abs(z0t.imag) < 1e-14) & (np.abs(z0t.real) <= 1.0)
@@ -217,12 +206,9 @@ def _residue_correction(panel: PanelData, shape, z0t, xi0, ok):
                & (xi0.imag * z0t.imag < 0.0))
     residue[between] = -2j * np.pi * np.sign(z0t.imag[between])
     far = np.flatnonzero(~on_segment & ~lens_test)
-    zt = z0t[far]
-    tp = (_per_pair(panel, "scale", shape)[far, None]
-          * _per_pair(panel, "zp_nodes", shape)[far])
-    p0_num = np.sum(_per_pair(panel, "w_alpha", shape)[far] * tp
-                    / (_per_pair(panel, "nodes_t", shape)[far] - zt[:, None]),
-                    axis=1)
+    zt, pf = z0t[far], panel[far]
+    p0_num = np.sum(pf.w_alpha * (pf.scale[:, None] * pf.zp_nodes)
+                    / (pf.nodes_t - zt[:, None]), axis=1)
     p0_an = np.log(1.0 - zt) - np.log(-1.0 - zt)
     best, corr = np.abs(p0_num - p0_an), np.zeros(far.size, dtype=complex)
     for s in (-1.0, 1.0):
@@ -261,35 +247,41 @@ def recursion_pq(z0t, residue=0.0) -> tuple[np.ndarray, np.ndarray]:
 def correction_rows(panel: PanelData, frame: PanelLocalFrame):
     """Row functionals for the two singular panel integrals.
 
-    Returns (r1, r2), one row of N_GL weights per target of frame, with
+    Returns (r1, r2), one row of N_GL weights per pair of frame, with
 
         int_panel f(tau)/(tau - z0) dtau          ~ r1 . f(nodes)
         int_panel f(tau)/(tau - z0)^2 dtau        ~ r2 . f(nodes)
 
-    where f is sampled at the nodes of the one panel and interpolated in
-    the transformed position variable.
+    where f is sampled at the nodes of the pair's panel (its row of panel)
+    and interpolated in the transformed position variable.
     """
-    shape = np.shape(frame.z0t) + (N_GL,)
     p, q = recursion_pq(frame.z0t, frame.residue)
+    # transformed Vandermonde V[..., k, j] = nodes_t[k]^j, built as
+    # np.vander builds it
+    V = np.empty(np.shape(panel.nodes_t) + (N_GL,), dtype=complex)
+    V[..., 0] = 1.0
+    V[..., 1:] = panel.nodes_t[..., None]
+    np.multiply.accumulate(V[..., 1:], out=V[..., 1:], axis=-1)
     # I1: row = p^T V^{-1}; I2 carries the affine Jacobian of 1/(tau-z0)^2;
-    # one solve takes the moments of every target as its right-hand sides
-    r1 = sla.lu_solve(panel.vand_lu, p.reshape(N_GL, -1), trans=1)
-    r2 = panel.scale * sla.lu_solve(panel.vand_lu, q.reshape(N_GL, -1),
-                                    trans=1)
-    return r1.T.reshape(shape), r2.T.reshape(shape)
+    # one batched solve of V^T r = (p, q) covers every pair
+    r = np.linalg.solve(np.swapaxes(V, -1, -2),
+                        np.stack([np.moveaxis(p, 0, -1),
+                                  np.moveaxis(q, 0, -1)], axis=-1))
+    return r[..., 0], panel.scale[..., None] * r[..., 1]
 
 
 def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
     """Correction rows for the two kernels of the velocity representation.
 
-    For a target z0 and density samples mu on the one panel,
+    For a target z0 and density samples mu on its panel,
 
         int mu(tau) dtau/(tau - z0)                     = rI1 . mu
         int mu(tau) nbar^2 dtau/(tau - z0)              = rJ2 . mu
         int mu(tau) (conj(tau) - conj(z0)) dtau/(tau-z0)^2 = rJ3 . mu
 
     with nbar the conjugated outward unit normal factor entering the
-    split of the conjugate kernel; one row per target of frame.
+    split of the conjugate kernel; one row per pair of frame, whose panel
+    is the matching row of panel.
     """
     r1, r2 = correction_rows(panel, frame)
     tang = panel.zp_nodes / np.abs(panel.zp_nodes)
@@ -302,8 +294,7 @@ def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
 def plain_rows(panel: PanelData, z0):
     """Plain Gauss-Legendre rows for the same three integrals.
 
-    panel is one panel shared by all targets z0, or a gather with one
-    panel per target.
+    panel holds one row per target z0.
     """
     z0 = np.asarray(z0)[..., None]
     d = panel.z_nodes - z0
@@ -347,21 +338,16 @@ def corrected_pairs(panels, ti, ip, targets, mu_inf):
     the density max-norm of each pair's panel (or one value for all).
     Returns (ti, ip, rows) restricted to the pairs needs_correction flags,
     in their candidate order, with rows[0], rows[1], rows[2] the
-    kernel_rows r1, rJ2, rJ3 of those pairs, one row per pair.  The rows
-    are built one panel at a time.
+    kernel_rows r1, rJ2, rJ3 of those pairs, one row per pair.
     """
     # no candidates, as for a lone drop in DirectKernels: skip the fixed
     # cost of an empty pass
-    frame = (needs_correction(gather(panels, ip), targets[ti], mu_inf)
+    frame = (needs_correction(panels[ip], targets[ti], mu_inf)
              if ti.size else None)
     if frame is None:
         return ti[:0], ip[:0], np.zeros((3, 0, N_GL), dtype=complex)
     ti, ip = ti[frame.pair], ip[frame.pair]
-    rows = np.empty((3, ti.size, N_GL), dtype=complex)
-    order = np.argsort(ip, kind="stable")
-    for sel in np.split(order, np.flatnonzero(np.diff(ip[order])) + 1):
-        rows[:, sel] = kernel_rows(panels[ip[sel[0]]], frame.take(sel))
-    return ti, ip, rows
+    return ti, ip, np.stack(kernel_rows(panels[ip], frame))
 
 
 def near_correct(panels, mu, targets):
@@ -385,7 +371,7 @@ def near_correct(panels, mu, targets):
     ti, ip = candidates(panels, t)
     ti, ip, (r1, rJ2, rJ3) = corrected_pairs(
         panels, ti, ip, t, np.abs(mu_p).max(axis=1)[ip])
-    p1, pJ2, pJ3 = plain_rows(gather(panels, ip), t[ti])
+    p1, pJ2, pJ3 = plain_rows(panels[ip], t[ti])
     m = mu_p[ip]
     d1 = r1 - p1
     out = np.zeros((3, t.shape[0]), dtype=complex)
@@ -411,9 +397,8 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
     est = np.full(xi0.shape, np.inf)
     on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
     k = np.flatnonzero(np.ravel(frame.newton_ok) & ~on_segment)
-    xi, mu = xi0[k], mu[k]
-    eta = _per_pair(panel, "eta", shape)[k]
-    eta_p = _per_pair(panel, "eta_p", shape)[k]
+    xi, mu, pk = xi0[k], mu[k], _batch(panel)
+    eta, eta_p = pk.eta[k], pk.eta_p[k]
     # characteristic remainder function of the N_GL-point GL rule
     s = np.sqrt(xi * xi - 1.0)
     s = np.where(np.abs(xi + s) < 1.0, -s, s)

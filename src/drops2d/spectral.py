@@ -186,11 +186,17 @@ _GL_INTERP_CACHE = {}
 
 
 def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
-    """Cached dense evaluation matrix: uniform samples -> composite GL nodes."""
+    """Cached dense evaluation matrix from the FFT of n uniform samples.
+
+    Its first 16*n_panels rows evaluate at the composite GL nodes, its last
+    n_panels rows at the panel starts.  The Nyquist mode of an even n is
+    evaluated as cos(n/2 alpha).
+    """
     key = (n, n_panels)
     M = _GL_INTERP_CACHE.get(key)
     if M is None:
-        targets = panel_grid(n_panels).alpha
+        grid = panel_grid(n_panels)
+        targets = np.concatenate([grid.alpha, grid.endpoints[:-1]])
         k = modes(n)
         E = np.exp(1j * np.outer(targets, k))
         if n % 2 == 0:
@@ -202,10 +208,28 @@ def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
 
 def uniform_to_gl(values, n_panels: int) -> np.ndarray:
     vals = _values(values)
-    out = uniform_to_gl_matrix(vals.shape[0], n_panels) @ np.fft.fft(vals)
+    out = (uniform_to_gl_matrix(vals.shape[0], n_panels)[:PANEL_ORDER * n_panels]
+           @ np.fft.fft(vals))
     if np.isrealobj(vals):
         return out.real
     return out
+
+
+def gl_geometry(z, n_panels: int):
+    """A closed curve's z, z' and z'' at the composite GL nodes, from one FFT.
+
+    Returns the (3, 16*n_panels) samples and z at the n_panels panel
+    starts.  The derivatives multiply the Fourier coefficients by ik and
+    (ik)^2; z' drops the Nyquist mode, as spectral_derivative does.
+    """
+    n, c = len(z), np.fft.fft(z)
+    k = modes(n)
+    c1 = 1j * k * c
+    if n % 2 == 0:
+        c1[n // 2] = 0.0
+    out = uniform_to_gl_matrix(n, n_panels) @ np.stack([c, c1, -(k * k) * c],
+                                                       axis=1)
+    return out[:-n_panels].T, out[-n_panels:, 0]
 
 
 def trapezoid(f) -> complex:

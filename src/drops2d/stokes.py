@@ -32,14 +32,14 @@ replaced by the special quadrature of the neareval module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import neareval
-from .spectral import DIFF16, fourier_interp, panel_grid, uniform_to_gl
+from .spectral import DIFF16, gl_geometry, panel_grid, uniform_to_gl
 
 DEFAULT_TOL = 1e-12
 # GMRES iteration cap; its basis takes (KRYLOV_DIM + 1) x 2N floats
@@ -90,7 +90,13 @@ class DensitySolution:
 
 @dataclass
 class Discretization:
-    """Composite Gauss-Legendre view of a set of interfaces."""
+    """Composite Gauss-Legendre view of a set of interfaces.
+
+    z, zp, zpp and w hold the nodes of all drops, concatenated in drop
+    order, and drop_of the drop of each node.  panels is their stacked
+    neareval.PanelData: panel g covers nodes 16g:16g+16 and belongs to
+    drop drop_of[16g]; n_panels counts the panels of each drop.
+    """
 
     ifaces: list
     z: np.ndarray
@@ -99,10 +105,7 @@ class Discretization:
     w: np.ndarray
     drop_of: np.ndarray
     n_panels: list
-    panel_slices: list = field(default_factory=list)
-    panel_drop: list = field(default_factory=list)
-    panels: list = field(default_factory=list)
-    offsets: list = field(default_factory=list)
+    panels: neareval.PanelData
 
     @property
     def n(self):
@@ -111,49 +114,25 @@ class Discretization:
 
 def discretize(ifaces) -> Discretization:
     """Interpolate interface geometry onto the composite GL grids."""
-    zs, zps, zpps, ws, drops = [], [], [], [], []
-    n_panels, slices, pdrop, panels, offsets = [], [], [], [], []
-    off = 0
-    for k, ifc in enumerate(ifaces):
-        npan = ifc.n // 16
-        grid = panel_grid(npan)
-        zp_u = ifc.z_alpha()
-        zpp_u = ifc.z_alpha2()
-        z_gl = uniform_to_gl(ifc.z, npan)
-        zp_gl = uniform_to_gl(zp_u, npan)
-        zpp_gl = uniform_to_gl(zpp_u, npan)
-        z_edges = fourier_interp(ifc.z, grid.endpoints[:-1])
-        z_edges = np.append(z_edges, z_edges[0])
-        zs.append(z_gl)
-        zps.append(zp_gl)
-        zpps.append(zpp_gl)
-        ws.append(grid.weights)
-        drops.append(np.full(z_gl.shape[0], k))
-        n_panels.append(npan)
-        for p in range(npan):
-            sl = slice(off + 16 * p, off + 16 * (p + 1))
-            slices.append(sl)
-            pdrop.append(k)
-            panels.append(neareval.prepare_panel(
-                z_gl[16 * p:16 * (p + 1)], zp_gl[16 * p:16 * (p + 1)],
-                grid.weights[16 * p:16 * (p + 1)],
-                z_edges[p], z_edges[p + 1]))
-        offsets.append(off)
-        off += z_gl.shape[0]
+    n_panels = [ifc.n // 16 for ifc in ifaces]
+    geo = [gl_geometry(ifc.z, npan) for ifc, npan in zip(ifaces, n_panels)]
+    z, zp, zpp = np.concatenate([g for g, _ in geo], axis=1)
+    za = np.concatenate([starts for _, starts in geo])
+    zb = np.concatenate([np.roll(starts, -1) for _, starts in geo])
+    w = np.concatenate([panel_grid(npan).weights for npan in n_panels])
+    panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
+                                    w.reshape(-1, 16), za, zb)
     return Discretization(
-        ifaces=list(ifaces),
-        z=np.concatenate(zs), zp=np.concatenate(zps), zpp=np.concatenate(zpps),
-        w=np.concatenate(ws), drop_of=np.concatenate(drops),
-        n_panels=n_panels, panel_slices=slices, panel_drop=pdrop,
-        panels=panels, offsets=offsets)
+        ifaces=list(ifaces), z=z, zp=zp, zpp=zpp, w=w,
+        drop_of=np.repeat(np.arange(len(n_panels)), 16 * np.array(n_panels)),
+        n_panels=n_panels, panels=panels)
 
 
 def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
     """Interpolate per-drop uniform surface tension to the GL grids."""
-    out = []
-    for ifc, sig in zip(ifaces, sigma_uniform):
-        out.append(uniform_to_gl(np.asarray(sig, dtype=float), ifc.n // 16))
-    return np.concatenate(out)
+    return np.concatenate([uniform_to_gl(np.asarray(sig, dtype=float),
+                                         ifc.n // 16)
+                           for ifc, sig in zip(ifaces, sigma_uniform)])
 
 
 def _near_pairs(disc: Discretization):
@@ -163,7 +142,7 @@ def _near_pairs(disc: Discretization):
     node index of each pair's target.
     """
     i, ip = neareval.candidates(disc.panels, disc.z)
-    cross = disc.drop_of[i] != np.asarray(disc.panel_drop)[ip]
+    cross = disc.drop_of[i] != disc.drop_of[16 * ip]
     return neareval.corrected_pairs(disc.panels, i[cross], ip[cross],
                                     disc.z, 1.0)
 
@@ -205,19 +184,19 @@ class DirectKernels:
         U  = -(w/pi) D - (Re CAU - diag(sum_j Re CAU_ij))/pi,
         Uc = i M2/pi,
 
-    with D the block-diagonal per-panel d/d alpha.  The cross-drop
-    point-panel pairs that neareval flags, found and given their
-    special-quadrature rows in one batched pass over all candidate pairs,
-    have those rows written into CAU and M2 before U and Uc are formed.
-    pairs holds one (node, panel) index row per corrected pair.
+    with D the block-diagonal per-panel d/d alpha.  One batched pass over
+    the cross-drop candidate pairs of disc.panels finds the point-panel
+    pairs that neareval flags and gives each its special-quadrature rows;
+    a pair (i, g) writes them into row i, columns 16g:16g+16, of CAU and
+    M2 before U and Uc are formed.  pairs holds one (i, g) row per
+    corrected pair.
     """
 
     def __init__(self, disc: Discretization):
         self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         i, ip, (r1, rJ2, rJ3) = _near_pairs(disc)
         self.pairs = np.column_stack([i, ip])
-        start = np.array([sl.start for sl in disc.panel_slices])
-        rows, cols = i[:, None], start[ip][:, None] + np.arange(16)
+        rows, cols = i[:, None], 16 * ip[:, None] + np.arange(16)
         M2[rows, cols] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
         self.CAU[rows, cols] = r1
         D = sla.block_diag(*[(npan / np.pi) * DIFF16
@@ -250,8 +229,8 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
     divided by i (K = 2 I at lambda = 1) on [Re mu, Im mu] to the
     relative residual tol in at most KRYLOV_DIM iterations, without
     restarts; iterations is its count.  SolverError is raised when it
-    does not converge or the max-norm residual exceeds
-    max(1e-8, 1e-10 max(1, |rhs|)).
+    does not converge or the max-norm residual exceeds tol |b|_2, the
+    bound that its convergence implies.
     """
     if disc is None:
         disc = discretize(ifaces)
@@ -276,10 +255,17 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
     sq = np.sqrt(disc.w * np.abs(disc.zp))
     G, W = [], []
     for k in np.flatnonzero(lam_drop == 0.0):
-        sel = (disc.drop_of == k).astype(float)
-        rigid = np.stack([sel, 1j * sel, 1j * disc.z * sel]) * sq
+        on = disc.drop_of == k
+        sel = on.astype(float)
+        # QR of the drop's own rows only: zero rows of other drops ahead of
+        # them would let rounding noise pick the orientation of the basis,
+        # and with it the gauge of mu
+        rigid = np.stack([sel, 1j * sel, 1j * disc.z * sel])[:, on] * sq[on]
         q, _ = np.linalg.qr(np.concatenate([rigid.real, rigid.imag], axis=1).T)
-        W.extend((q[:N] - 1j * q[N:]).T * sq)
+        q_re, q_im = q.reshape(2, -1, 3)
+        Wk = np.zeros((3, N), dtype=complex)
+        Wk[:, on] = (q_re - 1j * q_im).T * sq[on]
+        W.extend(Wk)
         G.extend([-disc.z * sel, -sel, -1j * sel])
     G, W = np.reshape(G, (-1, N)).T, np.reshape(W, (-1, N))
     Uc = kernels.Uc
@@ -299,7 +285,8 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
     x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM, maxiter=1,
                     callback=steps.append, callback_type="pr_norm")
     res = float(np.abs(A @ x - b).max())
-    if info != 0 or res > max(1e-8, 1e-10 * max(1.0, np.abs(b).max())):
+    # GMRES stops at |r|_2 <= tol |b|_2, which bounds |r|_inf as well
+    if info != 0 or not res <= tol * np.linalg.norm(b):
         raise SolverError(f"stress-balance solve residual {res:.2e} after "
                           f"{len(steps)} GMRES iterations (info={info})",
                           residuals=[res])
@@ -351,9 +338,7 @@ def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,
     sol = solve_density(ifaces, sigma_gl, cfg, tol=tol, disc=disc,
                         kernels=kernels)
     u_gl = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kernels)
-    out = []
-    for k, ifc in enumerate(ifaces):
-        npan = disc.n_panels[k]
-        sl = slice(disc.offsets[k], disc.offsets[k] + 16 * npan)
-        out.append(panel_interp_to_uniform(u_gl[sl], npan, ifc.n))
+    out = [panel_interp_to_uniform(u, npan, ifc.n) for ifc, npan, u in
+           zip(ifaces, disc.n_panels,
+               np.split(u_gl, 16 * np.cumsum(disc.n_panels)[:-1]))]
     return out, sol, disc

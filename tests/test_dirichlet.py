@@ -77,11 +77,10 @@ def test_estimate_field_matches_uncull_sum(n_panels):
     pts = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
     mu_inf = np.abs(sol.mu).reshape(n_panels, 16).max(axis=1)
     # one batch per target over every panel, with no cull
-    pk = neareval.gather(sol.panels, np.arange(n_panels))
     want = np.zeros(pts.shape[0])
     for k, z0 in enumerate(pts):
-        frame = neareval.locate_preimage(pk, np.full(n_panels, z0))
-        for e in neareval.estimate_error(pk, frame, mu_inf):
+        frame = neareval.locate_preimage(sol.panels, np.full(n_panels, z0))
+        for e in neareval.estimate_error(sol.panels, frame, mu_inf):
             if np.isfinite(e):
                 want[k] += e
     assert np.abs(estimate_field(sol, pts) - want).max() < 1e-20

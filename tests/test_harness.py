@@ -146,7 +146,8 @@ class TestCompare:
 def test_series_contains_conservation_columns(tmp_path):
     cfg = tiny_config(fixed_dt=2e-3)
     rec = run_scenario(cfg, out_dir=str(tmp_path))
-    head = open(tmp_path / "series.csv").readline().strip().split(",")
+    with open(tmp_path / "series.csv") as fh:
+        head = fh.readline().strip().split(",")
     assert "area_0" in head and "mass_0" in head and "min_dist" in head
     # the true GMRES count of each step's second-stage density solve
     iterations = np.loadtxt(tmp_path / "series.csv", delimiter=",",

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 from functools import lru_cache
 from unittest import mock
 
@@ -12,7 +13,7 @@ from drops2d import neareval
 from drops2d.neareval import (CULL_FACTOR, NEWTON_MAXITER, PanelData,
                               candidates, correct_panel_integrals,
                               correction_rows, corrected_pairs,
-                              estimate_error, gather, kernel_rows,
+                              estimate_error, kernel_rows,
                               locate_preimage, near_correct, needs_correction,
                               plain_rows, prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
@@ -237,6 +238,35 @@ class TestCandidates:
         assert len(want) > len(targets)
 
 
+class TestPanelSet:
+    """A stacked panel set indexes like an array of panels."""
+
+    def test_rows_match_single_panels(self):
+        from drops2d.dirichlet import GoursatReference, solve_dirichlet
+
+        panels = solve_dirichlet(25, GoursatReference().velocity).panels
+        ip = np.array([3, 0, 24, 3, 17])
+        rows = panels[ip]
+        assert len(rows) == ip.size and len(panels) == 25
+        for k, g in enumerate(ip):
+            one = panels[g]
+            for f in fields(PanelData):
+                assert np.array_equal(getattr(rows, f.name)[k],
+                                      getattr(one, f.name))
+        with pytest.raises(IndexError):
+            panels[25]
+
+    def test_lengths_sum_to_perimeter(self):
+        # the read of the benchmark: iterate the set, take each length
+        from drops2d.dirichlet import GoursatReference, solve_dirichlet
+
+        panels = solve_dirichlet(25, GoursatReference().velocity).panels
+        a = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
+        r, dr = 1 + 0.3 * np.cos(3 * a), -0.9 * np.sin(3 * a)
+        perimeter = np.mean(np.hypot(r, dr)) * 2 * np.pi
+        assert abs(sum(p.length for p in panels) - perimeter) < 1e-12
+
+
 class TestNearCorrect:
     """near_correct against the per-panel reference correct_panel_integrals."""
 
@@ -290,6 +320,12 @@ class TestNearCorrect:
         self.check(sol.panels, sol.mu, targets)
 
 
+def stack(*sets):
+    """One panel set holding the panels of sets in order."""
+    return PanelData(*(np.concatenate([getattr(p, f.name) for p in sets])
+                       for f in fields(PanelData)))
+
+
 @lru_cache(maxsize=None)
 def batch_geometries():
     """Panels of the 25-panel star and of the phi = 0.6 pair, and its c."""
@@ -313,6 +349,9 @@ def batch_geometries():
 FEW = (0.1339 + 0.8428j, 5)
 CAP = (-0.8789 - 0.1114j, 11)
 FAR = (0.383 + 0.7848j, 3)
+# (target, star panel) pair whose Newton converges to |xi0| = 3.7 in six
+# steps, the last of a few ulps
+ULPS = (0.8351 - 0.1006j, 24)
 
 
 def at_preimage(star, xi):
@@ -353,6 +392,17 @@ class TestBatchInvariance:
             assert lens.newton_ok == (maxiter > 0)
             assert lens.residue == 2j * np.pi
 
+    def test_newton_stops_on_relative_step(self):
+        star, _, _ = batch_geometries()
+
+        def frame(maxiter):
+            with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
+                return locate_preimage(star[ULPS[1]], ULPS[0])
+
+        done = frame(NEWTON_MAXITER)
+        assert done.newton_ok and 2 < abs(done.xi0) < 10
+        assert done.xi0 == frame(6).xi0
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_star=st.integers(0, 8),
            n_pair=st.integers(0, 8),
@@ -367,7 +417,7 @@ class TestBatchInvariance:
     @staticmethod
     def check_mixed_batch(seed, n_star, n_pair):
         star, pair, c = batch_geometries()
-        panels = star + pair + [flat_panel()]
+        panels = stack(star, pair, flat_panel()[None])
         rng = np.random.default_rng(seed)
         th = rng.uniform(0, 2 * np.pi, n_star)
         depth = rng.uniform(-0.05, 0.3, n_star)
@@ -388,9 +438,10 @@ class TestBatchInvariance:
         order = rng.permutation(z0.size)
         z0, ip = z0[order], ip[order]
         mu_inf = rng.uniform(0.5, 2.0, z0.size)
-        pk = gather(panels, ip)
+        pk = panels[ip]
         frame = locate_preimage(pk, z0)
         est = estimate_error(pk, frame, mu_inf)
+        rows = kernel_rows(pk, frame)
         assert np.isinf(est).sum() >= 3
         assert np.any(frame.residue != 0)
         for k in range(z0.size):
@@ -400,6 +451,9 @@ class TestBatchInvariance:
             assert frame.residue[k] == one.residue
             e = estimate_error(panels[ip[k]], one, mu_inf[k])
             assert e == est[k] or abs(e - est[k]) <= 1e-13 * abs(e)
+            for r, r_one in zip(rows, kernel_rows(panels[ip[k]], one)):
+                assert (np.abs(r[k] - r_one).max()
+                        <= 1e-13 * np.abs(r_one).max())
 
     def test_empty_batch(self):
         # one drop: no cross-drop candidate pairs, as on single_n128
@@ -409,7 +463,7 @@ class TestBatchInvariance:
         disc = discretize([circle(128, id=0)])
         assert DirectKernels(disc).pairs.shape == (0, 2)
         none = np.zeros(0, dtype=int)
-        pk = gather(disc.panels, none)
+        pk = disc.panels[none]
         frame = locate_preimage(pk, np.zeros(0, dtype=complex))
         assert frame.xi0.shape == (0,)
         assert estimate_error(pk, frame, 1.0).shape == (0,)
