@@ -30,7 +30,13 @@ def _cmd_run(args):
 
 
 def _cmd_oracle(args):
+    from .harness import preset
+
     os.makedirs(args.out_dir, exist_ok=True)
+    # by default each oracle runs at the Q of the preset it checks
+    if args.Q is None:
+        args.Q = preset({"steady": "steady_single",
+                         "pair": "pair_clean"}[args.kind]).flow.Q
     if args.kind == "steady":
         from .steady_oracle import SteadyMap, b_from_q, steady_solution
         b = args.b if args.b is not None else b_from_q(args.Q, args.E)
@@ -59,7 +65,8 @@ def _cmd_oracle(args):
         path = os.path.join(args.out_dir, "pair_oracle.csv")
         with open(path, "w") as fh:
             fh.write(f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
-                     f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}\n")
+                     f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
+                     f"Q = {args.Q:.17g}\n")
             fh.write("nu,alphaV,x,y" + (",rho" if rho is not None else "") + "\n")
             for j in range(aV.shape[0]):
                 row = [out.nu[j], aV[j], z[j].real, z[j].imag]
@@ -162,7 +169,9 @@ def main(argv=None):
     p_or = sub.add_parser("oracle", help="generate oracle data")
     p_or.add_argument("kind", choices=["steady", "pair"])
     p_or.add_argument("--out-dir", required=True)
-    p_or.add_argument("--Q", type=float, default=0.14)
+    p_or.add_argument("--Q", type=float, default=None,
+                      help="extensional rate (default: the Q of the "
+                           "steady_single or pair_clean preset)")
     p_or.add_argument("--E", type=float, default=0.5)
     p_or.add_argument("--Pe", type=float, default=np.inf)
     p_or.add_argument("--b", type=float, default=None)

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import neareval
 from .spectral import panel_grid
-from .stokes import layer_matrices
+from .stokes import layer_matrices, near_layer_matrices
 
 
 def star_contour(n_panels: int, amplitude: float = 0.3, mode: int = 3):
@@ -98,15 +98,15 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
 
 
 def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
-    """Interior velocity; near-panel contributions use the special rule."""
+    """Interior velocity; near-panel contributions use the special rule.
+
+    With corrected=False every panel takes the plain Gauss-Legendre rule.
+    """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    C, M2 = layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t)
-    out = (-1j / np.pi) * (C.imag @ sol.mu) + (1j / np.pi) * (M2 @ np.conj(sol.mu))
-    if corrected:
-        # J1 carries the imaginary part of the Cauchy increment
-        dI, dIc, dJ = neareval.near_correct(sol.panels, sol.mu, t)
-        out += (-1j / np.pi) * (dI - dIc) / 2j + (1j / np.pi) * dJ
-    return out
+    mu = sol.mu
+    C, M2 = (near_layer_matrices(sol, mu, t) if corrected else
+             layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t))
+    return (-1j / np.pi) * (C.imag @ mu) + (1j / np.pi) * (M2 @ np.conj(mu))
 
 
 def estimate_field(sol: DirichletSolution, targets):

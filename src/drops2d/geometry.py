@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import (PeriodicSamples, antiderivative, fourier_interp,
-                       krasny_filter, resample, spectral_derivative,
-                       trapezoid, uniform_alpha)
+from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
+                       fourier_interp, krasny_filter, resample,
+                       spectral_derivative, trapezoid, uniform_alpha)
 
 EQUIDISTANT_RTOL = 1e-3
 
@@ -34,7 +34,13 @@ class Interface:
     check: bool = True
 
     def __post_init__(self):
-        vals = PeriodicSamples(np.asarray(self.z, dtype=complex)).values
+        vals = np.asarray(self.z, dtype=complex)
+        n = vals.shape[0]
+        # the uniform grid must split into whole 16-point GL panels
+        if n < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} points, got {n}")
+        if n % PANEL_ORDER != 0:
+            raise ValueError(f"N={n} is not divisible by {PANEL_ORDER}")
         object.__setattr__(self, "z", vals)
         if self.lam < 0:
             raise ValueError("viscosity ratio must be nonnegative")

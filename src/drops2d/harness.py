@@ -1,6 +1,7 @@
 """Scenario configuration, run driving, data output and oracle comparison.
 
-Configs are JSON key-trees (documented in the README); outputs are
+Configs are JSON key-trees of ScenarioConfig: a list of DropSpec, a
+stokes.FlowConfig and a RunSpec, whose fields are the keys.  Outputs are
 columnar CSV time series plus one snapshot file per output tick and a
 manifest carrying the config and its hash.  Runs are deterministic:
 rerunning a config byte-reproduces the outputs, and a restart from a

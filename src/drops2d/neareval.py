@@ -22,6 +22,11 @@ locate_preimage runs Newton elementwise over the batch, estimate_error
 and needs_correction act on whole arrays, and kernel_rows takes one
 moment recursion and one batched Vandermonde solve for all of its pairs.
 One panel and one target form a batch of one.
+
+There is one correction mechanism: overwrite_near_blocks writes the
+special rows of the flagged pairs over the plain entries of the weighted
+kernels, for the interface nodes (stokes.DirectKernels) and for targets
+off the interfaces alike.
 """
 
 from __future__ import annotations
@@ -291,22 +296,6 @@ def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
     return r1, rJ2, rJ3
 
 
-def plain_rows(panel: PanelData, z0):
-    """Plain Gauss-Legendre rows for the same three integrals.
-
-    panel holds one row per target z0.
-    """
-    z0 = np.asarray(z0)[..., None]
-    d = panel.z_nodes - z0
-    base = panel.w_alpha * panel.zp_nodes
-    r1 = base / d
-    tang = panel.zp_nodes / np.abs(panel.zp_nodes)
-    nbar2 = -np.conj(tang) ** 2
-    rJ2 = r1 * nbar2
-    rJ3 = base * (np.conj(panel.z_nodes) - np.conj(z0)) / d**2
-    return r1, rJ2, rJ3
-
-
 def correct_panel_integrals(panel: PanelData, mu_panel, z0: complex):
     """Corrected contributions of one panel to the two velocity kernels.
 
@@ -331,55 +320,35 @@ def correct_panel_integrals(panel: PanelData, mu_panel, z0: complex):
     return K1, K2
 
 
-def corrected_pairs(panels, ti, ip, targets, mu_inf):
-    """The candidate pairs that need the special rule, with their rows.
+def overwrite_near_blocks(C, M2, panels, targets, ti, ip, mu_inf):
+    """Write the special rows of the flagged pairs over the plain entries.
 
-    (ti, ip) index candidate pairs into targets and panels, and mu_inf is
-    the density max-norm of each pair's panel (or one value for all).
-    Returns (ti, ip, rows) restricted to the pairs needs_correction flags,
-    in their candidate order, with rows[0], rows[1], rows[2] the
-    kernel_rows r1, rJ2, rJ3 of those pairs, one row per pair.
+    C and M2 are the weighted kernels of stokes.layer_matrices, one row
+    per target, with panel g on columns 16g:16g+16.  (ti, ip) index
+    candidate pairs into targets and panels, and mu_inf is the density
+    max-norm of each pair's panel (or one value for all).  For every pair
+    that needs_correction flags, the kernel_rows (r1, rJ2, rJ3) replace
+    row ti, columns 16 ip:16 ip+16, in place:
+
+        C  <- r1
+        M2 <- (i/2) (conj rJ2 + conj rJ3)
+
+    The plain Gauss-Legendre rows of the same integrals are exactly the
+    entries they replace, so the result is the plain operator plus the
+    special-minus-plain increment of every flagged pair.  Returns (ti, ip)
+    of the corrected pairs, in candidate order.
     """
-    # no candidates, as for a lone drop in DirectKernels: skip the fixed
-    # cost of an empty pass
+    # no candidates, as for a lone drop: skip the fixed cost of an empty pass
     frame = (needs_correction(panels[ip], targets[ti], mu_inf)
              if ti.size else None)
     if frame is None:
-        return ti[:0], ip[:0], np.zeros((3, 0, N_GL), dtype=complex)
+        return ti[:0], ip[:0]
     ti, ip = ti[frame.pair], ip[frame.pair]
-    return ti, ip, np.stack(kernel_rows(panels[ip], frame))
-
-
-def near_correct(panels, mu, targets):
-    """Special-minus-plain panel integrals, summed per target.
-
-    mu holds the density at the nodes of panels, N_GL values per panel in
-    panel order.  For every candidate pair that needs_correction flags,
-    with (r1, rJ2, rJ3) the kernel_rows and (p1, pJ2, pJ3) the plain_rows
-    of the pair, the increments
-
-        dI  = sum (r1 - p1) mu
-        dIc = sum conj(r1 - p1) mu
-        dJ  = (i/2) conj(sum (rJ2 - pJ2) mu) + (i/2) conj(sum (rJ3 - pJ3) mu)
-
-    are accumulated.  The real and imaginary parts of the Cauchy-integral
-    increment are (dI + dIc)/2 and (dI - dIc)/2i; dJ is the increment of
-    the conjugate kernel.  Returns (dI, dIc, dJ), one value per target.
-    """
-    t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    mu_p = np.asarray(mu).reshape(len(panels), N_GL)
-    ti, ip = candidates(panels, t)
-    ti, ip, (r1, rJ2, rJ3) = corrected_pairs(
-        panels, ti, ip, t, np.abs(mu_p).max(axis=1)[ip])
-    p1, pJ2, pJ3 = plain_rows(panels[ip], t[ti])
-    m = mu_p[ip]
-    d1 = r1 - p1
-    out = np.zeros((3, t.shape[0]), dtype=complex)
-    np.add.at(out[0], ti, np.sum(d1 * m, axis=1))
-    np.add.at(out[1], ti, np.conj(np.sum(d1 * np.conj(m), axis=1)))
-    np.add.at(out[2], ti, 0.5j * (np.conj(np.sum((rJ2 - pJ2) * m, axis=1))
-                                  + np.conj(np.sum((rJ3 - pJ3) * m, axis=1))))
-    return out[0], out[1], out[2]
+    r1, rJ2, rJ3 = kernel_rows(panels[ip], frame)
+    rows, cols = ti[:, None], N_GL * ip[:, None] + np.arange(N_GL)
+    C[rows, cols] = r1
+    M2[rows, cols] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
+    return ti, ip
 
 
 def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):

@@ -56,38 +56,6 @@ def uniform_alpha(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass(frozen=True)
-class PeriodicSamples:
-    """Samples of a 2*pi-periodic function at equidistant parameter nodes.
-
-    N must be at least 32 and divisible by 16 so that the grid is always
-    compatible with the composite 16-point Gauss-Legendre panels.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        n = vals.shape[0]
-        if n < MIN_POINTS:
-            raise ValueError(f"need at least {MIN_POINTS} points, got {n}")
-        if n % PANEL_ORDER != 0:
-            raise ValueError(f"N={n} is not divisible by {PANEL_ORDER}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return uniform_alpha(self.n)
-
-
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, PeriodicSamples) else np.asarray(f)
-
-
 def modes(n: int) -> np.ndarray:
     """Signed Fourier mode numbers in FFT layout."""
     return np.fft.fftfreq(n, 1.0 / n).round().astype(int)
@@ -99,7 +67,7 @@ def spectral_derivative(f, order: int = 1) -> np.ndarray:
     The Nyquist mode is zeroed for odd derivative orders, where it carries
     no usable phase information.
     """
-    vals = _values(f)
+    vals = np.asarray(f)
     n = vals.shape[0]
     k = modes(n)
     fac = (1j * k) ** order
@@ -117,7 +85,7 @@ def resample(f, new_n: int) -> np.ndarray:
     Constants are preserved exactly; band-limited inputs round-trip to
     machine precision.
     """
-    vals = _values(f)
+    vals = np.asarray(f)
     n = vals.shape[0]
     if new_n < 2:
         raise ValueError("new_n must be at least 2")
@@ -146,7 +114,7 @@ def resample(f, new_n: int) -> np.ndarray:
 
 def krasny_filter(f, tol: float = KRASNY_TOL) -> np.ndarray:
     """Zero every Fourier mode whose amplitude |c_k| falls below tol."""
-    vals = _values(f)
+    vals = np.asarray(f)
     n = vals.shape[0]
     coef = np.fft.fft(vals) / n
     coef[np.abs(coef) < tol] = 0.0
@@ -163,7 +131,7 @@ def fourier_interp(f, targets) -> np.ndarray:
     sizes used here; a non-uniform FFT could be dropped in behind the same
     signature.
     """
-    vals = _values(f)
+    vals = np.asarray(f)
     n = vals.shape[0]
     t = np.atleast_1d(np.asarray(targets, dtype=float))
     coef = np.fft.fft(vals) / n
@@ -207,7 +175,7 @@ def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
 
 
 def uniform_to_gl(values, n_panels: int) -> np.ndarray:
-    vals = _values(values)
+    vals = np.asarray(values)
     out = (uniform_to_gl_matrix(vals.shape[0], n_panels)[:PANEL_ORDER * n_panels]
            @ np.fft.fft(vals))
     if np.isrealobj(vals):
@@ -234,7 +202,7 @@ def gl_geometry(z, n_panels: int):
 
 def trapezoid(f) -> complex:
     """Spectrally accurate integral of periodic samples over [0, 2*pi)."""
-    vals = _values(f)
+    vals = np.asarray(f)
     return vals.sum() * (2.0 * np.pi / vals.shape[0])
 
 
@@ -244,7 +212,7 @@ def antiderivative(f) -> np.ndarray:
     The returned samples have zero mean; the mean of f itself is dropped
     (it would produce a secular, non-periodic term).
     """
-    vals = _values(f)
+    vals = np.asarray(f)
     n = vals.shape[0]
     coef = np.fft.fft(vals)
     k = modes(n)

@@ -26,8 +26,11 @@ with u.n = 2 Q cos(2 theta)/(1 + lambda).
 
 DirectKernels assembles the two dense operators of u once per geometry,
 u = U mu + Uc conj(mu) + far field; the density solve and the velocity
-evaluation both read them.  Near-singular cross-interface blocks are
-replaced by the special quadrature of the neareval module.
+evaluation both read them.  Near-singular blocks are handled one way for
+every target set: the special quadrature rows of the neareval module
+overwrite the plain entries of the weighted kernels C and M2, for the
+cross-interface pairs of the nodes (DirectKernels) and for targets off
+the interfaces (near_layer_matrices).
 """
 
 from __future__ import annotations
@@ -135,18 +138,6 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
                            for ifc, sig in zip(ifaces, sigma_uniform)])
 
 
-def _near_pairs(disc: Discretization):
-    """Cross-drop point-panel pairs that need special quadrature.
-
-    Returns (i, ip, rows) as neareval.corrected_pairs does, with i the
-    node index of each pair's target.
-    """
-    i, ip = neareval.candidates(disc.panels, disc.z)
-    cross = disc.drop_of[i] != disc.drop_of[16 * ip]
-    return neareval.corrected_pairs(disc.panels, i[cross], ip[cross],
-                                    disc.z, 1.0)
-
-
 def layer_matrices(z, zp, zpp, w, targets=None):
     """Weighted dense kernels of the layer potential on the nodes z.
 
@@ -175,6 +166,23 @@ def layer_matrices(z, zp, zpp, w, targets=None):
     return C * w[None, :], M2 * w[None, :]
 
 
+def near_layer_matrices(geom, mu, targets):
+    """layer_matrices at off-grid targets with the near pairs corrected.
+
+    geom carries the nodes z, zp, zpp, w and their stacked panels (a
+    Discretization or a dirichlet.DirichletSolution), and mu the density
+    at the nodes, whose max-norm on each panel enters the estimates.
+    Every candidate pair of the targets that the estimate flags gets its
+    special rows (neareval.overwrite_near_blocks).
+    """
+    t = np.atleast_1d(np.asarray(targets, dtype=complex))
+    C, M2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w, targets=t)
+    mu_inf = np.abs(mu).reshape(len(geom.panels), 16).max(axis=1)
+    ti, ip = neareval.candidates(geom.panels, t)
+    neareval.overwrite_near_blocks(C, M2, geom.panels, t, ti, ip, mu_inf[ip])
+    return C, M2
+
+
 class DirectKernels:
     """Dense, near-corrected operators of the interfacial velocity.
 
@@ -184,21 +192,20 @@ class DirectKernels:
         U  = -(w/pi) D - (Re CAU - diag(sum_j Re CAU_ij))/pi,
         Uc = i M2/pi,
 
-    with D the block-diagonal per-panel d/d alpha.  One batched pass over
-    the cross-drop candidate pairs of disc.panels finds the point-panel
-    pairs that neareval flags and gives each its special-quadrature rows;
-    a pair (i, g) writes them into row i, columns 16g:16g+16, of CAU and
-    M2 before U and Uc are formed.  pairs holds one (i, g) row per
-    corrected pair.
+    with D the block-diagonal per-panel d/d alpha.  Before U and Uc are
+    formed, neareval.overwrite_near_blocks runs on the cross-drop
+    candidate pairs of disc.panels, with unit density norm: each flagged
+    pair (i, g) has its special rows written over row i, columns
+    16g:16g+16, of CAU and M2, as for targets off the interfaces (see
+    near_layer_matrices).  pairs holds one (i, g) row per corrected pair.
     """
 
     def __init__(self, disc: Discretization):
         self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
-        i, ip, (r1, rJ2, rJ3) = _near_pairs(disc)
-        self.pairs = np.column_stack([i, ip])
-        rows, cols = i[:, None], 16 * ip[:, None] + np.arange(16)
-        M2[rows, cols] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
-        self.CAU[rows, cols] = r1
+        i, ip = neareval.candidates(disc.panels, disc.z)
+        cross = disc.drop_of[i] != disc.drop_of[16 * ip]
+        self.pairs = np.column_stack(neareval.overwrite_near_blocks(
+            self.CAU, M2, disc.panels, disc.z, i[cross], ip[cross], 1.0))
         D = sla.block_diag(*[(npan / np.pi) * DIFF16
                              for npan in disc.n_panels for _ in range(npan)])
         Kre = self.CAU.real
@@ -314,11 +321,8 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu = sol.mu
-    C, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w, targets=t)
+    C, M2 = near_layer_matrices(disc, mu, t)
     u = -(C.real @ mu) / np.pi - (M2 @ np.conj(mu)) / (1j * np.pi)
-    # near corrections: K1 takes the real part of the Cauchy increment
-    dI, dIc, dJ = neareval.near_correct(disc.panels, mu, t)
-    u -= 0.5 * (dI + dIc) / np.pi + dJ / (1j * np.pi)
     return u + far_field(cfg, t)
 
 

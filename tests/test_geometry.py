@@ -16,6 +16,15 @@ def test_interface_requires_clockwise():
         Interface(z=np.exp(1j * a))  # counterclockwise
 
 
+def test_interface_grid_validation():
+    # N >= 32 and a multiple of 16, whatever the shape checks say
+    with pytest.raises(ValueError, match="at least 32"):
+        Interface(z=np.zeros(16), check=False)
+    with pytest.raises(ValueError, match="not divisible"):
+        Interface(z=np.zeros(40), check=False)
+    Interface(z=np.zeros(32), check=False)
+
+
 def test_circle_helper_is_valid():
     c = circle(64)
     assert signed_area(c.z) < 0

@@ -12,11 +12,12 @@ from scipy.integrate import quad
 from drops2d import neareval
 from drops2d.neareval import (CULL_FACTOR, NEWTON_MAXITER, PanelData,
                               candidates, correct_panel_integrals,
-                              correction_rows, corrected_pairs,
-                              estimate_error, kernel_rows,
-                              locate_preimage, near_correct, needs_correction,
-                              plain_rows, prepare_panel, recursion_pq)
+                              correction_rows, estimate_error, kernel_rows,
+                              locate_preimage, needs_correction,
+                              overwrite_near_blocks, prepare_panel,
+                              recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
+from drops2d.stokes import layer_matrices, near_layer_matrices
 
 warnings.filterwarnings("ignore", message=".*roundoff.*")
 
@@ -35,6 +36,21 @@ def flat_panel():
     z = GL_NODES.astype(complex)
     zp = np.ones(16, dtype=complex)
     return prepare_panel(z, zp, GL_WEIGHTS.copy(), -1.0 + 0j, 1.0 + 0j)
+
+
+def plain_rows(panel, z0):
+    """Plain Gauss-Legendre rows of the three kernel_rows integrals.
+
+    panel holds one row per target z0.
+    """
+    z0 = np.asarray(z0)[..., None]
+    d = panel.z_nodes - z0
+    base = panel.w_alpha * panel.zp_nodes
+    r1 = base / d
+    tang = panel.zp_nodes / np.abs(panel.zp_nodes)
+    rJ2 = r1 * -np.conj(tang) ** 2
+    rJ3 = base * (np.conj(panel.z_nodes) - np.conj(z0)) / d**2
+    return r1, rJ2, rJ3
 
 
 def cquad(f, a, b):
@@ -172,11 +188,7 @@ class TestEstimate:
             fr = locate_preimage(panel, z0)
             est = estimate_error(panel, fr, np.abs(mu).max())
             # measured plain-GL error of the combined kernel value
-            p1, pJ2, pJ3 = plain_rows(panel, z0)
-            plain = (-1j / np.pi) * np.sum(GL_WEIGHTS * mu *
-                                           np.imag(panel.zp_nodes / GL_WEIGHTS /
-                                                   1.0) * 0)  # placeholder, see below
-            # use kernel combination I = -(i/pi) Im-part + conj parts
+            # I = -(i/pi) Im-part + conj parts
             def kernel_exact():
                 def g(t):
                     tau = np.exp(1j * t)
@@ -268,7 +280,12 @@ class TestPanelSet:
 
 
 class TestNearCorrect:
-    """near_correct against the per-panel reference correct_panel_integrals."""
+    """Corrected minus plain kernels against correct_panel_integrals.
+
+    near_layer_matrices overwrites the flagged blocks of layer_matrices;
+    the difference of the two, applied to mu, is the summed increment of
+    the special rule over the plain one.
+    """
 
     @staticmethod
     def reference(panels, mu, targets):
@@ -291,13 +308,37 @@ class TestNearCorrect:
                 dI[k] += r1 @ m - p1 @ m
         return dK1, dK2, dI, hits
 
-    def check(self, panels, mu, targets):
-        dI, dIc, dJ = near_correct(panels, mu, targets)
-        ref_K1, ref_K2, ref_I, hits = self.reference(panels, mu, targets)
+    def check(self, geom, mu, targets):
+        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                 targets=targets)
+        C, M2 = near_layer_matrices(geom, mu, targets)
+        dI = (C - C0) @ mu
+        dK1 = (C - C0).real @ mu
+        dK2 = (M2 - M20) @ np.conj(mu)
+        ref_K1, ref_K2, ref_I, hits = self.reference(geom.panels, mu, targets)
         assert hits > 0
-        assert np.abs(0.5 * (dI + dIc) - ref_K1).max() < 1e-13
-        assert np.abs(dJ - ref_K2).max() < 1e-13
+        assert np.abs(dK1 - ref_K1).max() < 1e-13
+        assert np.abs(dK2 - ref_K2).max() < 1e-13
         assert np.abs(dI - ref_I).max() < 1e-13
+        self.check_plain_outside_blocks(geom, mu, targets, C, M2)
+
+    @staticmethod
+    def check_plain_outside_blocks(geom, mu, targets, C, M2):
+        """Only the flagged blocks differ from layer_matrices, bitwise."""
+        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                 targets=targets)
+        ti, ip = candidates(geom.panels, targets)
+        mu_inf = np.abs(mu).reshape(-1, 16).max(axis=1)[ip]
+        C1, M21 = C0.copy(), M20.copy()
+        ti, ip = overwrite_near_blocks(C1, M21, geom.panels, targets, ti, ip,
+                                       mu_inf)
+        assert ti.size > 0
+        assert np.array_equal(C1, C) and np.array_equal(M21, M2)
+        block = np.zeros(C0.shape, dtype=bool)
+        block[ti[:, None], 16 * ip[:, None] + np.arange(16)] = True
+        assert np.array_equal(C[~block], C0[~block])
+        assert np.array_equal(M2[~block], M20[~block])
+        assert np.all(C[block] != C0[block])
 
     def test_two_drop_discretization(self):
         from drops2d.geometry import circle
@@ -308,7 +349,7 @@ class TestNearCorrect:
         mu = (1 + 0.3j) * np.exp(0.4 * disc.z) + 0.2 * np.conj(disc.z)
         targets = np.array([0.0, 0.05 + 0.1j, -0.08 - 0.2j, 0.1 + 0.02j,
                             1.15 + 1.02j, -1.15 - 0.97j])
-        self.check(disc.panels, mu, targets)
+        self.check(disc, mu, targets)
 
     def test_star_contour(self):
         from drops2d.dirichlet import GoursatReference, solve_dirichlet
@@ -317,7 +358,28 @@ class TestNearCorrect:
         th = np.linspace(0.1, 2 * np.pi, 7, endpoint=False)
         depth = np.array([1e-3, 0.01, 0.03, 0.1, 0.02, 5e-3, 0.06])
         targets = (1 + 0.3 * np.cos(3 * th) - depth) * np.exp(1j * th)
-        self.check(sol.panels, sol.mu, targets)
+        self.check(sol, sol.mu, targets)
+
+    def test_direct_kernels_plain_outside_blocks(self):
+        from dataclasses import replace
+
+        from drops2d.harness import _pair_center, build_state, preset
+        from drops2d.stokes import DirectKernels, discretize
+
+        cfg = preset("pair_clean", n=128)
+        c = _pair_center(0.6)
+        cfg.drops = [replace(d, center=s * 1j * c)
+                     for d, s in zip(cfg.drops, (1, -1))]
+        disc = discretize(build_state(cfg).ifaces)
+        kern = DirectKernels(disc)
+        C0, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        i, g = kern.pairs.T
+        assert i.size > 0
+        assert np.all(disc.drop_of[i] != disc.drop_of[16 * g])
+        block = np.zeros(C0.shape, dtype=bool)
+        block[i[:, None], 16 * g[:, None] + np.arange(16)] = True
+        assert np.array_equal(kern.CAU[~block], C0[~block])
+        assert np.all(kern.CAU[block] != C0[block])
 
 
 def stack(*sets):
@@ -468,7 +530,15 @@ class TestBatchInvariance:
         assert frame.xi0.shape == (0,)
         assert estimate_error(pk, frame, 1.0).shape == (0,)
         assert needs_correction(pk, np.zeros(0, dtype=complex), 1.0) is None
-        ti, ip, rows = corrected_pairs(disc.panels, none, none, disc.z, 1.0)
-        assert ti.size == ip.size == 0 and rows.shape == (3, 0, 16)
-        dI, dIc, dJ = near_correct(disc.panels, np.ones(disc.n), [5.0 + 0j])
-        assert dI[0] == dIc[0] == dJ[0] == 0
+        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C, M2 = C0.copy(), M20.copy()
+        ti, ip = overwrite_near_blocks(C, M2, disc.panels, disc.z, none,
+                                       none, 1.0)
+        assert ti.size == ip.size == 0
+        assert np.array_equal(C, C0) and np.array_equal(M2, M20)
+        # a far target has candidates neither
+        far = np.array([5.0 + 0j])
+        C, M2 = near_layer_matrices(disc, np.ones(disc.n), far)
+        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                 targets=far)
+        assert np.array_equal(C, C0) and np.array_equal(M2, M20)

@@ -194,3 +194,15 @@ def test_close_pair_error_falls_under_refinement():
     e256, _ = _solver_oracle_error(0.8, 256, 256)
     e512, _ = _solver_oracle_error(0.8, 512, 256)
     assert e512 < e256
+
+
+def test_cli_pair_oracle_defaults_to_pair_preset_q(tmp_path):
+    from drops2d.cli import main
+
+    main(["oracle", "pair", "--out-dir", str(tmp_path), "--nv", "16",
+          "--t-end", "1e-3"])
+    with open(tmp_path / "pair_oracle.csv") as fh:
+        header = dict(item.strip("# \n").split(" = ")
+                      for item in fh.readline().split(","))
+    assert float(header["Q"]) == preset("pair_clean").flow.Q == 0.5
+    assert float(header["t"]) == pytest.approx(1e-3)

@@ -1,21 +1,12 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drops2d import spectral
-from drops2d.spectral import (GL_NODES, GL_WEIGHTS, PeriodicSamples,
-                              fourier_interp, krasny_filter, panel_grid,
+from drops2d.spectral import (GL_NODES, GL_WEIGHTS, fourier_interp,
+                              krasny_filter, panel_grid,
                               panel_interp_to_uniform, resample,
                               spectral_derivative, trapezoid, uniform_alpha)
-
-
-def test_periodic_samples_validation():
-    with pytest.raises(ValueError):
-        PeriodicSamples(np.zeros(16))
-    with pytest.raises(ValueError):
-        PeriodicSamples(np.zeros(40))
-    PeriodicSamples(np.zeros(32))
 
 
 class TestSpectralDerivative:
