@@ -59,8 +59,8 @@ def _cmd_oracle(args):
         st = pair_from_circles(args.nv, phi=args.phi,
                                rho0=args.rho0 if args.rho0 > 0 else None,
                                E=args.E, Pe=args.Pe)
-        out, traj = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
-                                scheme="adaptive_second_order", tol=args.tol)
+        out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
+                             tol=args.tol)
         z, rho, aV = physical_frame(out)
         path = os.path.join(args.out_dir, "pair_oracle.csv")
         with open(path, "w") as fh:
@@ -78,44 +78,31 @@ def _cmd_oracle(args):
     raise SystemExit(f"unknown oracle kind {args.kind}")
 
 
-def _read_snapshot(path):
-    with open(path) as fh:
-        header = fh.readline()
-        t = float(header.split("=")[1])
-    data = np.genfromtxt(path, delimiter=",", skip_header=2)
-    return t, data
-
-
 def _cmd_compare(args):
-    # compare the final snapshots of two run directories inside a window
+    # compare the final snapshots of two run directories inside a window,
+    # run A standing in for the oracle
     import glob
 
-    outs = []
+    from .harness import compare_to_oracle, read_snapshot
+
+    snaps = []
     for d in (args.dir_a, args.dir_b):
-        snaps = sorted(glob.glob(os.path.join(d, "snapshot_*.csv")))
-        if not snaps:
+        paths = sorted(glob.glob(os.path.join(d, "snapshot_*.csv")))
+        if not paths:
             raise SystemExit(f"no snapshots in {d}")
-        outs.append(_read_snapshot(snaps[-1]))
-    (ta, A), (tb, B) = outs
-    if abs(ta - tb) > 1e-9:
-        raise SystemExit(f"snapshot times differ: {ta} vs {tb}")
-    lo, hi = args.window
+        snaps.append(read_snapshot(paths[-1]))
+    a, b = snaps
+    if abs(a["t"] - b["t"]) > 1e-9:
+        raise SystemExit(f"snapshot times differ: {a['t']} vs {b['t']}")
     report = {}
-    for drop in np.unique(A[:, 0]).astype(int):
-        a = A[A[:, 0] == drop]
-        b = B[B[:, 0] == drop]
-        from .spectral import fourier_interp
-        za = a[:, 2] + 1j * a[:, 3]
-        zb = b[:, 2] + 1j * b[:, 3]
-        al = a[:, 1]
-        sel = (al >= lo) & (al <= hi)
-        zbi = fourier_interp(zb, al[sel])
-        rbi = fourier_interp(b[:, 4], al[sel])
-        e_z = np.abs(za[sel] - zbi)
-        e_r = np.abs(a[sel, 4] - rbi)
-        report[int(drop)] = {"e_z_max": float(e_z.max()),
-                             "e_rho_max": float(e_r.max())}
-    print(json.dumps({"t": ta, "window": [lo, hi], "drops": report}, indent=2))
+    for k, d in enumerate(a["drops"]):
+        cmp = compare_to_oracle(b, {"alphaV": d["alpha"],
+                                    "z": d["x"] + 1j * d["y"],
+                                    "rho": d["rho"]},
+                                window=args.window, drop=k)
+        report[k] = {"e_z_max": cmp["e_z_max"], "e_rho_max": cmp["e_rho_max"]}
+    print(json.dumps({"t": a["t"], "window": args.window, "drops": report},
+                     indent=2))
     return 0
 
 

@@ -284,6 +284,19 @@ def write_outputs(rec: RunRecord, out_dir: str):
         fh.write(rec.config.to_json() + "\n")
 
 
+def read_snapshot(path: str) -> dict:
+    """The snapshot dict (as _snapshot builds it) of a written snapshot file."""
+    with open(path) as fh:
+        t = float(fh.readline().split("=")[1])
+    data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    drops = []
+    for k in np.unique(data[:, 0]).astype(int):
+        rows = data[data[:, 0] == k]
+        drops.append({key: rows[:, c].copy() for c, key in
+                      enumerate(("alpha", "x", "y", "rho", "sigma"), 1)})
+    return {"t": t, "drops": drops}
+
+
 def _controller(run: RunSpec, dt: float = None) -> StepController:
     """Step controller of a run, starting from dt (default run.dt0).
 

@@ -42,8 +42,11 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .spectral import antiderivative, modes, spectral_derivative
+from .stepper import StepController
 
 FLOW_RESIDUAL_TOL = 1e-9
+DT0 = 1e-3        # first attempted step of evolve_pair
+DT_MAX = 5e-3     # largest step of evolve_pair
 
 
 class PairOracleError(RuntimeError):
@@ -421,33 +424,19 @@ def _stage(state: ConformalPairState, Q: float):
     f_exp = None
     if state.rho is not None:
         f_exp = surfactant_rhs(state, zt, u)
-    return sigma, fl, f_pos.real, phidot, f_exp, u
-
-
-def step_first_order(state: ConformalPairState, Q: float, dt: float):
-    """One explicit Euler / IMEX-Euler step of the parameter ODEs."""
-    sigma, fl, f_re, phidot, f_exp, u = _stage(state, Q)
-    rho_new = None
-    if state.rho is not None:
-        half = state.copy()
-        half.a_pos[1:] = state.a_pos[1:] + dt * f_re
-        half.phi = state.phi + dt * phidot
-        rho_rhs = state.rho + dt * f_exp
-        rho_new = surfactant_implicit_solve(half, rho_rhs, dt)
-        rho_new = _krasny_real(rho_new)
-    return _apply_update(state, dt * f_re, dt * phidot, rho_new)
+    return f_pos.real, phidot, f_exp
 
 
 def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     """Midpoint/IMEX2 step; returns (new_state, r_combined)."""
-    sigma1, fl1, f1, g1, fe1, _ = _stage(state, Q)
+    f1, g1, fe1 = _stage(state, Q)
     half = _apply_update(state, 0.5 * dt * f1, 0.5 * dt * g1, None)
     if state.rho is not None:
         rho_half = surfactant_implicit_solve(half, state.rho + 0.5 * dt * fe1,
                                              0.5 * dt)
         half.rho = _krasny_real(rho_half)
     half.t = state.t + 0.5 * dt
-    sigma2, fl2, f2, g2, fe2, _ = _stage(half, Q)
+    f2, g2, fe2 = _stage(half, Q)
     new = _apply_update(state, dt * f2, dt * g2, None)
     params_mid = np.concatenate([state.a_pos[1:] + dt * f2,
                                  [state.phi + dt * g2]])
@@ -516,43 +505,21 @@ def physical_frame(state: ConformalPairState):
 
 
 def evolve_pair(state: ConformalPairState, Q_phys: float, t_end: float,
-                scheme: str = "adaptive_second_order", dt: float = 1e-3,
-                tol: float = 1e-8, record_every: int = 0,
-                dt_max: float = 5e-3):
-    """March the conformal-map ODEs to t_end.
+                tol: float = 1e-8):
+    """March the conformal-map ODEs to t_end with step_midpoint.
 
-    Q_phys is the extensional rate in the physical (rotated) frame; the
-    computational frame uses -Q_phys.  Returns (final_state, trajectory)
-    where the trajectory holds (t, state_copy) pairs when record_every is
-    positive.
+    The step size follows stepper.StepController, the one step policy of
+    the package, from DT0 and capped at DT_MAX.  Q_phys is the
+    extensional rate in the physical (rotated) frame; the computational
+    frame uses -Q_phys.  Returns (final_state, accepted_steps).
     """
     Q = -Q_phys
-    traj = []
+    ctrl = StepController(tol=tol, dt=DT0, dt_max=DT_MAX)
     st = state.copy()
     steps = 0
-    if scheme == "fixed_first_order":
-        n_steps = int(round((t_end - st.t) / dt))
-        for k in range(n_steps):
-            st = step_first_order(st, Q, dt)
-            st.t = state.t + (k + 1) * dt
-            steps += 1
-            if record_every and steps % record_every == 0:
-                traj.append((st.t, st.copy()))
-        return st, traj
-    if scheme != "adaptive_second_order":
-        raise ValueError("unknown scheme")
-    h = dt
-    while st.t < t_end - 1e-13:
-        h = min(h, t_end - st.t, dt_max)
-        cand, r = step_midpoint(st, Q, h)
-        if r <= tol:
+    while st.t < t_end - 1e-14:
+        cand, r = step_midpoint(st, Q, ctrl.clip(t_end - st.t))
+        if ctrl.judge(r, st.t):
             st = cand
             steps += 1
-            if record_every and steps % record_every == 0:
-                traj.append((st.t, st.copy()))
-            h = min(h * min(2.0, np.sqrt(0.9 * tol / max(r, 1e-30))), dt_max)
-        else:
-            h = h * np.sqrt(0.9 * tol / r)
-            if h < 1e-12:
-                raise PairOracleError("pair-oracle step underflow")
-    return st, traj
+    return st, steps

@@ -5,11 +5,14 @@ Euler for the local error); surfactant concentration advances with a
 two-stage IMEX scheme whose local error is measured through mass drift.
 Both equations exchange information at each stage: the surface tension is
 refreshed from the concentration before every Stokes solve.
+
+StepController is the one step-size policy of the package: advance_to
+here and pair_oracle.evolve_pair both drive it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,13 +29,23 @@ GROWTH_CAP = 2.0
 
 @dataclass
 class StepController:
-    """Local-error controller: dt_new = dt (SAFETY * tol / r)^(1/2)."""
+    """The step-size policy: dt_new = dt (SAFETY * tol / r)^(1/2).
+
+    An attempt of size dt with local error r is accepted when r <= tol;
+    either way dt moves by that rule, growing at most GROWTH_CAP-fold and
+    staying within [dt_min, dt_max].  A rejection counts one retake and
+    raises once dt has shrunk to dt_min.  clip shortens an attempt so
+    that it lands on the end time; the unclipped dt comes back only
+    after that attempt is accepted, so a rejected clipped attempt is
+    retaken with a smaller step.
+    """
 
     tol: float = 1e-6
     dt: float = 1e-3
     dt_min: float = 1e-12
     dt_max: float = 0.1
     retake_count: int = 0
+    _unclipped: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -50,6 +63,28 @@ class StepController:
             new = self.dt * np.sqrt(SAFETY * self.tol / r)
             new = min(new, GROWTH_CAP * self.dt)
         return min(max(new, self.dt_min), self.dt_max)
+
+    def clip(self, remaining: float) -> float:
+        """Size of the next attempt, shortened to the time remaining."""
+        if remaining < self.dt:
+            self._unclipped = self.dt
+            self.dt = remaining
+        return self.dt
+
+    def judge(self, r: float, t: float) -> bool:
+        """Accept or reject the attempt of size dt from t; sets the next dt."""
+        accepted = r <= self.tol
+        new = self.update(r, t)
+        if not accepted:
+            self.retake_count += 1
+            if new <= self.dt_min:
+                raise RuntimeError(f"time step underflow at t={t:.6g} "
+                                   f"(r={r:.3e})")
+        elif self._unclipped is not None:
+            new = self._unclipped
+        self._unclipped = None
+        self.dt = new
+        return accepted
 
 
 @dataclass
@@ -104,15 +139,13 @@ def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
 
 def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
          stokes_tol: float = 1e-11, stage1=None):
-    """One coupled midpoint/IMEX2 attempt; ctrl.dt is updated in place.
+    """One coupled midpoint/IMEX2 attempt of size ctrl.dt, judged by ctrl.
 
     Returns (candidate_state, info, stage1) where stage1 can be fed back
     in on a retake to avoid recomputing the first Stokes solve at the
     unchanged state.
     """
     dt = ctrl.dt
-    has_surf = any(np.isfinite(f.Pe) or np.any(f.rho != 0.0)
-                   for f in state.fields)
 
     if stage1 is None:
         stage1 = _stage_eval(state, cfg, stokes_tol)
@@ -146,40 +179,27 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     mass_before = state.masses()
     cand = CoupledState(ifaces=new_ifaces, fields=new_fields, t=state.t + dt)
     r_z, r_rho = local_errors(z_new, z_eul, mass_before, cand.masses())
-    r = max(r_z, r_rho if has_surf else 0.0)
-
-    accepted = r <= ctrl.tol
-    new_dt = ctrl.update(r, state.t)
-    if not accepted:
-        ctrl.retake_count += 1
-        if new_dt <= ctrl.dt_min:
-            raise RuntimeError(f"time step underflow at t={state.t:.6g} (r={r:.3e})")
+    r = max(r_z, r_rho)
+    accepted = ctrl.judge(r, state.t)
     info = StepInfo(r=r, r_z=r_z, r_rho=r_rho, dt_used=dt, accepted=accepted,
                     un_max=un_max, iterations=sol2.iterations)
-    ctrl.dt = new_dt
     return cand, info, stage1
 
 
 def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
                t_end: float, stokes_tol: float = 1e-11, callback=None,
-               steady_unorm: float = None, max_steps: int = 10**6,
-               adapt_spacing: float = None):
+               steady_unorm: float = None, adapt_spacing: float = None):
     """Integrate until t_end (or steady state), retaking rejected steps.
 
-    Returns (state, reached_steady).  callback(state, info) fires after
-    each accepted step; steady_unorm stops the run once max |u.n| at the
-    start of an accepted step falls below the threshold.
+    Returns (state, reached_steady).  ctrl clips the last attempt to land
+    on t_end.  callback(state, info) fires after each accepted step;
+    steady_unorm stops the run once max |u.n| at the start of an
+    accepted step falls below the threshold.
     """
     stage1 = None
-    steps = 0
-    while state.t < t_end - 1e-14 and steps < max_steps:
-        dt_wanted = ctrl.dt
-        ctrl.dt = min(ctrl.dt, t_end - state.t)
-        clipped = ctrl.dt < dt_wanted
+    while state.t < t_end - 1e-14:
+        ctrl.clip(t_end - state.t)
         cand, info, stage1 = step(state, cfg, ctrl, stokes_tol, stage1=stage1)
-        if clipped:
-            ctrl.dt = min(dt_wanted, ctrl.dt_max)
-        steps += 1
         if not info.accepted:
             continue
         if steady_unorm is not None and info.un_max <= steady_unorm:

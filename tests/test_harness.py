@@ -7,7 +7,7 @@ import pytest
 
 from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
                              circularity, compare_to_oracle, load_checkpoint,
-                             preset, run_scenario)
+                             preset, read_snapshot, run_scenario)
 from drops2d.stokes import FlowConfig
 
 
@@ -141,6 +141,43 @@ class TestCompare:
                                 window=(2 * np.pi / 3, 4 * np.pi / 3))
         lo, hi = 2 * np.pi / 3, 4 * np.pi / 3
         assert np.all((out["alphaV"] >= lo) & (out["alphaV"] <= hi))
+
+    def test_read_snapshot_round_trip(self, tmp_path):
+        rec = run_scenario(tiny_config(fixed_dt=2e-3), out_dir=str(tmp_path))
+        paths = sorted(glob.glob(str(tmp_path / "snapshot_*.csv")))
+        assert len(paths) == len(rec.snapshots)
+        for path, snap in zip(paths, rec.snapshots):
+            back = read_snapshot(path)
+            assert back["t"] == snap["t"]
+            for d_back, d in zip(back["drops"], snap["drops"], strict=True):
+                assert d_back.keys() == d.keys()
+                for key in d:
+                    assert np.array_equal(d_back[key], d[key])
+
+    def test_cli_compare_two_runs(self, tmp_path, capsys):
+        import json
+
+        from drops2d.cli import main
+
+        def run(name, Q):
+            cfg = preset("pair_clean", n=64)
+            cfg = replace(cfg, flow=replace(cfg.flow, Q=Q),
+                          run=replace(cfg.run, t_end=0.01, fixed_dt=2e-3))
+            run_scenario(cfg, out_dir=str(tmp_path / name))
+            return str(tmp_path / name)
+
+        a, b, c = run("a", 0.5), run("b", 0.5), run("c", 0.45)
+        main(["compare", a, b])
+        same = json.loads(capsys.readouterr().out)
+        assert same["t"] == pytest.approx(0.01, abs=1e-15)
+        assert same["window"] == [2 * np.pi / 3, 4 * np.pi / 3]
+        assert sorted(same["drops"]) == ["0", "1"]
+        for rep in same["drops"].values():
+            assert rep["e_z_max"] < 1e-13 and rep["e_rho_max"] == 0.0
+        main(["compare", a, c, "--window", "0", str(2 * np.pi)])
+        diff = json.loads(capsys.readouterr().out)
+        for rep in diff["drops"].values():
+            assert 1e-6 < rep["e_z_max"] < 1e-2
 
 
 def test_series_contains_conservation_columns(tmp_path):

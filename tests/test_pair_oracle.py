@@ -7,7 +7,7 @@ from drops2d.pair_oracle import (ConformalPairState, PairOracleError,
                                  interface_velocity, kinematic_coefficients,
                                  mapping_rhs, min_gap, pair_from_circles,
                                  physical_frame, solve_b, solve_flow,
-                                 step_first_order, surfactant_mass_pair,
+                                 step_midpoint, surfactant_mass_pair,
                                  surfactant_rhs, surfactant_sigma)
 
 
@@ -92,47 +92,46 @@ class TestSurfactant:
         out = st
         dt = 1e-3
         for _ in range(20):
-            out = step_first_order(out, -0.5, dt)
+            out, _ = step_midpoint(out, -0.5, dt)
         m1 = surfactant_mass_pair(out)
-        assert abs(m1 - m0) / m0 < 1e-5 * 20 * dt / 1e-3  # O(dt) drift
+        assert abs(m1 - m0) / m0 < 1e-8
 
 
 class TestEvolution:
     def test_stationary_at_zero_q(self):
         st = pair_from_circles(48, phi=0.35)
-        out, _ = evolve_pair(st, Q_phys=0.0, t_end=1.0, dt=0.01,
-                             scheme="fixed_first_order")
+        out, _ = evolve_pair(st, Q_phys=0.0, t_end=1.0)
         assert abs(out.phi - st.phi) < 1e-8
         assert abs(out.b - st.b) < 1e-8
         assert np.abs(out.a_pos[1:]).max() < 1e-8
 
     def test_structure_preserved(self):
         st = pair_from_circles(64, phi=0.35)
-        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2,
-                             scheme="adaptive_second_order", tol=1e-7)
+        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2, tol=1e-7)
         assert out.a_pos[0] == pytest.approx(out.b / (2 * np.sqrt(out.phi)),
                                              abs=1e-14)
         assert abs(bubble_area(out) - np.pi) < 1e-8
         assert np.isrealobj(out.a_pos)
 
-    def test_first_order_convergence(self):
-        st = pair_from_circles(48, phi=0.35)
-        ref, _ = evolve_pair(st, Q_phys=0.5, t_end=0.1, dt=0.1 / 256,
-                             scheme="fixed_first_order")
+    def test_midpoint_convergence(self):
+        def march(m):
+            out = pair_from_circles(48, phi=0.35)
+            for _ in range(m):
+                out, _ = step_midpoint(out, -0.5, 0.1 / m)
+            return out
+        ref = march(128)
         errs = []
         for m in (8, 16):
-            out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.1, dt=0.1 / m,
-                                 scheme="fixed_first_order")
+            out = march(m)
             errs.append(abs(out.phi - ref.phi)
                         + np.abs(out.a_pos - ref.a_pos).max())
         order = np.log2(errs[0] / errs[1])
-        assert order > 0.9
+        assert order > 1.9
 
     def test_gap_closes_under_positive_q(self):
         st = pair_from_circles(64, phi=0.35)
         g0 = min_gap(st)
-        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2,
-                             scheme="adaptive_second_order", tol=1e-7)
+        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2, tol=1e-7)
         assert min_gap(out) < g0
 
 

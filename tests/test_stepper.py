@@ -43,6 +43,25 @@ class TestController:
             ctrl.update(np.nan, 0.25)
 
 
+    def test_clip_restored_only_after_acceptance(self):
+        ctrl = StepController(tol=1e-6, dt=0.01, dt_max=1.0)
+        assert ctrl.clip(0.004) == 0.004
+        assert not ctrl.judge(1e-4, 0.0)      # rejected: shrink the clipped dt
+        assert ctrl.dt == pytest.approx(0.004 * np.sqrt(0.9 / 100))
+        assert ctrl.retake_count == 1
+        assert ctrl.clip(0.004) == ctrl.dt    # no longer clipped
+        assert ctrl.judge(1e-6, 0.0)
+        ctrl.dt = 0.01
+        ctrl.clip(0.004)
+        assert ctrl.judge(1e-6, 0.0)          # accepted: the unclipped dt
+        assert ctrl.dt == 0.01
+
+    def test_underflow_raises(self):
+        ctrl = StepController(tol=1e-6, dt=1e-12)
+        with pytest.raises(RuntimeError, match="underflow"):
+            ctrl.judge(1.0, 0.5)
+
+
 class TestLocalErrors:
     def test_identical_candidates(self):
         z = [np.ones(8, dtype=complex)]
@@ -107,6 +126,16 @@ class TestCoupledRun:
         assert not info.accepted
         assert ctrl.dt < 5e-2
         assert ctrl.retake_count == 1
+
+    def test_rejected_clipped_step_is_retaken_smaller(self):
+        # the first attempt is clipped to land on t_end and rejected; the
+        # retake must use the shrunk step, not the same clipped one again
+        state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.5)
+        cfg = FlowConfig(Q=0.3, E=0.5, Pe=10.0)
+        ctrl = StepController(tol=1e-10, dt=0.1, dt_max=0.1)
+        out, _ = advance_to(state, cfg, ctrl, t_end=5e-4)
+        assert out.t == 5e-4
+        assert ctrl.retake_count >= 1
 
 
 def test_clean_reduces_to_midpoint():
