@@ -16,6 +16,7 @@ from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
                        spectral_derivative, trapezoid, uniform_alpha)
 
 EQUIDISTANT_RTOL = 1e-3
+REFINE = 4                  # refined points per node in min_distance
 
 
 @dataclass(frozen=True)
@@ -179,36 +180,77 @@ def deformation_number(iface: Interface) -> float:
     return float((r.max() - r.min()) / (r.max() + r.min()))
 
 
-def min_distance(a: Interface, b: Interface, refine: int = 4) -> float:
-    """Minimum point distance between two interfaces on refined grids."""
-    za = resample(a.z, refine * a.n)
-    zb = resample(b.z, refine * b.n)
-    return float(np.abs(za[:, None] - zb[None, :]).min())
+def min_distance(a: Interface, b: Interface) -> float:
+    """Minimum point distance between two interfaces on refined grids.
+
+    Each refined grid holds a block of REFINE points per node, starting
+    at the node.  The nodes are refined points, so the smallest node
+    distance d0 bounds the result, and the closest refined pair lies in
+    the blocks of nodes within d0 + r_a + r_b of the other drop, r being
+    the largest distance of a refined point from its block's node.  Only
+    those blocks are compared (the reach is doubled against rounding), so
+    the result equals the minimum over all refined pairs.
+    """
+    fa, ra = _refine(a.z)
+    fb, rb = _refine(b.z)
+    dz = np.abs(a.z[:, None] - b.z[None, :])
+    reach = dz.min() + 2 * (ra + rb)
+    za = fa[dz.min(axis=1) <= reach].ravel()
+    zb = fb[dz.min(axis=0) <= reach].ravel()
+    rows = max(1, dz.size // zb.size)    # no block beyond N_a x N_b
+    return float(min(np.abs(za[s:s + rows, None] - zb).min()
+                     for s in range(0, za.size, rows)))
+
+
+def _refine(z):
+    """Refined grid, one row of REFINE points per node, and the largest
+    distance of a point from its row's node."""
+    fine = resample(z, REFINE * z.size).reshape(-1, REFINE)
+    return fine, np.abs(fine - z[:, None]).max()
 
 
 def _cross(u, v):
-    """z-component of the cross product of 2-vectors stored in the last axis."""
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    """z-component of the cross product of 2-vectors stored as complex."""
+    return u.real * v.imag - u.imag * v.real
+
+
+def _close_segments(za, zb) -> np.ndarray:
+    """Mask of the segment pairs of closed polylines za, zb that may cross.
+
+    Crossing segments have midpoints at most the longest segment apart;
+    the cull keeps twice that, far beyond rounding.  Sums of endpoints
+    stand for the midpoints.
+    """
+    ea, eb = np.roll(za, -1), np.roll(zb, -1)
+    reach = max(np.abs(ea - za).max(), np.abs(eb - zb).max())
+    return np.abs((za + ea)[:, None] - (zb + eb)[None, :]) <= 4 * reach
+
+
+def _any_crossing(za, zb, close) -> bool:
+    """Whether segment i of za properly crosses segment j of zb for some
+    pair (i, j) in the mask close: each segment's ends lie strictly on
+    both sides of the other's line."""
+    i, j = np.nonzero(close)
+    a, b = za[i], np.roll(za, -1)[i]
+    c, d = zb[j], np.roll(zb, -1)[j]
+    d1 = _cross(b - a, c - a)
+    d2 = _cross(b - a, d - a)
+    d3 = _cross(d - c, a - c)
+    d4 = _cross(d - c, b - c)
+    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
 
 
 def self_intersects(iface: Interface) -> bool:
-    """Coarse segment-pair test for self-intersection."""
+    """Whether two non-adjacent segments of the node polygon cross."""
+    # segments that share a node (also 0 and N-1) have a zero cross
+    # product there and never pass the strict test
     z = iface.z
-    n = z.shape[0]
-    p = np.stack([z.real, z.imag], axis=1)
-    q = np.roll(p, -1, axis=0)
-    js = np.arange(n)
-    for i in range(n):
-        a, b = p[i], q[i]
-        mask = (js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)
-        c, d = p[mask], q[mask]
-        d1 = _cross(b - a, c - a)
-        d2 = _cross(b - a, d - a)
-        d3 = _cross(d - c, a - c)
-        d4 = _cross(d - c, b - c)
-        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
-            return True
-    return False
+    return _any_crossing(z, z, np.triu(_close_segments(z, z), 2))
+
+
+def interfaces_cross(a: Interface, b: Interface) -> bool:
+    """Whether a segment of a's node polygon crosses one of b's."""
+    return _any_crossing(a.z, b.z, _close_segments(a.z, b.z))
 
 
 def circle(n: int, radius: float = 1.0, center: complex = 0.0,

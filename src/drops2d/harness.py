@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import (Interface, ellipse, min_distance, self_intersects,
-                       signed_area, to_equal_arclength)
+from .geometry import (Interface, ellipse, interfaces_cross, min_distance,
+                       self_intersects, signed_area, to_equal_arclength)
 from .spectral import fourier_interp, resample, uniform_alpha
 from .stepper import CoupledState, StepController, advance_to
 from .stokes import FlowConfig
@@ -163,7 +163,7 @@ def _point_inside(pt: complex, iface: Interface) -> bool:
 
 def _overlapping(a: Interface, b: Interface) -> bool:
     return (_point_inside(b.z[0], a) or _point_inside(a.z[0], b)
-            or min_distance(a, b) <= 0)
+            or interfaces_cross(a, b))
 
 
 def _snapshot(state: CoupledState):

@@ -97,7 +97,11 @@ class PanelData:
         return len(self.scale)
 
     def transform(self, z0):
-        return self.scale * (z0 - self.mid)
+        # a named difference is never overwritten by the product: NumPy
+        # reuses large temporaries in place, and that product rounds
+        # differently, so a pair's frame would depend on its batch size
+        diff = z0 - self.mid
+        return self.scale * diff
 
 
 @dataclass

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from drops2d.geometry import (Interface, advance_positions, adapt_resolution,
                               circle, curvature, deformation_number,
-                              ellipse, min_distance, modified_tangential_velocity,
-                              normals, point_spacing, signed_area,
+                              ellipse, interfaces_cross, min_distance,
+                              modified_tangential_velocity, normals,
+                              point_spacing, self_intersects, signed_area,
                               to_equal_arclength)
-from drops2d.spectral import trapezoid, uniform_alpha
+from drops2d.spectral import resample, trapezoid, uniform_alpha
 
 
 def test_interface_requires_clockwise():
@@ -193,3 +196,95 @@ def test_min_distance_circles():
     c1 = circle(64, center=0.0)
     c2 = circle(64, center=3.0)
     assert abs(min_distance(c1, c2) - 1.0) < 1e-3
+
+
+def _cross_ref(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def self_intersects_ref(iface):
+    """Brute-force reference: every segment against every non-adjacent one."""
+    z = iface.z
+    n = z.shape[0]
+    p = np.stack([z.real, z.imag], axis=1)
+    q = np.roll(p, -1, axis=0)
+    js = np.arange(n)
+    for i in range(n):
+        a, b = p[i], q[i]
+        mask = (js != i) & (js != (i - 1) % n) & (js != (i + 1) % n)
+        c, d = p[mask], q[mask]
+        d1 = _cross_ref(b - a, c - a)
+        d2 = _cross_ref(b - a, d - a)
+        d3 = _cross_ref(d - c, a - c)
+        d4 = _cross_ref(d - c, b - c)
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return True
+    return False
+
+
+def interfaces_cross_ref(a, b):
+    """Brute-force reference: every segment of a against every one of b."""
+    p, q = a.z[:, None], np.roll(a.z, -1)[:, None]
+    r, s = b.z[None, :], np.roll(b.z, -1)[None, :]
+    cross = lambda u, v: u.real * v.imag - u.imag * v.real
+    return bool(np.any((cross(q - p, r - p) * cross(q - p, s - p) < 0)
+                       & (cross(s - r, p - r) * cross(s - r, q - r) < 0)))
+
+
+def min_distance_ref(a, b, refine=4):
+    """Dense reference: all pairs of the two refined grids."""
+    za = resample(a.z, refine * a.n)
+    zb = resample(b.z, refine * b.n)
+    return float(np.abs(za[:, None] - zb[None, :]).min())
+
+
+def curve(kind, n, amp, phase):
+    """Closed test curves, not equidistant.
+
+    star: five arms, looping through the centre (crossing) for amp > 1;
+    eight: a figure eight, crossing at its waist; pinched: two lobes
+    joined by a neck of width 2*amp, thin but never crossing.
+    """
+    t = uniform_alpha(n) + phase
+    if kind == "star":
+        z = (1 + amp * np.cos(5 * t)) * np.exp(-1j * t)
+    elif kind == "eight":
+        z = np.sin(t) - 1j * amp * np.sin(2 * t)
+    else:
+        z = np.cos(t) - 1j * np.sin(t) * (amp + (1 - amp) * np.cos(t) ** 2)
+    return Interface(z=z, check=False)
+
+
+shapes = st.tuples(st.sampled_from(["star", "eight", "pinched"]),
+                   st.sampled_from(range(32, 193, 16)),
+                   st.floats(1e-4, 1.6), st.floats(0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes)
+@example(shape=("star", 64, 1.5, 0.1))         # loops through the centre
+@example(shape=("pinched", 128, 1e-3, 0.05))   # neck 2e-3, no crossing
+def test_self_intersects_matches_reference(shape):
+    iface = curve(*shape)
+    assert self_intersects(iface) == self_intersects_ref(iface)
+
+
+def test_self_intersects_examples():
+    assert self_intersects(curve("star", 64, 1.5, 0.1))
+    assert self_intersects(curve("eight", 96, 0.5, 0.1))
+    assert not self_intersects(curve("pinched", 128, 1e-3, 0.05))
+    assert not self_intersects(circle(32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sa=shapes, sb=shapes, scale=st.floats(0.2, 2.0),
+       shift=st.complex_numbers(max_magnitude=4.0))
+@example(sa=("pinched", 128, 1e-3, 0.0), sb=("pinched", 64, 0.1, 0.3),
+         scale=1.0, shift=2.0005 + 0j)          # gap 5e-4, no crossing
+@example(sa=("star", 32, 0.3, 0.0), sb=("eight", 192, 0.8, 1.0),
+         scale=0.5, shift=1.1 + 0.2j)
+def test_pair_checks_match_reference(sa, sb, scale, shift):
+    a = curve(*sa)
+    b = Interface(z=shift + scale * curve(*sb).z, check=False)
+    assert min_distance(a, b) == min_distance_ref(a, b)
+    assert interfaces_cross(a, b) == interfaces_cross_ref(a, b)

@@ -196,10 +196,15 @@ def test_series_contains_conservation_columns(tmp_path):
 
 
 def test_build_state_rejects_overlap():
-    cfg = ScenarioConfig(
-        name="overlap",
-        drops=[DropSpec(center=0.0, n=64), DropSpec(center=0.5, n=64)],
-        flow=FlowConfig(),
-        run=RunSpec())
-    with pytest.raises(ValueError):
-        build_state(cfg)
+    # at 1.5i neither start point lies inside the other drop and the
+    # refined grids stay 0.014 apart, but the circles overlap in a lens
+    for center in (0.5, 1.5j):
+        cfg = ScenarioConfig(
+            name="overlap",
+            drops=[DropSpec(center=0.0, n=64), DropSpec(center=center, n=64)],
+            flow=FlowConfig(),
+            run=RunSpec())
+        with pytest.raises(ValueError, match="drops must start disjoint"):
+            build_state(cfg)
+    for name in ("pair_clean", "pair_surfactant"):
+        assert len(build_state(preset(name)).ifaces) == 2

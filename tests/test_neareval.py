@@ -517,6 +517,25 @@ class TestBatchInvariance:
                 assert (np.abs(r[k] - r_one).max()
                         <= 1e-13 * np.abs(r_one).max())
 
+    def test_large_batch_matches_small_batches(self):
+        # beyond 16,384 complex entries NumPy may reuse a temporary in
+        # place, whose product rounds differently; frames must not change
+        star, _, _ = batch_geometries()
+        rng = np.random.default_rng(7)
+        th = rng.uniform(0, 2 * np.pi, 5000)
+        near = ((1 + 0.3 * np.cos(3 * th) - rng.uniform(-0.05, 0.3, th.size))
+                * np.exp(1j * th))
+        ti, ip = candidates(star, near)
+        z0 = near[ti]
+        assert z0.size > 16_384
+        big = locate_preimage(star[ip], z0)
+        parts = [locate_preimage(star[ip[s:s + 1000]], z0[s:s + 1000])
+                 for s in range(0, z0.size, 1000)]
+        for f in ("z0t", "xi0", "newton_ok", "residue"):
+            assert np.array_equal(getattr(big, f),
+                                  np.concatenate([getattr(p, f)
+                                                  for p in parts])), f
+
     def test_empty_batch(self):
         # one drop: no cross-drop candidate pairs, as on single_n128
         from drops2d.geometry import circle

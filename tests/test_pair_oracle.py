@@ -97,6 +97,14 @@ class TestSurfactant:
         assert abs(m1 - m0) / m0 < 1e-8
 
 
+@pytest.fixture(scope="module")
+def pair_march():
+    """The phi = 0.35 pair and the state it reaches at t = 0.2 under
+    Q = 0.5 (355 accepted steps), marched once for the tests that read it."""
+    st = pair_from_circles(64, phi=0.35)
+    return st, evolve_pair(st, Q_phys=0.5, t_end=0.2, tol=1e-7)[0]
+
+
 class TestEvolution:
     def test_stationary_at_zero_q(self):
         st = pair_from_circles(48, phi=0.35)
@@ -105,9 +113,8 @@ class TestEvolution:
         assert abs(out.b - st.b) < 1e-8
         assert np.abs(out.a_pos[1:]).max() < 1e-8
 
-    def test_structure_preserved(self):
-        st = pair_from_circles(64, phi=0.35)
-        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2, tol=1e-7)
+    def test_structure_preserved(self, pair_march):
+        _, out = pair_march
         assert out.a_pos[0] == pytest.approx(out.b / (2 * np.sqrt(out.phi)),
                                              abs=1e-14)
         assert abs(bubble_area(out) - np.pi) < 1e-8
@@ -128,11 +135,9 @@ class TestEvolution:
         order = np.log2(errs[0] / errs[1])
         assert order > 1.9
 
-    def test_gap_closes_under_positive_q(self):
-        st = pair_from_circles(64, phi=0.35)
-        g0 = min_gap(st)
-        out, _ = evolve_pair(st, Q_phys=0.5, t_end=0.2, tol=1e-7)
-        assert min_gap(out) < g0
+    def test_gap_closes_under_positive_q(self, pair_march):
+        st, out = pair_march
+        assert min_gap(out) < min_gap(st)
 
 
 def test_physical_frame_orientation():
