@@ -21,20 +21,24 @@ from . import neareval
 from .spectral import panel_grid
 from .stokes import layer_matrices, near_layer_matrices
 
+# the star r(a) = 1 + AMPLITUDE cos(MODE a) of the quadrature studies
+AMPLITUDE, MODE = 0.3, 3
+SOLVE_TOL = 1e-13   # relative GMRES residual of the density solve
 
-def star_contour(n_panels: int, amplitude: float = 0.3, mode: int = 3):
-    """Composite-GL discretization of z(a) = (1 + amplitude cos(mode a)) e^{ia}."""
+
+def star_contour(n_panels: int):
+    """Composite-GL discretization of z(a) = r(a) e^{ia}, r the star."""
     grid = panel_grid(n_panels)
     a = grid.alpha
-    r = 1 + amplitude * np.cos(mode * a)
-    dr = -amplitude * mode * np.sin(mode * a)
-    ddr = -amplitude * mode**2 * np.cos(mode * a)
+    r = 1 + AMPLITUDE * np.cos(MODE * a)
+    dr = -AMPLITUDE * MODE * np.sin(MODE * a)
+    ddr = -AMPLITUDE * MODE**2 * np.cos(MODE * a)
     e = np.exp(1j * a)
     z = r * e
     zp = (dr + 1j * r) * e
     zpp = (ddr + 2j * dr - r) * e
     edges_a = grid.endpoints
-    r_e = 1 + amplitude * np.cos(mode * edges_a)
+    r_e = 1 + AMPLITUDE * np.cos(MODE * edges_a)
     z_edges = r_e * np.exp(1j * edges_a)
     return grid, z, zp, zpp, z_edges
 
@@ -66,10 +70,9 @@ class DirichletSolution:
     residual: float
 
 
-def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
-                    mode: int = 3, tol: float = 1e-13) -> DirichletSolution:
+def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
     """Solve the interior Dirichlet problem for the given velocity trace."""
-    grid, z, zp, zpp, z_edges = star_contour(n_panels, amplitude, mode)
+    grid, z, zp, zpp, z_edges = star_contour(n_panels)
     w = grid.weights
     n = z.shape[0]
     Cw, M2w = layer_matrices(z, zp, zpp, w)
@@ -87,7 +90,7 @@ def solve_dirichlet(n_panels: int, boundary_velocity, amplitude: float = 0.3,
 
     A = LinearOperator((2 * n, 2 * n), matvec=matvec)
     b = np.concatenate([data.real, data.imag])
-    x, info = gmres(A, b, rtol=tol, atol=0.0, maxiter=600, restart=600)
+    x, info = gmres(A, b, rtol=SOLVE_TOL, atol=0.0, maxiter=600, restart=600)
     res = float(np.abs(A @ x - b).max())
     panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
                                     w.reshape(-1, 16), z_edges[:-1],
@@ -125,10 +128,9 @@ def estimate_field(sol: DirichletSolution, targets):
     return np.bincount(ti[fin], weights=est[fin], minlength=t.shape[0])
 
 
-def inside_star(points, amplitude: float = 0.3, mode: int = 3,
-                margin: float = 0.0) -> np.ndarray:
+def inside_star(points, margin: float = 0.0) -> np.ndarray:
     """Mask of points strictly inside the star contour (radial test)."""
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     th = np.angle(pts)
-    r_b = 1 + amplitude * np.cos(mode * th)
+    r_b = 1 + AMPLITUDE * np.cos(MODE * th)
     return np.abs(pts) < r_b - margin

@@ -17,6 +17,9 @@ from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
 
 EQUIDISTANT_RTOL = 1e-3
 REFINE = 4                  # refined points per node in min_distance
+GROW, SHRINK = 1.2, 0.5     # adapt_resolution spacing bounds, in ds_target
+ARCLENGTH_TOL = 1e-12       # to_equal_arclength stops below this Newton step
+ARCLENGTH_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -151,20 +154,18 @@ def advance_positions(iface: Interface, decomp: VelocityDecomposition,
     return replace(iface, z=krasny_filter(znew), check=check)
 
 
-def adapt_resolution(iface: Interface, fields=(), ds_target: float = None,
-                     grow: float = 1.2, shrink: float = 0.5):
+def adapt_resolution(iface: Interface, fields, ds_target: float):
     """Double or halve N to keep the mean spacing near ds_target.
 
+    N doubles above GROW * ds_target and halves below SHRINK * ds_target.
     All associated periodic fields are resampled identically.  N stays
     a multiple of 16 and at least 32 by construction (factor-2 moves).
     """
-    if ds_target is None:
-        return iface, tuple(fields)
     ds = iface.spacing()
     n = iface.n
-    if ds > grow * ds_target:
+    if ds > GROW * ds_target:
         new_n = 2 * n
-    elif ds < shrink * ds_target and n >= 64:
+    elif ds < SHRINK * ds_target and n >= 64:
         new_n = n // 2
     else:
         return iface, tuple(fields)
@@ -261,18 +262,17 @@ def circle(n: int, radius: float = 1.0, center: complex = 0.0,
 
 
 def ellipse(n: int, a_axis: float, b_axis: float, center: complex = 0.0,
-            lam: float = 0.0, id: int = 0, tol: float = 1e-12) -> Interface:
+            lam: float = 0.0, id: int = 0) -> Interface:
     """Clockwise ellipse reparametrized to equal arclength."""
     m = max(8 * n, 4096)
     t = uniform_alpha(m)
     z = center + a_axis * np.cos(t) - 1j * b_axis * np.sin(t)
     iface = Interface(z=resample(z, n), lam=lam, id=id, check=False)
-    iface = to_equal_arclength(iface, tol=tol)
+    iface = to_equal_arclength(iface)
     return replace(iface, lam=lam, id=id)
 
 
-def to_equal_arclength(iface: Interface, tol: float = 1e-12,
-                       maxiter: int = 100) -> Interface:
+def to_equal_arclength(iface: Interface) -> Interface:
     """Reparametrize so the nodes are equidistant in arclength.
 
     Newton iteration on the parameter map: sample the trigonometric
@@ -296,11 +296,11 @@ def to_equal_arclength(iface: Interface, tol: float = 1e-12,
 
     t = alpha.copy()
     target = total * alpha / (2 * np.pi)
-    for _ in range(maxiter):
+    for _ in range(ARCLENGTH_MAXITER):
         cum, sp_t = cumlen(t)
         corr = (target - cum) / sp_t
         t = t + corr
-        if np.abs(corr).max() < tol:
+        if np.abs(corr).max() < ARCLENGTH_TOL:
             break
     zs = krasny_filter(fourier_interp(z0, t))
     return replace(iface, z=zs, check=False)

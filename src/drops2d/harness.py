@@ -424,9 +424,6 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
     raise ValueError(f"unknown preset {name}")
 
 
-SWISS_CIRCULAR_TOL = 1e-4
-
-
 def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
     """Spiral roll plus surrounding ellipses, best-effort geometry.
 
@@ -487,9 +484,3 @@ def _swiss_roll_config() -> ScenarioConfig:
         flow=FlowConfig(Q=0.0, E=0.1, Pe=10.0, eos="linear"),
         run=RunSpec(t_end=100.0, tol=1e-5, dt0=1e-4, dt_max=0.05,
                     output_every=200, adapt_spacing=True))
-
-
-def circularity(iface: Interface) -> float:
-    c = iface.z.mean()
-    r = np.abs(iface.z - c)
-    return abs(1 - r.max() / r.mean())

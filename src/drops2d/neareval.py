@@ -376,7 +376,10 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
     s = np.sqrt(xi * xi - 1.0)
     s = np.where(np.abs(xi + s) < 1.0, -s, s)
     kn = 2.0 * np.pi / (xi + s) ** (2 * N_GL + 1)
-    knp = kn * (-(2 * N_GL + 1) / s)
+    # a named quotient: NumPy would reuse a large unnamed temporary in place
+    # and swap the complex operands, so the bits would depend on batch size
+    dlog = -(2 * N_GL + 1) / s
+    knp = kn * dlog
     etap0 = npleg.legval(xi, eta_p.T, tensor=False)
     # pairs with eta'(xi0) == 0 divide by zero here and get inf below
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -41,10 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .spectral import antiderivative, modes, spectral_derivative
+from .spectral import KRASNY_TOL, antiderivative, modes, spectral_derivative
 from .stepper import StepController
 
 FLOW_RESIDUAL_TOL = 1e-9
+IMPLICIT_TOL = 1e-12   # relative GMRES residual of the diffusion solve
 DT0 = 1e-3        # first attempted step of evolve_pair
 DT_MAX = 5e-3     # largest step of evolve_pair
 
@@ -354,8 +355,8 @@ def surfactant_rhs(state: ConformalPairState, zt, u):
             + np.imag(z_nunu / z_nu) * P.imag / sp)
 
 
-def surfactant_implicit_solve(state: ConformalPairState, rhs, dt_coeff: float,
-                              tol: float = 1e-12) -> np.ndarray:
+def surfactant_implicit_solve(state: ConformalPairState, rhs,
+                              dt_coeff: float) -> np.ndarray:
     """Solve (I - dt_coeff * L) rho = rhs, L the surface diffusion operator.
 
     L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|) is non-diagonal through
@@ -370,8 +371,8 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs, dt_coeff: float,
         return x - dt_coeff * L(x)
 
     A = LinearOperator((m, m), matvec=mv)
-    x, info = gmres(A, np.asarray(rhs, dtype=float), rtol=tol, atol=0.0,
-                    maxiter=300, restart=300)
+    x, info = gmres(A, np.asarray(rhs, dtype=float), rtol=IMPLICIT_TOL,
+                    atol=0.0, maxiter=300, restart=300)
     if info != 0:
         raise PairOracleError("implicit surfactant solve stagnated")
     return x
@@ -397,9 +398,9 @@ def surfactant_mass_pair(state: ConformalPairState) -> float:
     return float(np.sum(state.rho * sp) * 2 * np.pi / state.n_grid)
 
 
-def _krasny_real(arr, tol=1e-12):
+def _krasny_real(arr):
     out = np.asarray(arr, dtype=float).copy()
-    out[np.abs(out) < tol] = 0.0
+    out[np.abs(out) < KRASNY_TOL] = 0.0
     return out
 
 
@@ -459,20 +460,13 @@ def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     return new, max(r_map, r_rho)
 
 
-def pair_from_circles(nv: int, phi: float = None, center: float = None,
-                      rho0: float = None, E: float = 0.5,
+def pair_from_circles(nv: int, phi: float, rho0: float = None, E: float = 0.5,
                       Pe: float = np.inf) -> ConformalPairState:
     """Initial state: two unit circles.
 
-    Either phi or the center distance may be given; centers sit at
-    +-(1+phi)/(2 sqrt(phi)) in the computational frame and the radius is
-    exactly b/(1-phi) = 1 with b = 1 - phi.
+    Centers sit at +-(1+phi)/(2 sqrt(phi)) in the computational frame and
+    the radius is exactly b/(1-phi) = 1 with b = 1 - phi.
     """
-    if phi is None:
-        if center is None:
-            raise ValueError("give phi or center")
-        s = center - np.sqrt(center**2 - 1)
-        phi = s**2
     b = 1.0 - phi
     a_pos = np.zeros(nv + 1)
     st = ConformalPairState(b=b, phi=phi, a_pos=a_pos, E=E, Pe=Pe)

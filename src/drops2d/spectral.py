@@ -25,19 +25,6 @@ _BARY_W = np.array([1.0 / np.prod(GL_NODES[k] - np.delete(GL_NODES, k))
                     for k in range(PANEL_ORDER)])
 
 
-def _bary_eval(fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the degree-15 interpolant of nodal values at points x."""
-    x = np.atleast_1d(x)
-    diff = x[:, None] - GL_NODES[None, :]
-    hit = np.isclose(diff, 0.0, atol=1e-15)
-    diff[hit] = 1.0
-    c = _BARY_W[None, :] / diff
-    out = (c @ fvals) / c.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = fvals[cols]
-    return out
-
-
 def _bary_diff_matrix() -> np.ndarray:
     d = np.zeros((PANEL_ORDER, PANEL_ORDER))
     for i in range(PANEL_ORDER):
@@ -80,7 +67,7 @@ def spectral_derivative(f, order: int = 1) -> np.ndarray:
 
 
 def resample(f, new_n: int) -> np.ndarray:
-    """Fourier zero-padding (upsample) or truncation (downsample).
+    """Fourier zero-padding (upsample) or truncation (downsample) along axis 0.
 
     Constants are preserved exactly; band-limited inputs round-trip to
     machine precision.
@@ -91,8 +78,8 @@ def resample(f, new_n: int) -> np.ndarray:
         raise ValueError("new_n must be at least 2")
     if new_n == n:
         return vals.copy()
-    coef = np.fft.fft(vals) / n
-    out = np.zeros(new_n, dtype=complex)
+    coef = np.fft.fft(vals, axis=0) / n
+    out = np.zeros((new_n,) + vals.shape[1:], dtype=complex)
     keep = min(n, new_n)
     h = keep // 2
     out[: h + (keep % 2)] = coef[: h + (keep % 2)]
@@ -106,45 +93,45 @@ def resample(f, new_n: int) -> np.ndarray:
             out[-h] = 0.5 * nyq
         elif n > new_n:
             out[h] = coef[h] + coef[-h] if new_n % 2 == 0 else coef[h]
-    res = np.fft.ifft(out) * new_n
+    res = np.fft.ifft(out, axis=0) * new_n
     if np.isrealobj(vals):
         return res.real
     return res
 
 
-def krasny_filter(f, tol: float = KRASNY_TOL) -> np.ndarray:
-    """Zero every Fourier mode whose amplitude |c_k| falls below tol."""
+def krasny_filter(f) -> np.ndarray:
+    """Zero every Fourier mode whose amplitude |c_k| falls below KRASNY_TOL."""
     vals = np.asarray(f)
     n = vals.shape[0]
     coef = np.fft.fft(vals) / n
-    coef[np.abs(coef) < tol] = 0.0
+    coef[np.abs(coef) < KRASNY_TOL] = 0.0
     out = np.fft.ifft(coef) * n
     if np.isrealobj(vals):
         return out.real
     return out
 
 
+def fourier_matrix(n: int, targets) -> np.ndarray:
+    """Evaluation matrix of the trigonometric interpolant of n samples.
+
+    fourier_matrix(n, t) @ fft(f) evaluates the interpolant of f at the
+    parameters t.  The Nyquist mode of an even n is evaluated as
+    cos(n/2 alpha), which keeps real data real.
+    """
+    t = np.atleast_1d(np.asarray(targets, dtype=float))
+    E = np.exp(1j * np.outer(t, modes(n)))
+    if n % 2 == 0:
+        E[:, n // 2] = np.cos(n // 2 * t)
+    return E / n
+
+
 def fourier_interp(f, targets) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary parameters.
 
-    Direct Fourier-series evaluation, O(N * M).  Adequate at the problem
-    sizes used here; a non-uniform FFT could be dropped in behind the same
-    signature.
+    Direct Fourier-series evaluation through fourier_matrix, O(N * M).
     """
     vals = np.asarray(f)
-    n = vals.shape[0]
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    coef = np.fft.fft(vals) / n
-    k = modes(n)
-    if n % 2 == 0:
-        # treat the Nyquist mode symmetrically: cos(n/2 * a) behaviour
-        coef = coef.copy()
-        nyq = coef[n // 2]
-        coef[n // 2] = 0.0
-        extra = nyq * np.cos(n // 2 * t)
-    else:
-        extra = 0.0
-    out = np.exp(1j * np.outer(t, k)) @ coef + extra
+    out = fourier_matrix(vals.shape[0], targets) @ np.fft.fft(vals)
     if np.isrealobj(vals):
         return out.real
     return out
@@ -154,22 +141,17 @@ _GL_INTERP_CACHE = {}
 
 
 def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
-    """Cached dense evaluation matrix from the FFT of n uniform samples.
+    """Cached fourier_matrix of n uniform samples at the panel layout.
 
     Its first 16*n_panels rows evaluate at the composite GL nodes, its last
-    n_panels rows at the panel starts.  The Nyquist mode of an even n is
-    evaluated as cos(n/2 alpha).
+    n_panels rows at the panel starts.
     """
     key = (n, n_panels)
     M = _GL_INTERP_CACHE.get(key)
     if M is None:
         grid = panel_grid(n_panels)
-        targets = np.concatenate([grid.alpha, grid.endpoints[:-1]])
-        k = modes(n)
-        E = np.exp(1j * np.outer(targets, k))
-        if n % 2 == 0:
-            E[:, n // 2] = np.cos(n // 2 * targets)
-        M = E / n
+        M = fourier_matrix(n, np.concatenate([grid.alpha,
+                                              grid.endpoints[:-1]]))
         _GL_INTERP_CACHE[key] = M
     return M
 
@@ -253,32 +235,54 @@ def panel_grid(n_panels: int) -> PanelGrid:
     return PanelGrid(n_panels=n_panels, alpha=alpha, weights=weights, endpoints=edges)
 
 
-def panel_interp_to_uniform(g, n_panels: int, n_out: int, filt: bool = True) -> np.ndarray:
+_PANEL_INTERP_CACHE = {}
+
+
+def panel_to_uniform_matrix(n_panels: int, n_out: int) -> np.ndarray:
+    """Cached real matrix from composite GL samples to n_out uniform ones.
+
+    Column j is the degree-15 interpolant of the unit sample at GL node j,
+    barycentric on its own panel and zero on the others, evaluated at
+    2*n_out uniform points and resampled to n_out.  The matrix is built
+    one panel's 16 columns at a time.
+    """
+    key = (n_panels, n_out)
+    P = _PANEL_INTERP_CACHE.get(key)
+    if P is None:
+        n_fine = 2 * n_out
+        fine_alpha = uniform_alpha(n_fine)
+        edges = np.linspace(0.0, 2.0 * np.pi, n_panels + 1)
+        h = edges[1] - edges[0]
+        idx = np.minimum((fine_alpha / h).astype(int), n_panels - 1)
+        blocks = []
+        for p in range(n_panels):
+            sel = idx == p
+            xi = 2.0 * (fine_alpha[sel] - edges[p]) / h - 1.0
+            diff = xi[:, None] - GL_NODES
+            hit = np.isclose(diff, 0.0, atol=1e-15)
+            diff[hit] = 1.0
+            c = _BARY_W / diff
+            c /= c.sum(axis=1)[:, None]
+            rows, cols = np.nonzero(hit)
+            c[rows] = np.eye(PANEL_ORDER)[cols]
+            fine = np.zeros((n_fine, PANEL_ORDER))
+            fine[sel] = c
+            blocks.append(resample(fine, n_out))
+        P = np.concatenate(blocks, axis=1)
+        _PANEL_INTERP_CACHE[key] = P
+    return P
+
+
+def panel_interp_to_uniform(g, n_panels: int, n_out: int) -> np.ndarray:
     """Go from composite Gauss-Legendre samples back to the uniform grid.
 
-    Each panel's degree-15 interpolant is evaluated on a uniform grid with
-    twice the target resolution; the result is then downsampled to n_out
-    points and Krasny-filtered.
+    One product with the cached panel_to_uniform_matrix (each panel's
+    degree-15 interpolant on twice the target resolution, downsampled to
+    n_out points), then the Krasny filter.
     """
     vals = np.asarray(g)
-    if vals.shape[0] != 16 * n_panels:
-        raise ValueError("samples do not match the panel layout")
-    n_fine = 2 * n_out
-    fine_alpha = uniform_alpha(n_fine)
-    edges = np.linspace(0.0, 2.0 * np.pi, n_panels + 1)
-    h = edges[1] - edges[0]
-    out = np.empty(n_fine, dtype=complex)
-    idx = np.minimum((fine_alpha / h).astype(int), n_panels - 1)
-    for p in range(n_panels):
-        sel = idx == p
-        if not np.any(sel):
-            continue
-        xi = 2.0 * (fine_alpha[sel] - edges[p]) / h - 1.0
-        if np.any(xi < -1 - 1e-12) or np.any(xi > 1 + 1e-12):
-            raise ValueError("target parameter outside all panels")
-        out[sel] = _bary_eval(vals[16 * p: 16 * (p + 1)], xi)
-    res = resample(out if np.iscomplexobj(vals) else out.real, n_out)
-    if filt:
-        res = krasny_filter(res)
-    return res
-
+    P = panel_to_uniform_matrix(n_panels, n_out)
+    # P is real: applied to the real and imaginary parts apart, not cast
+    if np.iscomplexobj(vals):
+        return krasny_filter(P @ vals.real + 1j * (P @ vals.imag))
+    return krasny_filter(P @ vals)

@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 from .spectral import antiderivative, uniform_alpha
 
 QUAD_POINTS = 2048
+B_MAX = 2.0         # b_from_q searches the stable branch on (0, B_MAX]
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,10 @@ def _B_profile(b: float, nu: np.ndarray) -> np.ndarray:
     return 1.0 + 2.0 * b * b - 2.0 * np.sqrt(1.0 + b * b) * b * np.cos(2.0 * nu)
 
 
-def _A_coefficient(b: float, E: float, m: int = QUAD_POINTS) -> float:
-    nu = uniform_alpha(m)
+def _A_coefficient(b: float, E: float) -> float:
+    nu = uniform_alpha(QUAD_POINTS)
     B = _B_profile(b, nu)
-    h = 2.0 * np.pi / m
+    h = 2.0 * np.pi / QUAD_POINTS
     int_sqrtB = np.sum(np.sqrt(B)) * h
     int_B = np.sum(B) * h
     return (int_sqrtB - 2.0 * np.pi * E) / int_B
@@ -96,23 +97,13 @@ def steady_solution(mp: SteadyMap, E: float, M: int = 256) -> dict:
             "A": A, "alphaV": alphaV, "length": L}
 
 
-def b_from_q(Q: float, E: float, b_max: float = 2.0) -> float:
+def b_from_q(Q: float, E: float) -> float:
     """Invert Q(b) on the lower (stable) branch."""
     if Q == 0.0:
         return 0.0
-    bs = np.linspace(1e-6, b_max, 400)
+    bs = np.linspace(1e-6, B_MAX, 400)
     qs = np.array([steady_q(b, E) for b in bs])
     peak = int(np.argmax(qs))
     if Q > qs[peak]:
         raise ValueError(f"no steady state at Q={Q} (max Q ~ {qs[peak]:.4f})")
     return brentq(lambda b: steady_q(b, E) - Q, 1e-9, bs[peak], xtol=1e-14)
-
-
-def d_q_curve(E: float, b_values) -> np.ndarray:
-    """Deformation vs capillary number along a sweep of map parameters."""
-    rows = []
-    for b in np.asarray(b_values, dtype=float):
-        mp = SteadyMap.from_b(b)
-        sol = steady_solution(mp, E, M=128)
-        rows.append((sol["Q"], sol["D"], b))
-    return np.array(rows)

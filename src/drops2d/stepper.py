@@ -19,9 +19,9 @@ import numpy as np
 from .geometry import adapt_resolution, modified_tangential_velocity, normals
 from .spectral import krasny_filter
 from .stokes import FlowConfig, interface_velocity
-from .surfactant import (SurfactantField, rhs_explicit, rhs_implicit_apply,
-                         rhs_implicit_solve, surface_tension,
-                         surfactant_mass, with_rho)
+from .surfactant import (rhs_explicit, rhs_implicit_apply,
+                         rhs_implicit_solve, surface_tension, surfactant_mass,
+                         with_rho)
 
 SAFETY = 0.9
 GROWTH_CAP = 2.0
@@ -221,8 +221,3 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
         if callback is not None:
             callback(state, info)
     return state, False
-
-
-def clean_fields(ifaces, E: float = 0.5) -> list:
-    """Zero-surfactant fields matching a set of interfaces."""
-    return [SurfactantField(rho=np.zeros(i.n), E=E, Pe=np.inf) for i in ifaces]

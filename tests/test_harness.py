@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
-                             circularity, compare_to_oracle, load_checkpoint,
+                             compare_to_oracle, load_checkpoint,
                              preset, read_snapshot, run_scenario)
 from drops2d.stokes import FlowConfig
 
@@ -32,10 +32,6 @@ class TestPresets:
         cfg = preset("steady_single")
         assert cfg.flow.Q == 0.14 and cfg.run.steady
         assert not np.isfinite(cfg.flow.Pe)
-
-    def test_swiss_roll_threshold(self):
-        from drops2d.harness import SWISS_CIRCULAR_TOL
-        assert SWISS_CIRCULAR_TOL == 1e-4
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -535,6 +535,13 @@ class TestBatchInvariance:
             assert np.array_equal(getattr(big, f),
                                   np.concatenate([getattr(p, f)
                                                   for p in parts])), f
+        # the estimates, computed from each side's own frames, match bitwise
+        mu_inf = rng.uniform(0.5, 2.0, z0.size)
+        est = estimate_error(star[ip], big, mu_inf)
+        est_parts = [estimate_error(star[ip[s:s + 1000]], p,
+                                    mu_inf[s:s + 1000])
+                     for s, p in zip(range(0, z0.size, 1000), parts)]
+        assert np.array_equal(est, np.concatenate(est_parts))
 
     def test_empty_batch(self):
         # one drop: no cross-drop candidate pairs, as on single_n128

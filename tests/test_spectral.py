@@ -1,11 +1,13 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drops2d import spectral
 from drops2d.spectral import (GL_NODES, GL_WEIGHTS, fourier_interp,
                               krasny_filter, panel_grid,
-                              panel_interp_to_uniform, resample,
+                              panel_interp_to_uniform,
+                              panel_to_uniform_matrix, resample,
                               spectral_derivative, trapezoid, uniform_alpha)
 
 
@@ -123,11 +125,7 @@ class TestPanels:
         idx = np.minimum((g.alpha / h).astype(int), 3)
         xi = 2 * (g.alpha - edges[idx]) / h - 1
         vals = 0.3 * xi**7 - xi**2 + 0.1
-        out = panel_interp_to_uniform(vals, 4, n_out, filt=False)
-        a = uniform_alpha(n_out)
-        idx_a = np.minimum((a / h).astype(int), 3)
-        xi_a = 2 * (a - edges[idx_a]) / h - 1
-        want = spectral.resample(np.interp(a, a, 0 * a), n_out)  # placeholder
+        out = panel_to_uniform_matrix(4, n_out) @ vals
         # direct evaluation of the same piecewise polynomial on the fine grid
         fine = uniform_alpha(2 * n_out)
         idx_f = np.minimum((fine / h).astype(int), 3)
@@ -136,7 +134,7 @@ class TestPanels:
         assert np.abs(out - ref).max() < 1e-12
 
     def test_panel_interp_constant(self):
-        out = panel_interp_to_uniform(np.ones(8 * 16), 8, 64, filt=False)
+        out = panel_to_uniform_matrix(8, 64) @ np.ones(8 * 16)
         assert np.abs(out - 1).max() < 1e-13
 
     def test_panel_interp_sin(self):
@@ -144,6 +142,41 @@ class TestPanels:
         vals = np.sin(g.alpha)
         out = panel_interp_to_uniform(vals, 8, 128)
         assert np.abs(out - np.sin(uniform_alpha(128))).max() < 1e-10
+
+    @pytest.mark.parametrize("n_panels, n_out",
+                             [(2, 32), (8, 64), (8, 128), (12, 192)])
+    def test_panel_interp_matches_per_panel_loop(self, n_panels, n_out):
+        rng = np.random.default_rng(n_panels * n_out)
+        g = (rng.standard_normal(16 * n_panels)
+             + 1j * rng.standard_normal(16 * n_panels))
+        want = krasny_filter(resample(_per_panel_loop(g, n_panels, n_out),
+                                      n_out))
+        out = panel_interp_to_uniform(g, n_panels, n_out)
+        assert np.abs(out - want).max() <= 1e-13 * np.abs(g).max()
+
+
+def _per_panel_loop(vals, n_panels, n_out):
+    """Reference: each panel's degree-15 barycentric interpolant evaluated
+    at the 2 n_out uniform points that fall on it, one panel at a time."""
+    w = np.array([1.0 / np.prod(GL_NODES[k] - np.delete(GL_NODES, k))
+                  for k in range(16)])
+    fine = uniform_alpha(2 * n_out)
+    edges = np.linspace(0.0, 2 * np.pi, n_panels + 1)
+    h = edges[1] - edges[0]
+    idx = np.minimum((fine / h).astype(int), n_panels - 1)
+    out = np.empty(fine.size, dtype=complex)
+    for p in range(n_panels):
+        sel = idx == p
+        diff = (2 * (fine[sel] - edges[p]) / h - 1)[:, None] - GL_NODES
+        hit = np.isclose(diff, 0.0, atol=1e-15)
+        diff[hit] = 1.0
+        c = w / diff
+        f = vals[16 * p:16 * (p + 1)]
+        val = (c @ f) / c.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        val[rows] = f[cols]
+        out[sel] = val
+    return out
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from drops2d.geometry import circle, normals
 from drops2d.spectral import uniform_alpha
 from drops2d.stepper import (CoupledState, StepController, advance_to,
-                             clean_fields, local_errors, step)
+                             local_errors, step)
 from drops2d.stokes import FlowConfig
 from drops2d.surfactant import SurfactantField, surfactant_mass
 
@@ -12,7 +12,7 @@ from drops2d.surfactant import SurfactantField, surfactant_mass
 def make_state(n=64, rho0=None, Pe=np.inf, E=0.5, lam=0.0, radius=1.0):
     c = circle(n, radius=radius, lam=lam)
     if rho0 is None:
-        fields = clean_fields([c], E=E)
+        fields = [SurfactantField(rho=np.zeros(n), E=E)]
     else:
         fields = [SurfactantField(rho=rho0 * np.ones(n), E=E, Pe=Pe)]
     return CoupledState(ifaces=[c], fields=fields)

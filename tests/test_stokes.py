@@ -190,6 +190,34 @@ class TestVelocity:
         u_exact = Q / t0 + t0 * np.conj(Q / t0**2) + np.conj(Q * t0 - Q / t0**3)
         assert abs(u - u_exact) < 5e-11
 
+    @pytest.mark.parametrize("phi", [0.35, 0.9])
+    def test_velocity_matches_assembled_operator(self, phi):
+        # reference: the C-linear part assembled as the dense matrix
+        # U = -(w/pi) D - (Re CAU - diag(row sums))/pi, D block-diagonal
+        from dataclasses import replace
+
+        from scipy.linalg import block_diag
+
+        from drops2d.harness import _pair_center, build_state, preset
+        from drops2d.spectral import DIFF16
+
+        cfg = preset("pair_clean", n=128)
+        c = _pair_center(phi)
+        cfg.drops = [replace(d, center=s * 1j * c)
+                     for d, s in zip(cfg.drops, (1, -1))]
+        ifaces = build_state(cfg).ifaces
+        disc, kern, sol = solve_setup(ifaces, cfg.flow)
+        assert len(kern.pairs) > 0    # near-corrected rows enter CAU
+        D = block_diag(*[(npan / np.pi) * DIFF16
+                         for npan in disc.n_panels for _ in range(npan)])
+        Kre = kern.CAU.real
+        U = (-(disc.w[:, None] / np.pi) * D
+             - (Kre - np.diag(Kre.sum(axis=1))) / np.pi)
+        want = (U @ sol.mu + kern.Uc @ np.conj(sol.mu)
+                + stokes.far_field(cfg.flow, disc.z))
+        u = evaluate_velocity_on_interface(disc, sol, cfg.flow, kernels=kern)
+        assert np.abs(u - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_node_target_rejected(self):
         c = circle(64, lam=0.0)
         cfg = FlowConfig()
