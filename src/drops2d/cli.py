@@ -39,11 +39,12 @@ def _cmd_oracle(args):
                          "pair": "pair_clean"}[args.kind]).flow.Q
     if args.kind == "steady":
         from .steady_oracle import SteadyMap, b_from_q, steady_solution
-        b = args.b if args.b is not None else b_from_q(args.Q, args.E)
+        b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
         sol = steady_solution(SteadyMap.from_b(b), E=args.E, M=args.points)
         path = os.path.join(args.out_dir, "steady_oracle.csv")
         with open(path, "w") as fh:
-            fh.write(f"# Q = {sol['Q']:.17g}, D = {sol['D']:.17g}, "
+            # Q is the FlowConfig Q that holds this steady state
+            fh.write(f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
                      f"E = {args.E}, b = {b:.17g}\n")
             fh.write("nu,alphaV,x,y,rho\n")
             for j in range(sol["nu"].shape[0]):
@@ -51,7 +52,7 @@ def _cmd_oracle(args):
                                   (sol["nu"][j], sol["alphaV"][j],
                                    sol["z"][j].real, sol["z"][j].imag,
                                    sol["rho"][j])) + "\n")
-        print(f"steady oracle: Q={sol['Q']:.6f} D={sol['D']:.6f} -> {path}")
+        print(f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f} -> {path}")
         return 0
     if args.kind == "pair":
         from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
@@ -157,7 +158,8 @@ def main(argv=None):
     p_or.add_argument("kind", choices=["steady", "pair"])
     p_or.add_argument("--out-dir", required=True)
     p_or.add_argument("--Q", type=float, default=None,
-                      help="extensional rate (default: the Q of the "
+                      help="extensional rate in the convention of "
+                           "stokes.FlowConfig (default: the Q of the "
                            "steady_single or pair_clean preset)")
     p_or.add_argument("--E", type=float, default=0.5)
     p_or.add_argument("--Pe", type=float, default=np.inf)

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import neareval
 from .spectral import panel_grid
-from .stokes import layer_matrices, near_layer_matrices
+from .stokes import gmres_solve, layer_matrices, near_layer_matrices
 
 # the star r(a) = 1 + AMPLITUDE cos(MODE a) of the quadrature studies
 AMPLITUDE, MODE = 0.3, 3
@@ -71,7 +70,8 @@ class DirichletSolution:
 
 
 def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
-    """Solve the interior Dirichlet problem for the given velocity trace."""
+    """Solve the interior Dirichlet problem for the given velocity trace
+    (stokes.SolverError when the density solve fails)."""
     grid, z, zp, zpp, z_edges = star_contour(n_panels)
     w = grid.weights
     n = z.shape[0]
@@ -88,10 +88,8 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
         out = mu + (M1w @ mu) / np.pi - (M2w @ np.conj(mu)) / np.pi
         return np.concatenate([out.real, out.imag])
 
-    A = LinearOperator((2 * n, 2 * n), matvec=matvec)
-    b = np.concatenate([data.real, data.imag])
-    x, info = gmres(A, b, rtol=SOLVE_TOL, atol=0.0, maxiter=600, restart=600)
-    res = float(np.abs(A @ x - b).max())
+    x, res, _ = gmres_solve(matvec, np.concatenate([data.real, data.imag]),
+                            SOLVE_TOL)
     panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
                                     w.reshape(-1, 16), z_edges[:-1],
                                     z_edges[1:])

@@ -6,6 +6,12 @@ columnar CSV time series plus one snapshot file per output tick and a
 manifest carrying the config and its hash.  Runs are deterministic:
 rerunning a config byte-reproduces the outputs, and a restart from a
 checkpoint reproduces the remaining snapshots.
+
+Drops are checked where they enter the program: build_state and
+load_checkpoint run check_drops, which requires each drop to be
+clockwise and free of self-crossings and each pair to be disjoint.
+After every accepted step, run_scenario runs its crossing part before
+the step reaches the series, a snapshot or a checkpoint.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .geometry import (Interface, ellipse, interfaces_cross, min_distance,
-                       self_intersects, signed_area, to_equal_arclength)
-from .spectral import fourier_interp, resample, uniform_alpha
+from .geometry import (Interface, circle, ellipse, interfaces_cross,
+                       min_distance, self_intersects, signed_area,
+                       to_equal_arclength)
+from .spectral import fourier_interp, resample
 from .stepper import CoupledState, StepController, advance_to
 from .stokes import FlowConfig
 from .surfactant import SurfactantField, surface_tension
@@ -35,7 +43,7 @@ class DropSpec:
     rho0: float = 0.0
     n: int = 128
     points: list = None            # custom shape: complex boundary samples
-    phase: float = 0.0             # parameter origin rotation (radians)
+    phase: float = 0.0             # circle only: angle of node 0 (radians)
 
 
 @dataclass
@@ -117,29 +125,54 @@ class RunRecord:
 
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
-    ifaces, fields = [], []
-    for k, d in enumerate(cfg.drops):
-        if d.shape == "circle":
-            a = uniform_alpha(d.n)
-            z = d.center + d.radius * np.exp(1j * (d.phase - a))
-            ifc = Interface(z=z, lam=d.lam, id=k)
-        elif d.shape == "ellipse":
-            ifc = ellipse(d.n, d.axes[0], d.axes[1], center=d.center,
-                          lam=d.lam, id=k)
-        elif d.shape == "custom":
-            z = np.asarray([complex(p[0], p[1]) if not np.iscomplexobj(p)
-                            else p for p in d.points])
-            ifc = to_equal_arclength(Interface(z=resample(z, d.n),
-                                               lam=d.lam, id=k, check=False))
-        else:
-            raise ValueError(f"unknown shape {d.shape}")
-        ifaces.append(ifc)
-        fields.append(_field(cfg, d, np.full(d.n, max(d.rho0, 0.0))))
-    for a in ifaces:
-        for b in ifaces:
-            if a.id < b.id and _overlapping(a, b):
-                raise ValueError("drops must start disjoint")
+    """Initial state of cfg; its drops must pass check_drops."""
+    ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
+    check_drops(ifaces)
+    fields = [_field(cfg, d, np.full(d.n, max(d.rho0, 0.0)))
+              for d in cfg.drops]
     return CoupledState(ifaces=ifaces, fields=fields)
+
+
+def _interface(k: int, d: DropSpec) -> Interface:
+    """Equal-arclength interface of drop k from its spec."""
+    if d.shape == "circle":
+        return circle(d.n, d.radius, d.center, d.lam, d.phase)
+    if d.shape not in ("ellipse", "custom"):
+        raise ValueError(f"drop {k}: unknown shape {d.shape}")
+    if d.phase != 0:
+        raise ValueError(f"drop {k}: phase applies to circles only, "
+                         f"not to {d.shape} drops")
+    if d.shape == "ellipse":
+        return ellipse(d.n, d.axes[0], d.axes[1], center=d.center, lam=d.lam)
+    z = np.asarray([complex(p[0], p[1]) if not np.iscomplexobj(p) else p
+                    for p in d.points])
+    return to_equal_arclength(Interface(z=resample(z, d.n), lam=d.lam))
+
+
+def check_drops(ifaces):
+    """Raise ValueError, naming the drop, unless every drop is clockwise
+    and free of self-crossings and every pair of drops is disjoint: no
+    crossing, neither inside the other."""
+    for k, ifc in enumerate(ifaces):
+        if signed_area(ifc.z) >= 0:
+            raise ValueError(f"drop {k} is not clockwise")
+    fault = _crossing(ifaces) or next(
+        (f"drops {j} and {k} are nested"
+         for (j, a), (k, b) in combinations(enumerate(ifaces), 2)
+         if _encloses(a, b.z[0]) or _encloses(b, a.z[0])), None)
+    if fault is not None:
+        raise ValueError(f"drops must start disjoint and simple: {fault}")
+
+
+def _crossing(ifaces):
+    """The first self-crossing drop or crossing pair of drops, or None."""
+    for k, ifc in enumerate(ifaces):
+        if self_intersects(ifc):
+            return f"drop {k} crosses itself"
+    for (j, a), (k, b) in combinations(enumerate(ifaces), 2):
+        if interfaces_cross(a, b):
+            return f"drops {j} and {k} cross"
+    return None
 
 
 def _field(cfg: ScenarioConfig, d: DropSpec, rho) -> SurfactantField:
@@ -149,21 +182,11 @@ def _field(cfg: ScenarioConfig, d: DropSpec, rho) -> SurfactantField:
                            eos=cfg.flow.eos)
 
 
-def _point_inside(pt: complex, iface: Interface) -> bool:
-    """Even-odd rule against the polygonal boundary."""
-    z = iface.z
-    x, y = pt.real, pt.imag
-    x1, y1 = z.real, z.imag
-    x2, y2 = np.roll(z.real, -1), np.roll(z.imag, -1)
-    cond = (y1 > y) != (y2 > y)
+def _encloses(iface: Interface, pt: complex) -> bool:
+    """Whether the node polygon of iface winds around the point pt."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        xin = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    return bool(np.sum(cond & (x < xin)) % 2)
-
-
-def _overlapping(a: Interface, b: Interface) -> bool:
-    return (_point_inside(b.z[0], a) or _point_inside(a.z[0], b)
-            or interfaces_cross(a, b))
+        turns = np.angle((np.roll(iface.z, -1) - pt) / (iface.z - pt)).sum()
+    return abs(turns) > np.pi
 
 
 def _snapshot(state: CoupledState):
@@ -181,14 +204,8 @@ def _snapshot(state: CoupledState):
 
 
 def _min_dist_all(state: CoupledState):
-    if len(state.ifaces) < 2:
-        return np.inf
-    out = np.inf
-    for a in state.ifaces:
-        for b in state.ifaces:
-            if a.id < b.id:
-                out = min(out, min_distance(a, b))
-    return out
+    return min((min_distance(a, b) for a, b in combinations(state.ifaces, 2)),
+               default=np.inf)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
@@ -209,6 +226,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
     spacing = state.ifaces[0].spacing() if cfg.run.adapt_spacing else None
 
     def cb(s, info):
+        fault = _crossing(s.ifaces)
+        if fault is not None:
+            raise RuntimeError(f"interface crossing at t={s.t:.6g}: {fault}")
         count[0] += 1
         rec.series.append({
             "t": s.t, "dt": info.dt_used, "r": info.r, "r_z": info.r_z,
@@ -223,9 +243,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
                 and count[0] % cfg.run.checkpoint_every == 0):
             save_checkpoint(os.path.join(out_dir, "checkpoint.npz"),
                             s, ctrl, count[0])
-        for iface in s.ifaces:
-            if self_intersects(iface):
-                raise RuntimeError(f"interface crossing at t={s.t:.6g}")
 
     final, steady = advance_to(
         state, cfg.flow, ctrl,
@@ -325,18 +342,18 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     """State and controller saved by save_checkpoint.
 
     The checkpoint holds positions, concentrations, t and the controller;
-    the material parameters (lambda, E, Pe, eos) come from cfg.
+    the material parameters (lambda, E, Pe, eos) come from cfg.  The
+    drops must pass check_drops.
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     if meta["n_drops"] != len(cfg.drops):
         raise ValueError(f"checkpoint has {meta['n_drops']} drops, "
                          f"config has {len(cfg.drops)}")
-    ifaces, fields = [], []
-    for k, d in enumerate(cfg.drops):
-        ifaces.append(Interface(z=data[f"z_{k}"], lam=d.lam, id=k,
-                                check=False))
-        fields.append(_field(cfg, d, data[f"rho_{k}"]))
+    ifaces = [Interface(z=data[f"z_{k}"], lam=d.lam)
+              for k, d in enumerate(cfg.drops)]
+    check_drops(ifaces)
+    fields = [_field(cfg, d, data[f"rho_{k}"]) for k, d in enumerate(cfg.drops)]
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
@@ -392,7 +409,7 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
             name=name,
             drops=[DropSpec(shape="circle", center=0.0, radius=1.0,
                             lam=0.0, rho0=1.0, n=n)],
-            flow=FlowConfig(Q=0.14, E=0.5, Pe=np.inf, eos="linear"),
+            flow=FlowConfig(Q=0.07, E=0.5, Pe=np.inf, eos="linear"),
             run=RunSpec(t_end=200.0, steady=True, steady_unorm=1e-8,
                         tol=1e-6, dt0=1e-3, dt_max=0.1, output_every=200))
     if name == "pair_clean":
@@ -429,7 +446,8 @@ def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
 
     The roll is an Archimedean-spiral tube, closed smoothly and
     low-pass filtered so it is spectrally representable; lengths are
-    normalized by half the bounding-box side.
+    normalized by half the bounding-box side.  Returns clockwise node
+    arrays; build_state reparametrizes them to equal arclength.
     """
     turns = 2.25
     m = 4096
@@ -448,37 +466,27 @@ def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
     k = np.fft.fftfreq(boundary.shape[0], 1 / boundary.shape[0])
     coef *= np.exp(-(np.abs(k) / 60.0) ** 4)
     smooth = np.fft.ifft(coef * boundary.shape[0])
-    z = resample(smooth, n_roll)
-    roll = to_equal_arclength(Interface(z=z, lam=1.0, id=0, check=False))
-    if signed_area(roll.z) > 0:
-        roll = to_equal_arclength(Interface(z=roll.z[::-1], lam=1.0, id=0,
-                                            check=False))
-    ells = []
-    ring = 1.05
-    for i, ang in enumerate(np.linspace(0, 2 * np.pi, 5, endpoint=False)):
-        e = ellipse(n_ell, 0.30, 0.16, center=ring * np.exp(1j * (ang + 0.3)),
-                    lam=1.0, id=i + 1)
-        rot = np.exp(1j * (ang + 0.3 + np.pi / 2))
-        c = ring * np.exp(1j * (ang + 0.3))
-        z_rot = c + (e.z - c) * rot
-        ells.append(to_equal_arclength(
-            Interface(z=z_rot, lam=1.0, id=i + 1, check=False)))
-    return [roll] + ells
+    roll = resample(smooth, n_roll)
+    if signed_area(roll) > 0:
+        roll = roll[::-1]
+    # five ellipses on a ring, long axes along it
+    centers = 1.05 * np.exp(1j * (np.linspace(0, 2 * np.pi, 5,
+                                              endpoint=False) + 0.3))
+    ell = ellipse(n_ell, 0.30, 0.16).z
+    return [roll] + [c + 1j * c / abs(c) * ell for c in centers]
 
 
 def _swiss_roll_config() -> ScenarioConfig:
-    ifaces = _swiss_roll_geometry()
+    zs = _swiss_roll_geometry()
     # characteristic length: half the bounding square side
-    allz = np.concatenate([i.z for i in ifaces])
+    allz = np.concatenate(zs)
     span = max(allz.real.max() - allz.real.min(),
                allz.imag.max() - allz.imag.min())
     scale = 2.0 / span
-    drops = []
-    for k, ifc in enumerate(ifaces):
-        drops.append(DropSpec(
-            shape="custom", n=ifc.n, lam=1.0,
-            rho0=1.0 if k == 0 else 0.0,
-            points=[(p.real * scale, p.imag * scale) for p in ifc.z]))
+    drops = [DropSpec(shape="custom", n=z.size, lam=1.0,
+                      rho0=1.0 if k == 0 else 0.0,
+                      points=[(p.real * scale, p.imag * scale) for p in z])
+             for k, z in enumerate(zs)]
     return ScenarioConfig(
         name="swiss_roll", drops=drops,
         flow=FlowConfig(Q=0.0, E=0.1, Pe=10.0, eos="linear"),

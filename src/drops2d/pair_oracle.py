@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .spectral import KRASNY_TOL, antiderivative, modes, spectral_derivative
 from .stepper import StepController
+from .stokes import gmres_solve
 
 FLOW_RESIDUAL_TOL = 1e-9
 IMPLICIT_TOL = 1e-12   # relative GMRES residual of the diffusion solve
@@ -364,18 +364,9 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs,
     """
     if not np.isfinite(state.Pe):
         return np.asarray(rhs, dtype=float).copy()
-    m = state.n_grid
     L = _diffusion(state)
-
-    def mv(x):
-        return x - dt_coeff * L(x)
-
-    A = LinearOperator((m, m), matvec=mv)
-    x, info = gmres(A, np.asarray(rhs, dtype=float), rtol=IMPLICIT_TOL,
-                    atol=0.0, maxiter=300, restart=300)
-    if info != 0:
-        raise PairOracleError("implicit surfactant solve stagnated")
-    return x
+    return gmres_solve(lambda x: x - dt_coeff * L(x),
+                       np.asarray(rhs, dtype=float), IMPLICIT_TOL)[0]
 
 
 def _diffusion(state: ConformalPairState):

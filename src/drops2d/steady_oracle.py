@@ -11,9 +11,9 @@ traverses the interface clockwise with nu = 0 at the positive-x tip, so
 oracle output can be compared pointwise against simulations driven by a
 positive extensional rate Q.
 
-The oracle's capillary number counts twice the solver's extensional
-rate: solver Q = oracle Q / 2, so the steady state of steady_q(b, E) is
-a fixed point of stokes.FlowConfig(Q=steady_q(b, E) / 2).
+The oracle's capillary number is twice the solver's extensional rate
+(see stokes.FlowConfig): the steady state of steady_q(b, E) is a fixed
+point of FlowConfig(Q=steady_q(b, E) / 2).
 """
 
 from __future__ import annotations

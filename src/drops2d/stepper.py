@@ -152,7 +152,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     u1, dec1, g1, fE1, _ = stage1
     un_max = max(np.abs(d.u_n).max() for d in dec1)
 
-    ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g), check=False)
+    ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g))
                    for i, g in zip(state.ifaces, g1)]
     fields_half = []
     for ifc_h, f, fe in zip(ifaces_half, state.fields, fE1):
@@ -166,8 +166,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
 
     z_new = [krasny_filter(i.z + dt * g) for i, g in zip(state.ifaces, g2)]
     z_eul = [i.z + dt * g for i, g in zip(state.ifaces, g1)]
-    new_ifaces = [replace(i, z=z, check=False)
-                  for i, z in zip(state.ifaces, z_new)]
+    new_ifaces = [replace(i, z=z) for i, z in zip(state.ifaces, z_new)]
 
     new_fields = []
     for ifc_h, f, fh, fe2 in zip(ifaces_half, state.fields, fields_half, fE2):

@@ -55,9 +55,15 @@ class FlowConfig:
     """Far-field and material parameters.
 
     Q is the extensional rate (capillary number), B and G the shear
-    parameters of the linear far field.  E and Pe describe the surfactant
-    (Pe = inf disables surface diffusion); eos selects the equation of
-    state.  Viscosity ratios are per drop and live on Interface.lam.
+    parameters of the linear far field (Q + iB) conj(z) - (iG/2) z.  E
+    and Pe describe the surfactant (Pe = inf disables surface diffusion);
+    eos selects the equation of state.  Viscosity ratios are per drop and
+    live on Interface.lam.
+
+    This Q is the one convention of the package.  The pair oracle runs
+    at the same rate (pair_oracle.evolve_pair's Q_phys = Q); the steady
+    oracle's capillary number is twice it (the steady state of
+    steady_oracle.b_from_q(2 Q, E) is a fixed point of this Q).
     """
 
     Q: float = 0.0
@@ -83,6 +89,25 @@ class SolverError(RuntimeError):
     def __init__(self, msg, residuals=None):
         super().__init__(msg)
         self.residuals = residuals or []
+
+
+def gmres_solve(matvec, b, tol: float):
+    """One GMRES cycle of at most KRYLOV_DIM iterations on matvec(x) = b.
+
+    Returns (x, max-norm residual, iteration count).  SolverError is
+    raised when GMRES does not reach the relative residual tol or the
+    max-norm residual exceeds tol |b|_2, the bound its convergence
+    implies; non-finite data fail so too.
+    """
+    A = LinearOperator((b.size, b.size), matvec=matvec)
+    steps = []
+    x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM, maxiter=1,
+                    callback=steps.append, callback_type="pr_norm")
+    res = float(np.abs(matvec(x) - b).max())
+    if info != 0 or not res <= tol * np.linalg.norm(b):
+        raise SolverError(f"GMRES residual {res:.2e} after {len(steps)} "
+                          f"iterations (info={info})", residuals=[res])
+    return x, res, len(steps)
 
 
 @dataclass
@@ -211,32 +236,26 @@ def far_field(cfg: FlowConfig, z) -> np.ndarray:
     return (cfg.Q + 1j * cfg.B) * np.conj(z) - 0.5j * cfg.G * z
 
 
-def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
-                  disc: Discretization = None,
-                  kernels: DirectKernels = None) -> DensitySolution:
+def solve_density(disc: Discretization, sigma_gl, cfg: FlowConfig,
+                  kernels: DirectKernels,
+                  tol: float = DEFAULT_TOL) -> DensitySolution:
     """Solve the interfacial stress balance for the layer density.
 
     sigma_gl holds surface tension samples on the composite GL grid (all
-    drops concatenated); each drop's viscosity ratio is its Interface.lam.
+    drops concatenated); each drop's viscosity ratio is the lam of its
+    interface in disc.ifaces.
     The balance i K mu + (1 - lambda) Uc conj(mu) = rhs is real-linear in
     mu, with K real (see below) and Uc from DirectKernels.  On a drop with
     lambda = 0 its left side vanishes on the rigid motions {1, i, iz};
     adding G V^T mu, with V their orthonormal basis in the ds-weighted
     real inner product and G the gauge columns -z, -1, -i on that drop,
     makes the 2N x 2N system nonsingular.  The gauge of mu is then its
-    resolution-independent component along V.  GMRES solves the system
-    divided by i (K = 2 I at lambda = 1) on [Re mu, Im mu] to the
-    relative residual tol in at most KRYLOV_DIM iterations, without
-    restarts; iterations is its count.  SolverError is raised when it
-    does not converge or the max-norm residual exceeds tol |b|_2, the
-    bound that its convergence implies.
+    resolution-independent component along V.  gmres_solve solves the
+    system divided by i (K = 2 I at lambda = 1) on [Re mu, Im mu] to the
+    relative residual tol; iterations is its count.
     """
-    if disc is None:
-        disc = discretize(ifaces)
-    if kernels is None:
-        kernels = DirectKernels(disc)
     N = disc.n
-    lam_drop = np.array([ifc.lam for ifc in ifaces])
+    lam_drop = np.array([ifc.lam for ifc in disc.ifaces])
     lam = lam_drop[disc.drop_of]
     oml = 1.0 - lam
     # The fluid-side limit of the Cauchy transform is
@@ -280,24 +299,15 @@ def solve_density(ifaces, sigma_gl, cfg: FlowConfig, tol: float = DEFAULT_TOL,
                - 1j * (oml * (Uc @ np.conj(mu)) + G @ (W @ mu).real))
         return np.concatenate([out.real, out.imag])
 
-    A = LinearOperator((2 * N, 2 * N), matvec=matvec)
-    b = np.concatenate([rhs.real, rhs.imag])
-    steps = []
-    x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM, maxiter=1,
-                    callback=steps.append, callback_type="pr_norm")
-    res = float(np.abs(A @ x - b).max())
-    # GMRES stops at |r|_2 <= tol |b|_2, which bounds |r|_inf as well
-    if info != 0 or not res <= tol * np.linalg.norm(b):
-        raise SolverError(f"stress-balance solve residual {res:.2e} after "
-                          f"{len(steps)} GMRES iterations (info={info})",
-                          residuals=[res])
+    x, res, iterations = gmres_solve(
+        matvec, np.concatenate([rhs.real, rhs.imag]), tol)
     return DensitySolution(mu=x[:N] + 1j * x[N:], residual=res,
-                           iterations=len(steps))
+                           iterations=iterations)
 
 
 def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
                                    cfg: FlowConfig,
-                                   kernels: DirectKernels = None) -> np.ndarray:
+                                   kernels: DirectKernels) -> np.ndarray:
     """Interfacial velocity at the GL nodes via singularity subtraction.
 
     u = U mu + Uc conj(mu) + far, with the C-linear part applied as
@@ -306,8 +316,6 @@ def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
 
     D the per-panel d/d alpha (DIFF16 scaled by n_panels/pi).
     """
-    if kernels is None:
-        kernels = DirectKernels(disc)
     mu = sol.mu
     dmu = ((mu.reshape(-1, 16) @ DIFF16.T).ravel()
            * (np.asarray(disc.n_panels)[disc.drop_of] / np.pi))
@@ -348,9 +356,8 @@ def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,
     disc = discretize(ifaces)
     kernels = DirectKernels(disc)
     sigma_gl = sigma_to_gl(ifaces, sigma_uniform)
-    sol = solve_density(ifaces, sigma_gl, cfg, tol=tol, disc=disc,
-                        kernels=kernels)
-    u_gl = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kernels)
+    sol = solve_density(disc, sigma_gl, cfg, kernels, tol=tol)
+    u_gl = evaluate_velocity_on_interface(disc, sol, cfg, kernels)
     out = [panel_interp_to_uniform(u, npan, ifc.n) for ifc, npan, u in
            zip(ifaces, disc.n_panels,
                np.split(u_gl, 16 * np.cumsum(disc.n_panels)[:-1]))]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from drops2d import neareval
-from drops2d.dirichlet import (DirichletSolution, GoursatReference,
-                               estimate_field, evaluate_velocity,
-                               inside_star, solve_dirichlet)
+from drops2d import neareval, stokes
+from drops2d.dirichlet import (GoursatReference, estimate_field,
+                               evaluate_velocity, inside_star,
+                               solve_dirichlet)
 
 
 def test_interior_reproduction_far():
@@ -89,3 +89,17 @@ def test_estimate_field_matches_uncull_sum(n_panels):
 def test_inside_star_mask():
     assert inside_star([0.0 + 0j])[0]
     assert not inside_star([2.0 + 0j])[0]
+
+
+def test_non_finite_datum_raises_after_one_gmres_cycle():
+    # one NaN in the boundary datum: one bounded cycle, then SolverError
+    ref = GoursatReference()
+
+    def datum(z):
+        u = ref.velocity(z)
+        u[3] = np.nan
+        return u
+
+    with pytest.raises(stokes.SolverError,
+                       match=f"after {stokes.KRYLOV_DIM} iterations"):
+        solve_dirichlet(8, datum)

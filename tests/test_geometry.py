@@ -13,19 +13,13 @@ from drops2d.geometry import (Interface, advance_positions, adapt_resolution,
 from drops2d.spectral import resample, trapezoid, uniform_alpha
 
 
-def test_interface_requires_clockwise():
-    a = uniform_alpha(64)
-    with pytest.raises(ValueError):
-        Interface(z=np.exp(1j * a))  # counterclockwise
-
-
 def test_interface_grid_validation():
-    # N >= 32 and a multiple of 16, whatever the shape checks say
+    # N >= 32 and a multiple of 16; the shape is checked by harness
     with pytest.raises(ValueError, match="at least 32"):
-        Interface(z=np.zeros(16), check=False)
+        Interface(z=np.zeros(16))
     with pytest.raises(ValueError, match="not divisible"):
-        Interface(z=np.zeros(40), check=False)
-    Interface(z=np.zeros(32), check=False)
+        Interface(z=np.zeros(40))
+    Interface(z=np.zeros(32))
 
 
 def test_circle_helper_is_valid():
@@ -173,7 +167,7 @@ class TestDeformation:
         a = np.sqrt(1.09)
         nu = uniform_alpha(256)
         z = a * np.exp(-1j * nu) + b * np.exp(1j * nu)
-        iface = Interface(z=z, check=False)
+        iface = Interface(z=z)
         want = b / a
         assert abs(deformation_number(iface) - want) < 1e-12
 
@@ -185,7 +179,7 @@ class TestDeformation:
 def test_equal_arclength_reparam():
     a = uniform_alpha(256)
     z = (1 + 0.2 * np.cos(3 * a)) * np.exp(-1j * a)
-    iface = to_equal_arclength(Interface(z=z, check=False))
+    iface = to_equal_arclength(Interface(z=z))
     # equidistance in arclength <=> |z_alpha| constant (up to the spectral
     # tail of the reparametrized curve at this resolution)
     sp = np.abs(iface.z_alpha())
@@ -252,7 +246,7 @@ def curve(kind, n, amp, phase):
         z = np.sin(t) - 1j * amp * np.sin(2 * t)
     else:
         z = np.cos(t) - 1j * np.sin(t) * (amp + (1 - amp) * np.cos(t) ** 2)
-    return Interface(z=z, check=False)
+    return Interface(z=z)
 
 
 shapes = st.tuples(st.sampled_from(["star", "eight", "pinched"]),
@@ -285,6 +279,6 @@ def test_self_intersects_examples():
          scale=0.5, shift=1.1 + 0.2j)
 def test_pair_checks_match_reference(sa, sb, scale, shift):
     a = curve(*sa)
-    b = Interface(z=shift + scale * curve(*sb).z, check=False)
+    b = Interface(z=shift + scale * curve(*sb).z)
     assert min_distance(a, b) == min_distance_ref(a, b)
     assert interfaces_cross(a, b) == interfaces_cross_ref(a, b)

@@ -5,10 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drops2d import harness
+from drops2d.geometry import Interface
 from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
                              compare_to_oracle, load_checkpoint,
                              preset, read_snapshot, run_scenario)
-from drops2d.stokes import FlowConfig
+from drops2d.spectral import uniform_alpha
+from drops2d.steady_oracle import SteadyMap, b_from_q, steady_solution
+from drops2d.stokes import FlowConfig, interface_velocity
+from drops2d.surfactant import SurfactantField, surface_tension
+
+from test_steady_oracle import oracle_on_uniform_alpha
 
 
 def tiny_config(fixed_dt=None, n=64):
@@ -29,9 +36,17 @@ class TestPresets:
         assert preset("pair_surfactant", n=64).flow.Pe == 10.0
 
     def test_steady_single(self):
+        # the preset's Q holds the steady oracle state at oracle Q = 2Q
         cfg = preset("steady_single")
-        assert cfg.flow.Q == 0.14 and cfg.run.steady
-        assert not np.isfinite(cfg.flow.Pe)
+        assert cfg.run.steady and not np.isfinite(cfg.flow.Pe)
+        flow, n = cfg.flow, cfg.drops[0].n
+        sol = steady_solution(SteadyMap.from_b(b_from_q(2 * flow.Q, flow.E)),
+                              E=flow.E)
+        z, rho = oracle_on_uniform_alpha(sol, n)
+        iface = Interface(z, lam=cfg.drops[0].lam)
+        field = SurfactantField(rho, E=flow.E, eos=flow.eos)
+        u, _, _ = interface_velocity([iface], [surface_tension(field)], flow)
+        assert np.abs(u[0]).max() < 5e-9
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -204,3 +219,69 @@ def test_build_state_rejects_overlap():
             build_state(cfg)
     for name in ("pair_clean", "pair_surfactant"):
         assert len(build_state(preset(name)).ifaces) == 2
+
+
+def custom_drop(z, n=128):
+    return DropSpec(shape="custom", n=n, points=[(p.real, p.imag) for p in z])
+
+
+T = uniform_alpha(256)
+
+
+@pytest.mark.parametrize("drop, message", [
+    # an ellipse stored counterclockwise would move backwards
+    (custom_drop(np.cos(T) + 0.7j * np.sin(T)), "drop 1 is not clockwise"),
+    (custom_drop(np.exp(-1j * T) - 0.6 * np.exp(-3j * T)),
+     "drop 1 crosses itself"),
+    (DropSpec(shape="ellipse", axes=(1.0, 0.7), phase=0.3),
+     "drop 1: phase applies to circles only"),
+    (replace(custom_drop(np.exp(-1j * T)), phase=0.3),
+     "drop 1: phase applies to circles only"),
+    (DropSpec(center=-3.2, radius=0.3, n=32), "drops 0 and 1 are nested"),
+], ids=["counterclockwise", "self_crossing", "ellipse_phase", "custom_phase",
+        "nested"])
+def test_build_state_rejects_bad_drop(drop, message):
+    cfg = ScenarioConfig(name="bad", drops=[DropSpec(center=-3.0, n=64), drop],
+                         flow=FlowConfig(), run=RunSpec())
+    with pytest.raises(ValueError, match=message):
+        build_state(cfg)
+
+
+def test_load_checkpoint_rejects_reversed_drop(tmp_path):
+    cfg = tiny_config(fixed_dt=2e-3)
+    cfg.run.t_end, cfg.run.checkpoint_every = 4e-3, 1
+    run_scenario(cfg, out_dir=str(tmp_path))
+    path = str(tmp_path / "checkpoint.npz")
+    data = dict(np.load(path))
+    np.savez(path, **{**data, "z_0": data["z_0"][::-1]})
+    with pytest.raises(ValueError, match="drop 0 is not clockwise"):
+        load_checkpoint(path, cfg)
+
+
+def test_run_stops_before_recording_crossed_drops(tmp_path, monkeypatch):
+    # the extension drives the drops together; the fifth step crosses them
+    records = []
+
+    class Kept(harness.RunRecord):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            records.append(self)
+
+    monkeypatch.setattr(harness, "RunRecord", Kept)
+    c = 1.03
+    cfg = ScenarioConfig(
+        name="crossing",
+        drops=[DropSpec(center=1j * c, n=64, phase=np.pi / 2),
+               DropSpec(center=-1j * c, n=64, phase=-np.pi / 2)],
+        flow=FlowConfig(Q=1.0),
+        run=RunSpec(t_end=1.0, fixed_dt=0.03, output_every=1,
+                    checkpoint_every=1))
+    with pytest.raises(RuntimeError, match="t=0.15: drops 0 and 1 cross"):
+        run_scenario(cfg, out_dir=str(tmp_path))
+    rec, = records
+    # the checkpoint holds the last step before the crossing, and loading
+    # it runs the drop check
+    state, _, counter = load_checkpoint(str(tmp_path / "checkpoint.npz"), cfg)
+    assert counter == len(rec.series) == 4
+    assert rec.series[-1]["t"] == rec.snapshots[-1]["t"] == state.t
+    assert state.t == pytest.approx(0.12)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from drops2d import neareval
 from drops2d.neareval import (CULL_FACTOR, NEWTON_MAXITER, PanelData,
                               candidates, correct_panel_integrals,
-                              correction_rows, estimate_error, kernel_rows,
+                              estimate_error, kernel_rows,
                               locate_preimage, needs_correction,
                               overwrite_near_blocks, prepare_panel,
                               recursion_pq)
@@ -344,8 +344,8 @@ class TestNearCorrect:
         from drops2d.geometry import circle
         from drops2d.stokes import discretize
 
-        disc = discretize([circle(64, center=1.15, id=0),
-                           circle(64, center=-1.15, id=1)])
+        disc = discretize([circle(64, center=1.15),
+                           circle(64, center=-1.15)])
         mu = (1 + 0.3j) * np.exp(0.4 * disc.z) + 0.2 * np.conj(disc.z)
         targets = np.array([0.0, 0.05 + 0.1j, -0.08 - 0.2j, 0.1 + 0.02j,
                             1.15 + 1.02j, -1.15 - 0.97j])
@@ -548,7 +548,7 @@ class TestBatchInvariance:
         from drops2d.geometry import circle
         from drops2d.stokes import DirectKernels, discretize
 
-        disc = discretize([circle(128, id=0)])
+        disc = discretize([circle(128)])
         assert DirectKernels(disc).pairs.shape == (0, 2)
         none = np.zeros(0, dtype=int)
         pk = disc.panels[none]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from drops2d.harness import PAIR_CLEAN_PHI0, _pair_center, build_state, preset
-from drops2d.pair_oracle import (ConformalPairState, PairOracleError,
-                                 bubble_area, evolve_pair, geometry,
-                                 interface_velocity, kinematic_coefficients,
+from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
+                             build_state, compare_to_oracle, preset,
+                             run_scenario)
+from drops2d.pair_oracle import (ConformalPairState, bubble_area,
+                                 evolve_pair, geometry, interface_velocity,
                                  mapping_rhs, min_gap, pair_from_circles,
                                  physical_frame, solve_b, solve_flow,
                                  step_midpoint, surfactant_mass_pair,
@@ -198,6 +199,24 @@ def test_close_pair_error_falls_under_refinement():
     e256, _ = _solver_oracle_error(0.8, 256, 256)
     e512, _ = _solver_oracle_error(0.8, 512, 256)
     assert e512 < e256
+
+
+def test_solver_evolution_matches_oracle():
+    # pair_surfactant at 2x192 and the oracle at nv = 48 after a short
+    # run; the gates are those of the benchmark's pair_n192 workload
+    from dataclasses import replace
+
+    cfg = preset("pair_surfactant", n=192)
+    cfg = replace(cfg, run=replace(cfg.run, t_end=0.02))
+    final = run_scenario(cfg).final_state
+    start = pair_from_circles(48, phi=PAIR_SURF_PHI0, rho0=cfg.drops[0].rho0,
+                              E=cfg.flow.E, Pe=cfg.flow.Pe)
+    out, _ = evolve_pair(start, Q_phys=cfg.flow.Q, t_end=cfg.run.t_end)
+    z, rho, alphaV = physical_frame(out)
+    # drop 0 is the upper one, the oracle's bubble
+    cmp = compare_to_oracle(final, {"alphaV": alphaV, "z": z, "rho": rho})
+    assert cmp["e_z_max"] < 1e-7
+    assert cmp["e_rho_max"] < 1e-6
 
 
 def test_cli_pair_oracle_defaults_to_pair_preset_q(tmp_path):

@@ -108,3 +108,17 @@ class TestSolverConvention:
     def test_oracle_q_is_not_at_rest(self):
         _, u_n, _ = self.solve(0.14)
         assert np.abs(u_n).max() > 0.1
+
+
+def test_cli_steady_oracle_defaults_to_steady_preset_q(tmp_path):
+    from drops2d.cli import main
+    from drops2d.harness import preset
+
+    main(["oracle", "steady", "--out-dir", str(tmp_path), "--points", "64"])
+    with open(tmp_path / "steady_oracle.csv") as fh:
+        header = dict(item.strip("# \n").split(" = ")
+                      for item in fh.readline().split(","))
+    # the header holds the FlowConfig Q; the curve is the oracle's at 2Q
+    Q = preset("steady_single").flow.Q
+    assert float(header["Q"]) == pytest.approx(Q, abs=1e-15)
+    assert float(header["b"]) == b_from_q(2 * Q, 0.5)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from drops2d.geometry import circle, normals
-from drops2d.spectral import uniform_alpha
+from drops2d.geometry import circle
 from drops2d.stepper import (CoupledState, StepController, advance_to,
                              local_errors, step)
 from drops2d.stokes import FlowConfig
-from drops2d.surfactant import SurfactantField, surfactant_mass
+from drops2d.surfactant import SurfactantField
 
 
 def make_state(n=64, rho0=None, Pe=np.inf, E=0.5, lam=0.0, radius=1.0):
@@ -153,8 +152,7 @@ def test_clean_reduces_to_midpoint():
     from drops2d.spectral import krasny_filter
     half = CoupledState(
         ifaces=[replace(state.ifaces[0],
-                        z=krasny_filter(state.ifaces[0].z + 0.5e-3 * g1[0]),
-                        check=False)],
+                        z=krasny_filter(state.ifaces[0].z + 0.5e-3 * g1[0]))],
         fields=state.fields, t=0.5e-3)
     u2, dec2, g2, fE2, sol2 = _stage_eval(half, cfg, 1e-11)
     z_manual = krasny_filter(state.ifaces[0].z + 1e-3 * g2[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drops2d import stokes
-from drops2d.geometry import Interface, circle, normals, to_equal_arclength
+from drops2d.geometry import Interface, circle, to_equal_arclength
 from drops2d.spectral import uniform_alpha
 from drops2d.stokes import (DirectKernels, FlowConfig, SolverError, discretize,
                             evaluate_velocity_offgrid,
@@ -16,7 +16,7 @@ def solve_setup(ifaces, cfg, sigma=None):
     if sigma is None:
         sigma = [np.ones(i.n) for i in ifaces]
     sig_gl = sigma_to_gl(ifaces, sigma)
-    sol = solve_density(ifaces, sig_gl, cfg, disc=disc, kernels=kern)
+    sol = solve_density(disc, sig_gl, cfg, kern)
     return disc, kern, sol
 
 
@@ -42,11 +42,11 @@ class TestSolveDensity:
         # the solve must stay uniformly well-posed under refinement
         a = uniform_alpha(256)
         z = (1 + 0.2 * np.cos(3 * a)) * np.exp(-1j * a)
-        base = to_equal_arclength(Interface(z=z, check=False))
+        base = to_equal_arclength(Interface(z=z))
         cfg = FlowConfig(Q=0.05)
         for n in (128, 256):
             from drops2d.spectral import resample
-            iface = Interface(z=resample(base.z, n), check=False)
+            iface = Interface(z=resample(base.z, n))
             disc, kern, sol = solve_setup([iface], cfg)
             assert sol.residual < 1e-8
 
@@ -103,8 +103,8 @@ class TestSolveDensity:
 
     def test_unconverged_solve_raises(self, monkeypatch):
         monkeypatch.setattr(stokes, "KRYLOV_DIM", 2)
-        pair = [circle(64, center=1.6, lam=0.0, id=0),
-                circle(64, center=-1.6, lam=0.0, id=1)]
+        pair = [circle(64, center=1.6, lam=0.0),
+                circle(64, center=-1.6, lam=0.0)]
         with pytest.raises(SolverError) as exc:
             solve_setup(pair, FlowConfig(Q=-0.1))
         assert exc.value.residuals[0] > 1e-8
@@ -230,13 +230,13 @@ class TestSelfConvergence:
     def test_density_panel_convergence(self):
         a = uniform_alpha(192)
         z = (1 + 0.1 * np.cos(3 * a)) * np.exp(-1j * a)
-        base = to_equal_arclength(Interface(z=z, check=False))
+        base = to_equal_arclength(Interface(z=z))
         cfg = FlowConfig(Q=0.05)
         from drops2d.spectral import resample
 
         mus = {}
         for n in (192, 384):
-            iface = Interface(z=resample(base.z, n), check=False)
+            iface = Interface(z=resample(base.z, n))
             disc, kern, sol = solve_setup([iface], cfg)
             mus[n] = (disc, sol)
         # density at coincident points: node 0 of each panel set differs,
@@ -252,13 +252,13 @@ class TestSelfConvergence:
         # the identical analytic interface
         a = uniform_alpha(192)
         z = (1 + 0.1 * np.cos(3 * a)) * np.exp(-1j * a)
-        base = to_equal_arclength(Interface(z=z, check=False))
+        base = to_equal_arclength(Interface(z=z))
         cfg = FlowConfig(Q=0.05)
         from drops2d.spectral import resample
 
         us = {}
         for n in (192, 384):
-            iface = Interface(z=resample(base.z, n), check=False)
+            iface = Interface(z=resample(base.z, n))
             u_list, sol, disc = interface_velocity([iface],
                                                    [np.ones(n)], cfg)
             us[n] = resample(u_list[0], 64)
@@ -269,8 +269,8 @@ def test_two_bubble_solve_basics():
     # symmetric pair: solution exists, flux-free per bubble, u odd
     c0 = 1.6
     n = 128
-    i1 = circle(n, center=c0, lam=0.0, id=0)
-    i2 = circle(n, center=-c0, lam=0.0, id=1)
+    i1 = circle(n, center=c0, lam=0.0)
+    i2 = circle(n, center=-c0, lam=0.0)
     cfg = FlowConfig(Q=-0.1)
     disc, kern, sol = solve_setup([i1, i2], cfg)
     u = evaluate_velocity_on_interface(disc, sol, cfg, kernels=kern)

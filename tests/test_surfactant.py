@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from drops2d.geometry import VelocityDecomposition, circle, normals
-from drops2d.spectral import spectral_derivative, uniform_alpha
+from drops2d.geometry import VelocityDecomposition, circle
+from drops2d.spectral import uniform_alpha
 from drops2d.surfactant import (SurfactantField, rhs_explicit,
                                 rhs_implicit_solve, surface_tension,
                                 surfactant_mass, with_rho)
