@@ -360,13 +360,14 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs,
     """Solve (I - dt_coeff * L) rho = rhs, L the surface diffusion operator.
 
     L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|) is non-diagonal through
-    |z_nu|; GMRES converges quickly at the relevant step sizes.
+    |z_nu|; GMRES may take as many iterations as the grid has points.
     """
     if not np.isfinite(state.Pe):
         return np.asarray(rhs, dtype=float).copy()
     L = _diffusion(state)
     return gmres_solve(lambda x: x - dt_coeff * L(x),
-                       np.asarray(rhs, dtype=float), IMPLICIT_TOL)[0]
+                       np.asarray(rhs, dtype=float), IMPLICIT_TOL,
+                       max_iter=state.n_grid)[0]
 
 
 def _diffusion(state: ConformalPairState):

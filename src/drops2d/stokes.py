@@ -46,7 +46,7 @@ from . import neareval
 from .spectral import DIFF16, gl_geometry, panel_grid, uniform_to_gl
 
 DEFAULT_TOL = 1e-12
-# GMRES iteration cap; its basis takes (KRYLOV_DIM + 1) x 2N floats
+# GMRES cycle length; its basis takes (KRYLOV_DIM + 1) x 2N floats
 KRYLOV_DIM = 200
 
 
@@ -91,8 +91,9 @@ class SolverError(RuntimeError):
         self.residuals = residuals or []
 
 
-def gmres_solve(matvec, b, tol: float):
-    """One GMRES cycle of at most KRYLOV_DIM iterations on matvec(x) = b.
+def gmres_solve(matvec, b, tol: float, max_iter: int = None):
+    """GMRES on matvec(x) = b in cycles of KRYLOV_DIM iterations, as many
+    as max_iter needs (default: one cycle).
 
     Returns (x, max-norm residual, iteration count).  SolverError is
     raised when GMRES does not reach the relative residual tol or the
@@ -101,7 +102,8 @@ def gmres_solve(matvec, b, tol: float):
     """
     A = LinearOperator((b.size, b.size), matvec=matvec)
     steps = []
-    x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM, maxiter=1,
+    x, info = gmres(A, b, rtol=tol, atol=0.0, restart=KRYLOV_DIM,
+                    maxiter=-(-(max_iter or KRYLOV_DIM) // KRYLOV_DIM),
                     callback=steps.append, callback_type="pr_norm")
     res = float(np.abs(matvec(x) - b).max())
     if info != 0 or not res <= tol * np.linalg.norm(b):

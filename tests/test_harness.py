@@ -217,8 +217,9 @@ def test_build_state_rejects_overlap():
             run=RunSpec())
         with pytest.raises(ValueError, match="drops must start disjoint"):
             build_state(cfg)
-    for name in ("pair_clean", "pair_surfactant"):
-        assert len(build_state(preset(name)).ifaces) == 2
+    for name, drops in (("pair_clean", 2), ("pair_surfactant", 2),
+                        ("swiss_roll", 6)):
+        assert len(build_state(preset(name)).ifaces) == drops
 
 
 def custom_drop(z, n=128):

@@ -4,12 +4,14 @@ import pytest
 from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
-from drops2d.pair_oracle import (ConformalPairState, bubble_area,
-                                 evolve_pair, geometry, interface_velocity,
-                                 mapping_rhs, min_gap, pair_from_circles,
-                                 physical_frame, solve_b, solve_flow,
-                                 step_midpoint, surfactant_mass_pair,
-                                 surfactant_rhs, surfactant_sigma)
+from drops2d.pair_oracle import (IMPLICIT_TOL, ConformalPairState,
+                                 _diffusion, bubble_area, evolve_pair,
+                                 geometry, interface_velocity, mapping_rhs,
+                                 min_gap, pair_from_circles, physical_frame,
+                                 solve_b, solve_flow, step_midpoint,
+                                 surfactant_implicit_solve,
+                                 surfactant_mass_pair, surfactant_rhs,
+                                 surfactant_sigma)
 
 
 def test_initial_circles_geometry():
@@ -96,6 +98,15 @@ class TestSurfactant:
             out, _ = step_midpoint(out, -0.5, dt)
         m1 = surfactant_mass_pair(out)
         assert abs(m1 - m0) / m0 < 1e-8
+
+    def test_stiff_diffusion_solve_restarts(self):
+        # nv = 192 (the CLI default), Pe = 1, half step 2.5e-3: GMRES takes
+        # 503 iterations, more than one cycle of stokes.KRYLOV_DIM
+        st = pair_from_circles(192, phi=0.35, rho0=1.0, E=0.5, Pe=1.0)
+        rhs = st.rho + 0.01 * np.cos(3 * st.nu)
+        rho = surfactant_implicit_solve(st, rhs, 2.5e-3)
+        resid = rho - 2.5e-3 * _diffusion(st)(rho) - rhs
+        assert np.abs(resid).max() <= IMPLICIT_TOL * np.linalg.norm(rhs)
 
 
 @pytest.fixture(scope="module")
