@@ -75,7 +75,7 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
     grid, z, zp, zpp, z_edges = star_contour(n_panels)
     w = grid.weights
     n = z.shape[0]
-    Cw, M2w = layer_matrices(z, zp, zpp, w)
+    Cw, M2w, _ = layer_matrices(z, zp, zpp, w)
     # Im C with its smooth diagonal limit
     M1w = Cw.imag.copy()
     M1w[np.arange(n), np.arange(n)] = w * np.imag(zpp / (2 * zp))
@@ -85,7 +85,9 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
 
     def matvec(x):
         mu = x[:n] + 1j * x[n:]
-        out = mu + (M1w @ mu) / np.pi - (M2w @ np.conj(mu)) / np.pi
+        # M1w on [Re mu, Im mu]: M1w @ mu would cast it to a complex copy
+        out = (mu + (M1w @ x.reshape(2, n).T @ [1, 1j]) / np.pi
+               - (M2w @ np.conj(mu)) / np.pi)
         return np.concatenate([out.real, out.imag])
 
     x, res, _ = gmres_solve(matvec, np.concatenate([data.real, data.imag]),
@@ -106,8 +108,10 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu = sol.mu
     C, M2 = (near_layer_matrices(sol, mu, t) if corrected else
-             layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t))
-    return (-1j / np.pi) * (C.imag @ mu) + (1j / np.pi) * (M2 @ np.conj(mu))
+             layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t)[:2])
+    # Im C on [Re mu, Im mu]: Im C @ mu would cast it to a complex copy
+    ImCmu = C.imag @ np.column_stack([mu.real, mu.imag]) @ [1, 1j]
+    return (-1j / np.pi) * ImCmu + (1j / np.pi) * (M2 @ np.conj(mu))
 
 
 def estimate_field(sol: DirichletSolution, targets):

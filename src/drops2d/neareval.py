@@ -10,8 +10,8 @@ the singular moments
 
 are generated by forward recursion.  A separate contour-integral remainder
 estimate predicts the plain Gauss-Legendre error for each point-panel pair
-and decides when the special rule is needed.  candidates is the one
-distance cull: only the pairs it returns are ever estimated or corrected.
+and decides when the special rule is needed.  cull is the one distance
+cull: only the pairs it returns are ever estimated or corrected.
 
 Panels come as one stacked PanelData, built in one vectorised
 prepare_panel pass, with a leading panel axis on every field.  Indexing
@@ -59,15 +59,22 @@ def _rows(obj, sel):
 
 
 def candidates(panels, targets):
+    """The cull of targets without assembled kernels, from their distances
+    to every node."""
+    t = np.atleast_1d(np.asarray(targets, dtype=complex))
+    d = panels.z_nodes[None, :, :] - t[:, None, None]
+    return cull(panels, (d.real ** 2 + d.imag ** 2).min(axis=2))
+
+
+def cull(panels, dist2):
     """(target, panel) index pairs that may need the special rule.
 
-    A pair is a candidate when the panel node nearest the target lies
-    within CULL_FACTOR panel lengths of it.  Returns two index arrays,
-    target-major, as np.nonzero does.
+    dist2[i, g] is the squared distance from target i to the nearest node
+    of panel g (stokes.layer_matrices returns it with the kernels).  A pair
+    is a candidate when that distance is at most CULL_FACTOR panel
+    lengths.  Returns two index arrays, target-major, as np.nonzero does.
     """
-    t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    dmin = np.abs(panels.z_nodes[None, :, :] - t[:, None, None]).min(axis=2)
-    return np.nonzero(dmin <= CULL_FACTOR * panels.length)
+    return np.nonzero(np.sqrt(dist2) <= CULL_FACTOR * panels.length)
 
 
 @dataclass

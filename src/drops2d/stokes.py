@@ -38,6 +38,7 @@ pairs of the nodes (DirectKernels) and for targets off the interfaces
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -169,29 +170,40 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
 def layer_matrices(z, zp, zpp, w, targets=None):
     """Weighted dense kernels of the layer potential on the nodes z.
 
-    Returns (C, M2), one row per target t_i (the nodes themselves when
-    targets is None), with, for t_i != z_j,
+    Returns (C, M2, dist2), one row per target t_i (the nodes themselves
+    when targets is None), with, for t_i != z_j,
 
         C_ij  = w_j z'_j/(z_j - t_i)
-        M2_ij = w_j Im{z'_j conj(z_j - t_i)}/conj(z_j - t_i)^2.
+        M2_ij = w_j Im{z'_j conj(z_j - t_i)}/conj(z_j - t_i)^2,
 
+    and dist2[i, g] the squared distance from t_i to the nearest node of
+    panel g (nodes 16g:16g+16), the input of neareval.cull.
     On the nodes, C has a zero diagonal (the sums that use it subtract the
     singularity) and M2 carries its smooth diagonal limit from z''.
     Off-grid targets must not coincide with a node (ValueError).
     """
     t = z if targets is None else np.atleast_1d(np.asarray(targets, dtype=complex))
+    # two complex N x N buffers, dz (which becomes M2) and C, and one real
+    # one, |dz|^2, whose squares are staged in the buffer of C
     dz = z[None, :] - t[:, None]
-    if targets is not None and np.any(dz == 0):
+    C = np.empty_like(dz)
+    sq = np.square(dz.view(float), out=C.view(float))
+    d2 = sq[:, ::2] + sq[:, 1::2]
+    # node by node: a min over the trailing axis of 16 is 4x slower
+    dist2 = reduce(np.minimum,
+                   np.moveaxis(d2.reshape(t.size, z.size // 16, 16), 2, 0))
+    if targets is not None and np.any(dist2 == 0):
         raise ValueError("target coincides with a quadrature node")
     with np.errstate(divide="ignore", invalid="ignore"):
-        C = zp[None, :] / dz
-        cj = np.conj(dz)
-        M2 = np.imag(zp[None, :] * cj) / cj**2
+        np.divide(zp * w, dz, out=C)
+        # M2 = Im(C) dz^2/|dz|^2, in place in the buffer of dz
+        M2 = np.square(dz, out=dz)
+        M2 *= np.divide(C.imag, d2, out=d2)
     if targets is None:
         idx = np.arange(z.shape[0])
         C[idx, idx] = 0.0
-        M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2)
-    return C * w[None, :], M2 * w[None, :]
+        M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2) * w
+    return C, M2, dist2
 
 
 def near_layer_matrices(geom, mu, targets):
@@ -204,9 +216,10 @@ def near_layer_matrices(geom, mu, targets):
     special rows (neareval.overwrite_near_blocks).
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    C, M2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w, targets=t)
+    C, M2, dist2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                  targets=t)
     mu_inf = np.abs(mu).reshape(len(geom.panels), 16).max(axis=1)
-    ti, ip = neareval.candidates(geom.panels, t)
+    ti, ip = neareval.cull(geom.panels, dist2)
     neareval.overwrite_near_blocks(C, M2, geom.panels, t, ti, ip, mu_inf[ip])
     return C, M2
 
@@ -225,12 +238,12 @@ class DirectKernels:
     """
 
     def __init__(self, disc: Discretization):
-        self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
-        i, ip = neareval.candidates(disc.panels, disc.z)
+        self.CAU, M2, dist2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        i, ip = neareval.cull(disc.panels, dist2)
         cross = disc.drop_of[i] != disc.drop_of[16 * ip]
         self.pairs = np.column_stack(neareval.overwrite_near_blocks(
             self.CAU, M2, disc.panels, disc.z, i[cross], ip[cross], 1.0))
-        self.Uc = 1j * M2 / np.pi
+        self.Uc = np.multiply(M2, 1j / np.pi, out=M2)
 
 
 def far_field(cfg: FlowConfig, z) -> np.ndarray:
@@ -341,7 +354,9 @@ def evaluate_velocity_offgrid(disc: Discretization, sol: DensitySolution,
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu = sol.mu
     C, M2 = near_layer_matrices(disc, mu, t)
-    u = -(C.real @ mu) / np.pi - (M2 @ np.conj(mu)) / (1j * np.pi)
+    # Re C on [Re mu, Im mu]: Re C @ mu would cast it to a complex copy
+    ReCmu = C.real @ np.column_stack([mu.real, mu.imag]) @ [1, 1j]
+    u = -ReCmu / np.pi - (M2 @ np.conj(mu)) / (1j * np.pi)
     return u + far_field(cfg, t)
 
 

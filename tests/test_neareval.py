@@ -230,6 +230,37 @@ def test_idempotence_where_plain_accurate():
         assert abs(rc @ mu - rp @ mu) < 1e-12
 
 
+def pair_clean_disc(phi, n=128):
+    """Discretization of the pair_clean preset at the gap parameter phi."""
+    from dataclasses import replace
+
+    from drops2d.harness import _pair_center, build_state, preset
+    from drops2d.stokes import discretize
+
+    cfg = preset("pair_clean", n=n)
+    c = _pair_center(phi)
+    cfg.drops = [replace(d, center=s * 1j * c)
+                 for d, s in zip(cfg.drops, (1, -1))]
+    return discretize(build_state(cfg).ifaces)
+
+
+def brute_force_pairs(panels, targets):
+    """The cull by its definition: min over a panel's nodes of |z - t|
+    within CULL_FACTOR panel lengths, pair by pair."""
+    return {(k, ip) for k, z0 in enumerate(targets)
+            for ip, panel in enumerate(panels)
+            if np.min(np.abs(panel.z_nodes - z0)) <= CULL_FACTOR * panel.length}
+
+
+def check_pairs(ti, pi, want, n_targets):
+    got = set(zip(ti.tolist(), pi.tolist()))
+    assert len(got) == len(ti)
+    assert got == want
+    assert len(want) > n_targets
+    # target-major, as np.nonzero returns them
+    assert np.all(np.diff(ti) >= 0)
+
+
 class TestCandidates:
     @pytest.mark.parametrize("n_panels", [25, 50])
     def test_matches_brute_force(self, n_panels):
@@ -240,14 +271,31 @@ class TestCandidates:
         # points in and around the star, two nodes and a chord midpoint
         box = 3 * (rng.random(300) - 0.5) + 3j * (rng.random(300) - 0.5)
         targets = np.concatenate([box, panels[3].z_nodes[:2], [panels[7].mid]])
-        want = {(k, ip) for k, z0 in enumerate(targets)
-                for ip, panel in enumerate(panels)
-                if np.min(np.abs(panel.z_nodes - z0)) <= CULL_FACTOR * panel.length}
         ti, pi = candidates(panels, targets)
-        got = set(zip(ti.tolist(), pi.tolist()))
-        assert len(got) == len(ti)
-        assert got == want
-        assert len(want) > len(targets)
+        check_pairs(ti, pi, brute_force_pairs(panels, targets), len(targets))
+
+    def test_cull_of_assembly_off_grid(self):
+        # the distances that layer_matrices returns with the kernels
+        from drops2d.dirichlet import GoursatReference, solve_dirichlet
+
+        sol = solve_dirichlet(50, GoursatReference().velocity)
+        rng = np.random.default_rng(50)
+        box = 3 * (rng.random(300) - 0.5) + 3j * (rng.random(300) - 0.5)
+        targets = np.concatenate([box, [sol.panels[7].mid]])
+        _, _, dist2 = layer_matrices(sol.z, sol.zp, sol.zpp, sol.w,
+                                     targets=targets)
+        ti, pi = neareval.cull(sol.panels, dist2)
+        check_pairs(ti, pi, brute_force_pairs(sol.panels, targets),
+                    len(targets))
+
+    def test_cull_of_assembly_on_nodes(self):
+        disc = pair_clean_disc(0.6)
+        _, _, dist2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        ti, pi = neareval.cull(disc.panels, dist2)
+        want = brute_force_pairs(disc.panels, disc.z)
+        check_pairs(ti, pi, want, disc.n)
+        # cross-drop pairs are among them
+        assert any(disc.drop_of[k] != disc.drop_of[16 * g] for k, g in want)
 
 
 class TestPanelSet:
@@ -309,8 +357,8 @@ class TestNearCorrect:
         return dK1, dK2, dI, hits
 
     def check(self, geom, mu, targets):
-        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
-                                 targets=targets)
+        C0, M20, _ = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                    targets=targets)
         C, M2 = near_layer_matrices(geom, mu, targets)
         dI = (C - C0) @ mu
         dK1 = (C - C0).real @ mu
@@ -325,8 +373,8 @@ class TestNearCorrect:
     @staticmethod
     def check_plain_outside_blocks(geom, mu, targets, C, M2):
         """Only the flagged blocks differ from layer_matrices, bitwise."""
-        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
-                                 targets=targets)
+        C0, M20, _ = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                    targets=targets)
         ti, ip = candidates(geom.panels, targets)
         mu_inf = np.abs(mu).reshape(-1, 16).max(axis=1)[ip]
         C1, M21 = C0.copy(), M20.copy()
@@ -361,18 +409,11 @@ class TestNearCorrect:
         self.check(sol, sol.mu, targets)
 
     def test_direct_kernels_plain_outside_blocks(self):
-        from dataclasses import replace
+        from drops2d.stokes import DirectKernels
 
-        from drops2d.harness import _pair_center, build_state, preset
-        from drops2d.stokes import DirectKernels, discretize
-
-        cfg = preset("pair_clean", n=128)
-        c = _pair_center(0.6)
-        cfg.drops = [replace(d, center=s * 1j * c)
-                     for d, s in zip(cfg.drops, (1, -1))]
-        disc = discretize(build_state(cfg).ifaces)
+        disc = pair_clean_disc(0.6)
         kern = DirectKernels(disc)
-        C0, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C0, _, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         i, g = kern.pairs.T
         assert i.size > 0
         assert np.all(disc.drop_of[i] != disc.drop_of[16 * g])
@@ -556,7 +597,7 @@ class TestBatchInvariance:
         assert frame.xi0.shape == (0,)
         assert estimate_error(pk, frame, 1.0).shape == (0,)
         assert needs_correction(pk, np.zeros(0, dtype=complex), 1.0) is None
-        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C0, M20, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         C, M2 = C0.copy(), M20.copy()
         ti, ip = overwrite_near_blocks(C, M2, disc.panels, disc.z, none,
                                        none, 1.0)
@@ -565,6 +606,6 @@ class TestBatchInvariance:
         # a far target has candidates neither
         far = np.array([5.0 + 0j])
         C, M2 = near_layer_matrices(disc, np.ones(disc.n), far)
-        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
-                                 targets=far)
+        C0, M20, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                    targets=far)
         assert np.array_equal(C, C0) and np.array_equal(M2, M20)

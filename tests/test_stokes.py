@@ -226,6 +226,80 @@ class TestVelocity:
             evaluate_velocity_offgrid(disc, sol, cfg, [disc.z[3]])
 
 
+class TestLayerMatrices:
+    """The weighted kernels against their textbook entries, one by one."""
+
+    @pytest.fixture(scope="class")
+    def disc(self):
+        from drops2d.geometry import ellipse
+
+        return discretize([ellipse(64, 1.2, 0.7, center=-1.0),
+                           circle(64, radius=0.6, center=1.1 + 0.3j)])
+
+    @staticmethod
+    def textbook(disc, targets):
+        """w_j z'_j/(z_j - t) and w_j Im{z'_j conj(z_j - t)}/conj(z_j - t)^2;
+        at a node, C is 0 and M2 its limit w Im{z'' conj z'}/(2 conj z'^2)."""
+        C = np.zeros((len(targets), disc.n), dtype=complex)
+        M2 = np.zeros_like(C)
+        for i, t in enumerate(targets):
+            for j in range(disc.n):
+                zp, w = complex(disc.zp[j]), float(disc.w[j])
+                d = complex(disc.z[j]) - complex(t)
+                if d == 0:
+                    zpp = complex(disc.zpp[j])
+                    M2[i, j] = (w * (zpp * zp.conjugate()).imag
+                                / (2 * zp.conjugate() ** 2))
+                else:
+                    C[i, j] = w * zp / d
+                    M2[i, j] = (w * (zp * d.conjugate()).imag
+                                / d.conjugate() ** 2)
+        return C, M2
+
+    @staticmethod
+    def assert_entries(got, want):
+        for g, r in zip(got, want):
+            assert g.shape == r.shape
+            assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
+
+    def test_on_grid(self, disc):
+        C, M2, _ = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        self.assert_entries((C, M2), self.textbook(disc, disc.z))
+
+    def test_off_grid(self, disc):
+        # near a node, between the drops, inside each and far away
+        targets = np.array([disc.z[5] + 1e-3j, 0.05 + 0.1j, -1.0, 1.1 + 0.2j,
+                            4.0 - 3.0j])
+        C, M2, _ = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                         targets=targets)
+        self.assert_entries((C, M2), self.textbook(disc, targets))
+        with pytest.raises(ValueError):
+            stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                  targets=[0.5, disc.z[7]])
+
+    def test_empty_target_set(self, disc):
+        C, M2, dist2 = stokes.layer_matrices(disc.z, disc.zp, disc.zpp,
+                                             disc.w, targets=np.zeros(0))
+        assert C.shape == M2.shape == (0, disc.n)
+        assert dist2.shape == (0, len(disc.panels))
+
+    def test_assembly_memory(self):
+        # one assembly allocates two complex N x N arrays (C and M2) and
+        # one transient real one (|z_j - z_i|^2)
+        import tracemalloc
+
+        from drops2d.harness import build_state, preset
+
+        disc = discretize(build_state(preset("pair_surfactant", n=192)).ifaces)
+        tracemalloc.start()
+        try:
+            DirectKernels(disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * disc.n ** 2
+
+
 class TestSelfConvergence:
     def test_density_panel_convergence(self):
         a = uniform_alpha(192)
