@@ -1,10 +1,14 @@
-"""Every name that a module of the package or of the tests imports is used.
+"""Every name that a module of the package or of the tests imports is used,
+and the solver's modules load no heavy scipy subpackage.
 
 No linter is a test dependency, so an AST scan stands in for one: a name
 bound by an import must appear as a name somewhere in its module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,23 @@ def test_scan_flags_unused_names():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the modules the benchmark loads (bench/workloads.py), and the scipy
+# subpackages that would add tens of MB to every run's resident memory
+SOLVER_MODULES = ("harness", "stepper", "stokes", "neareval", "spectral",
+                  "geometry", "surfactant", "dirichlet", "pair_oracle")
+HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.spatial", "scipy.special")
+
+
+def test_solver_modules_load_no_heavy_scipy():
+    # a fresh interpreter: this one has the tests' scipy imports loaded
+    code = "".join(f"import drops2d.{m}\n" for m in SOLVER_MODULES) + (
+        "import sys\n"
+        f"print(*sorted(m for m in sys.modules if m.startswith({HEAVY})))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == []

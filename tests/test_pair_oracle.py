@@ -101,7 +101,7 @@ class TestSurfactant:
 
     def test_stiff_diffusion_solve_restarts(self):
         # nv = 192 (the CLI default), Pe = 1, half step 2.5e-3: GMRES takes
-        # 503 iterations, more than one cycle of stokes.KRYLOV_DIM
+        # 445 iterations, more than one cycle of stokes.KRYLOV_DIM
         st = pair_from_circles(192, phi=0.35, rho0=1.0, E=0.5, Pe=1.0)
         rhs = st.rho + 0.01 * np.cos(3 * st.nu)
         rho = surfactant_implicit_solve(st, rhs, 2.5e-3)
