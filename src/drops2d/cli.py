@@ -57,8 +57,7 @@ def _cmd_oracle(args):
     if args.kind == "pair":
         from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
                                   physical_frame)
-        st = pair_from_circles(args.nv, phi=args.phi,
-                               rho0=args.rho0 if args.rho0 > 0 else None,
+        st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
                                E=args.E, Pe=args.Pe)
         out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
                              tol=args.tol)
@@ -68,12 +67,11 @@ def _cmd_oracle(args):
             fh.write(f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
                      f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
                      f"Q = {args.Q:.17g}\n")
-            fh.write("nu,alphaV,x,y" + (",rho" if rho is not None else "") + "\n")
+            fh.write("nu,alphaV,x,y,rho\n")
             for j in range(aV.shape[0]):
-                row = [out.nu[j], aV[j], z[j].real, z[j].imag]
-                if rho is not None:
-                    row.append(rho[j])
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+                fh.write(",".join(format(v, ".17g") for v in
+                                  (out.nu[j], aV[j], z[j].real, z[j].imag,
+                                   rho[j])) + "\n")
         print(f"pair oracle: t={out.t:.4f} min_gap={min_gap(out):.5f} -> {path}")
         return 0
     raise SystemExit(f"unknown oracle kind {args.kind}")

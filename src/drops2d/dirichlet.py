@@ -59,7 +59,6 @@ class GoursatReference:
 
 @dataclass
 class DirichletSolution:
-    grid: object
     z: np.ndarray
     zp: np.ndarray
     zpp: np.ndarray
@@ -95,7 +94,7 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
     panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
                                     w.reshape(-1, 16), z_edges[:-1],
                                     z_edges[1:])
-    return DirichletSolution(grid=grid, z=z, zp=zp, zpp=zpp, w=w,
+    return DirichletSolution(z=z, zp=zp, zpp=zpp, w=w,
                              mu=x[:n] + 1j * x[n:], panels=panels,
                              residual=res)
 

@@ -128,8 +128,7 @@ def build_state(cfg: ScenarioConfig) -> CoupledState:
     """Initial state of cfg; its drops must pass check_drops."""
     ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
-    fields = [_field(cfg, d, np.full(d.n, max(d.rho0, 0.0)))
-              for d in cfg.drops]
+    fields = [_field(cfg, np.full(d.n, max(d.rho0, 0.0))) for d in cfg.drops]
     return CoupledState(ifaces=ifaces, fields=fields)
 
 
@@ -175,10 +174,10 @@ def _crossing(ifaces):
     return None
 
 
-def _field(cfg: ScenarioConfig, d: DropSpec, rho) -> SurfactantField:
-    """Surfactant field of drop d carrying rho; clean drops do not diffuse."""
-    return SurfactantField(rho=rho, E=cfg.flow.E,
-                           Pe=cfg.flow.Pe if d.rho0 > 0 else np.inf,
+def _field(cfg: ScenarioConfig, rho) -> SurfactantField:
+    """Surfactant field carrying rho, with the flow's E, Pe and eos; a
+    clean drop carries rho = 0."""
+    return SurfactantField(rho=rho, E=cfg.flow.E, Pe=cfg.flow.Pe,
                            eos=cfg.flow.eos)
 
 
@@ -353,7 +352,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     ifaces = [Interface(z=data[f"z_{k}"], lam=d.lam)
               for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
-    fields = [_field(cfg, d, data[f"rho_{k}"]) for k, d in enumerate(cfg.drops)]
+    fields = [_field(cfg, data[f"rho_{k}"]) for k in range(len(cfg.drops))]
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
@@ -385,7 +384,7 @@ def compare_to_oracle(state_or_snapshot, oracle: dict, window=(0.0, 2 * np.pi),
     out = {"alphaV": aV[sel], "e_x": e_x, "e_y": e_y, "e_z": e_z,
            "e_z_max": float(e_z.max()), "e_z_l2":
            float(np.sqrt(np.mean(e_z**2)))}
-    if "rho" in oracle and oracle["rho"] is not None:
+    if "rho" in oracle:
         rho_sim = fourier_interp(rhos, aV[sel])
         e_r = np.abs(rho_sim - np.asarray(oracle["rho"])[sel])
         out.update({"e_rho": e_r, "e_rho_max": float(e_r.max()),

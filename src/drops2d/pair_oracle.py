@@ -32,11 +32,14 @@ I(phi/zeta) = -I(zeta) - phidot/phi:
 All of this is the n >= 1 Laurent content of z_t; a_0 and the negative
 coefficients are restored algebraically, and b comes from the constant
 bubble-area quadratic each step.
+
+A clean pair is the rho = 0 case of the same equations: sigma = 1 - E*0
+is exactly 1, and every step keeps rho exactly 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +64,7 @@ class ConformalPairState:
     b: float
     phi: float
     a_pos: np.ndarray          # a_0 .. a_NV (a_0 dependent); real
-    rho: np.ndarray = None     # at zeta_j, 2*MV+1 points; None for clean
+    rho: np.ndarray            # at zeta_j, 2*MV+1 points; 0 on a clean pair
     E: float = 0.5
     Pe: float = np.inf
     t: float = 0.0
@@ -71,10 +74,9 @@ class ConformalPairState:
             raise ValueError("phi must lie in (0, 1)")
         self.a_pos = np.asarray(self.a_pos, dtype=float).copy()
         self.a_pos[0] = self.b / (2 * np.sqrt(self.phi))
-        if self.rho is not None:
-            self.rho = np.asarray(self.rho, dtype=float).copy()
-            if self.rho.shape[0] != self.n_grid:
-                raise ValueError("rho must live on the 2*MV+1 point grid")
+        self.rho = np.asarray(self.rho, dtype=float).copy()
+        if self.rho.shape != (self.n_grid,):
+            raise ValueError("rho must live on the 2*MV+1 point grid")
 
     @property
     def nv(self) -> int:
@@ -108,10 +110,7 @@ class ConformalPairState:
         return a
 
     def copy(self) -> "ConformalPairState":
-        return ConformalPairState(b=self.b, phi=self.phi,
-                                  a_pos=self.a_pos.copy(),
-                                  rho=None if self.rho is None else self.rho.copy(),
-                                  E=self.E, Pe=self.Pe, t=self.t)
+        return replace(self)   # __post_init__ copies a_pos and rho
 
 
 @dataclass
@@ -120,7 +119,6 @@ class PairFlowField:
     qz: complex
     K: complex
     F: np.ndarray
-    G: np.ndarray
     residual: float
 
 
@@ -155,8 +153,9 @@ def zhat_deriv_at(state: ConformalPairState, w: float) -> float:
                         (w ** (n - 1.0) + state.phi**n * w ** (-n - 1.0))))
 
 
-def solve_flow(state: ConformalPairState, Q: float, sigma=None) -> PairFlowField:
-    """Instantaneous flow coefficients from the interfacial stress balance.
+def solve_flow(state: ConformalPairState, Q: float) -> PairFlowField:
+    """Instantaneous flow coefficients from the interfacial stress balance
+    with sigma = surfactant_sigma(state), exactly 1 on a clean pair.
 
     The linear system is real: conjugations in the stress bracket act
     antilinearly, so real and imaginary parts of every coefficient carry
@@ -169,8 +168,7 @@ def solve_flow(state: ConformalPairState, Q: float, sigma=None) -> PairFlowField
     zeta = state.zeta
     zinv = 1 / zeta
     z, zz, zz_inv, _ = geometry(state)
-    if sigma is None:
-        sigma = np.ones(m)
+    sigma = surfactant_sigma(state)
     P0 = 1 / (zeta - sq) + 1 / (2 * sq)
     G0 = Q * state.b / (2 * sq)
 
@@ -219,10 +217,9 @@ def solve_flow(state: ConformalPairState, Q: float, sigma=None) -> PairFlowField
                               f"{FLOW_RESIDUAL_TOL:.0e} (NV={nv}, phi={phi:.4f})")
     cp = x[0] + 1j * x[1]
     F = x[2:2 + 2 * nv:2] + 1j * x[3:3 + 2 * nv:2]
-    G = x[2 + 2 * nv:2 + 4 * nv:2] + 1j * x[3 + 2 * nv:3 + 4 * nv:2]
     qz = x[-4] + 1j * x[-3]
     K = x[-2] + 1j * x[-1]
-    return PairFlowField(cp=cp, qz=qz, K=K, F=F, G=G, residual=residual)
+    return PairFlowField(cp=cp, qz=qz, K=K, F=F, residual=residual)
 
 
 def _f_on_grid(state: ConformalPairState, fl: PairFlowField):
@@ -236,23 +233,19 @@ def _f_on_grid(state: ConformalPairState, fl: PairFlowField):
     return fl.cp * P0 + _ev(spec, m)
 
 
-def interface_velocity(state: ConformalPairState, fl: PairFlowField, sigma=None):
+def interface_velocity(state: ConformalPairState, fl: PairFlowField):
     """Fluid velocity on the upper bubble, computational frame."""
     z, zz, _, _ = geometry(state)
-    if sigma is None:
-        sigma = np.ones(state.n_grid)
+    sigma = surfactant_sigma(state)
     Fg = _f_on_grid(state, fl)
     return 0.5 * sigma * state.zeta * zz / np.abs(zz) + fl.K + fl.qz * z - 2 * Fg
 
 
-def kinematic_coefficients(state: ConformalPairState, fl: PairFlowField,
-                           sigma=None):
+def kinematic_coefficients(state: ConformalPairState, fl: PairFlowField):
     """I(zeta) on the grid and phidot from the kinematic condition."""
     m, phi = state.n_grid, state.phi
     z, zz, _, _ = geometry(state)
-    if sigma is None:
-        sigma = np.ones(m)
-    D = 0.5 * sigma / np.abs(zz) + np.real(fl.K / (state.zeta * zz))
+    D = 0.5 * surfactant_sigma(state) / np.abs(zz) + np.real(fl.K / (state.zeta * zz))
     Dsp = np.fft.fft(D) / m
     n = np.arange(1, state.mv + 1)
     Isp = np.zeros(m, dtype=complex)
@@ -266,15 +259,15 @@ def kinematic_coefficients(state: ConformalPairState, fl: PairFlowField,
     return Ig, phidot
 
 
-def mapping_rhs(state: ConformalPairState, fl: PairFlowField, sigma=None):
+def mapping_rhs(state: ConformalPairState, fl: PairFlowField):
     """Laurent RHS (f_n for n >= 1, g = phidot) plus z_t and u on the grid."""
     z, zz, _, _ = geometry(state)
-    Ig, phidot = kinematic_coefficients(state, fl, sigma)
+    Ig, phidot = kinematic_coefficients(state, fl)
     Fg = _f_on_grid(state, fl)
     zt = state.zeta * zz * Ig + fl.qz * z - 2 * Fg
     zts = np.fft.fft(zt) / state.n_grid
     f_pos = zts[1:state.nv + 1]
-    u = interface_velocity(state, fl, sigma)
+    u = interface_velocity(state, fl)
     return f_pos, phidot, zt, u
 
 
@@ -327,21 +320,18 @@ def bubble_area(state: ConformalPairState) -> float:
 
 
 def surfactant_sigma(state: ConformalPairState) -> np.ndarray:
-    if state.rho is None:
-        return np.ones(state.n_grid)
+    """Linear equation of state sigma = 1 - E rho; exactly 1 when clean."""
     if np.any(state.rho < -1e-12):
         raise PairOracleError("negative surfactant concentration")
     return 1.0 - state.E * state.rho
 
 
 def surfactant_rhs(state: ConformalPairState, zt, u):
-    """Explicit transport term f_exp on the nu grid (surfactant case).
+    """Explicit transport term f_exp on the nu grid, zero when rho is.
 
     zt and u are the map velocity and the interface velocity that
     mapping_rhs returns for the same state.
     """
-    if state.rho is None:
-        raise PairOracleError("clean state has no surfactant equation")
     _, zz, _, zzz = geometry(state)
     zeta = state.zeta
     z_nu = 1j * zeta * zz
@@ -383,8 +373,6 @@ def _diffusion(state: ConformalPairState):
 
 def surfactant_mass_pair(state: ConformalPairState) -> float:
     """Mass on the upper bubble, int rho |z_nu| d nu."""
-    if state.rho is None:
-        return 0.0
     _, zz, _, _ = geometry(state)
     sp = np.abs(1j * state.zeta * zz)
     return float(np.sum(state.rho * sp) * 2 * np.pi / state.n_grid)
@@ -396,75 +384,55 @@ def _krasny_real(arr):
     return out
 
 
-def _apply_update(state: ConformalPairState, da_pos, dphi, drho):
+def _apply_update(state: ConformalPairState, da_pos, dphi):
     new = state.copy()
-    new.a_pos = state.a_pos.copy()
     new.a_pos[1:] = _krasny_real(state.a_pos[1:] + da_pos)
     new.phi = state.phi + dphi
     if not (0 < new.phi < 1):
         raise PairOracleError(f"phi left (0,1): {new.phi}")
     new.b = solve_b(new, state.b)
     new.a_pos[0] = new.b / (2 * np.sqrt(new.phi))
-    if drho is not None:
-        new.rho = drho
     return new
 
 
 def _stage(state: ConformalPairState, Q: float):
-    sigma = surfactant_sigma(state)
-    fl = solve_flow(state, Q, sigma)
-    f_pos, phidot, zt, u = mapping_rhs(state, fl, sigma)
-    f_exp = None
-    if state.rho is not None:
-        f_exp = surfactant_rhs(state, zt, u)
-    return f_pos.real, phidot, f_exp
+    f_pos, phidot, zt, u = mapping_rhs(state, solve_flow(state, Q))
+    return f_pos.real, phidot, surfactant_rhs(state, zt, u)
 
 
 def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     """Midpoint/IMEX2 step; returns (new_state, r_combined)."""
     f1, g1, fe1 = _stage(state, Q)
-    half = _apply_update(state, 0.5 * dt * f1, 0.5 * dt * g1, None)
-    if state.rho is not None:
-        rho_half = surfactant_implicit_solve(half, state.rho + 0.5 * dt * fe1,
-                                             0.5 * dt)
-        half.rho = _krasny_real(rho_half)
+    half = _apply_update(state, 0.5 * dt * f1, 0.5 * dt * g1)
+    half.rho = _krasny_real(surfactant_implicit_solve(
+        half, state.rho + 0.5 * dt * fe1, 0.5 * dt))
     half.t = state.t + 0.5 * dt
     f2, g2, fe2 = _stage(half, Q)
-    new = _apply_update(state, dt * f2, dt * g2, None)
+    new = _apply_update(state, dt * f2, dt * g2)
     params_mid = np.concatenate([state.a_pos[1:] + dt * f2,
                                  [state.phi + dt * g2]])
     params_eul = np.concatenate([state.a_pos[1:] + dt * f1,
                                  [state.phi + dt * g1]])
     scale = max(1.0, np.abs(params_mid).max())
     r_map = np.abs(params_mid - params_eul).max() / scale
-    r_rho = 0.0
-    if state.rho is not None:
-        if np.isfinite(state.Pe):
-            fI2 = _diffusion(half)(half.rho)
-        else:
-            fI2 = 0.0
-        rho_new = _krasny_real(state.rho + dt * fe2 + dt * fI2)
-        mass0 = surfactant_mass_pair(state)
-        new.rho = rho_new
-        mass1 = surfactant_mass_pair(new)
-        r_rho = abs(mass1 - mass0) / abs(mass0) if mass0 != 0 else 0.0
+    fI2 = _diffusion(half)(half.rho) if np.isfinite(state.Pe) else 0.0
+    new.rho = _krasny_real(state.rho + dt * fe2 + dt * fI2)
+    mass0 = surfactant_mass_pair(state)
+    mass1 = surfactant_mass_pair(new)
+    r_rho = abs(mass1 - mass0) / abs(mass0) if mass0 != 0 else 0.0
     new.t = state.t + dt
     return new, max(r_map, r_rho)
 
 
-def pair_from_circles(nv: int, phi: float, rho0: float = None, E: float = 0.5,
+def pair_from_circles(nv: int, phi: float, rho0: float = 0.0, E: float = 0.5,
                       Pe: float = np.inf) -> ConformalPairState:
-    """Initial state: two unit circles.
+    """Initial state: two unit circles carrying uniform rho0 (0: clean).
 
     Centers sit at +-(1+phi)/(2 sqrt(phi)) in the computational frame and
     the radius is exactly b/(1-phi) = 1 with b = 1 - phi.
     """
-    b = 1.0 - phi
-    a_pos = np.zeros(nv + 1)
-    st = ConformalPairState(b=b, phi=phi, a_pos=a_pos, E=E, Pe=Pe)
-    if rho0 is not None:
-        st.rho = rho0 * np.ones(st.n_grid)
-    return st
+    return ConformalPairState(b=1.0 - phi, phi=phi, a_pos=np.zeros(nv + 1),
+                              rho=np.full(4 * nv + 1, float(rho0)), E=E, Pe=Pe)
 
 
 def min_gap(state: ConformalPairState) -> float:
@@ -476,8 +444,9 @@ def min_gap(state: ConformalPairState) -> float:
 def physical_frame(state: ConformalPairState):
     """Upper-bubble trace rotated to the physical frame (bubbles on +-i c).
 
-    Returns (z_phys, rho, alphaV) with alphaV the equal-arclength
-    parameter measured clockwise from nu = 0 (top of the upper bubble).
+    Returns (z_phys, rho, alphaV) with rho a copy (zero on a clean pair)
+    and alphaV the equal-arclength parameter measured clockwise from
+    nu = 0 (top of the upper bubble).
     """
     z, zz, _, _ = geometry(state)
     z_nu = 1j * state.zeta * zz
@@ -487,7 +456,7 @@ def physical_frame(state: ConformalPairState):
     S = mean * state.nu + (osc - osc[0])
     L = mean * 2 * np.pi
     alphaV = S * 2 * np.pi / L
-    return 1j * z, (None if state.rho is None else state.rho.copy()), alphaV
+    return 1j * z, state.rho.copy(), alphaV
 
 
 def evolve_pair(state: ConformalPairState, Q_phys: float, t_end: float,

@@ -213,18 +213,14 @@ def antiderivative(f) -> np.ndarray:
 class PanelGrid:
     """Composite 16-point Gauss-Legendre grid on the parameter interval.
 
-    nodes16 are parameter values; weights are the associated quadrature
-    weights in parameter space.  Per-panel weights sum to the panel length.
+    alpha are the node parameter values; weights are the associated
+    quadrature weights in parameter space.  Per-panel weights sum to the
+    panel length.
     """
 
-    n_panels: int
     alpha: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     endpoints: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return 16 * self.n_panels
 
 
 def panel_grid(n_panels: int) -> PanelGrid:
@@ -232,7 +228,7 @@ def panel_grid(n_panels: int) -> PanelGrid:
     h = edges[1] - edges[0]
     alpha = (edges[:-1, None] + (GL_NODES[None, :] + 1.0) * h / 2.0).ravel()
     weights = np.tile(GL_WEIGHTS * h / 2.0, n_panels)
-    return PanelGrid(n_panels=n_panels, alpha=alpha, weights=weights, endpoints=edges)
+    return PanelGrid(alpha=alpha, weights=weights, endpoints=edges)
 
 
 _PANEL_INTERP_CACHE = {}

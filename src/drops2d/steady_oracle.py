@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectral import antiderivative, uniform_alpha
 
@@ -98,12 +97,19 @@ def steady_solution(mp: SteadyMap, E: float, M: int = 256) -> dict:
 
 
 def b_from_q(Q: float, E: float) -> float:
-    """Invert Q(b) on the lower (stable) branch."""
+    """Invert Q(b) on the lower (stable) branch by bisection."""
     if Q == 0.0:
         return 0.0
     bs = np.linspace(1e-6, B_MAX, 400)
     qs = np.array([steady_q(b, E) for b in bs])
     peak = int(np.argmax(qs))
-    if Q > qs[peak]:
+    lo, hi = 1e-9, bs[peak]
+    if not steady_q(lo, E) <= Q <= qs[peak]:
         raise ValueError(f"no steady state at Q={Q} (max Q ~ {qs[peak]:.4f})")
-    return brentq(lambda b: steady_q(b, E) - Q, 1e-9, bs[peak], xtol=1e-14)
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if steady_q(mid, E) < Q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

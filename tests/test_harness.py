@@ -206,6 +206,20 @@ def test_series_contains_conservation_columns(tmp_path):
     assert np.abs(areas / areas[0] - 1).max() < 1e-8
 
 
+def test_clean_drop_carries_zero_rho_at_the_flow_pe():
+    # a clean drop is the rho = 0 case of the surfactant equations: it
+    # takes the flow's Pe like any drop, and every step keeps rho at 0
+    cfg = preset("pair_surfactant", n=64)
+    cfg.drops[1] = replace(cfg.drops[1], rho0=0.0)
+    cfg = replace(cfg, run=replace(cfg.run, t_end=0.01))
+    rec = run_scenario(cfg)
+    clean = rec.final_state.fields[1]
+    assert len(rec.series) > 1 and rec.final_state.t == pytest.approx(0.01)
+    assert clean.Pe == cfg.flow.Pe == 10.0
+    assert np.array_equal(clean.rho, np.zeros(64))
+    assert np.any(rec.final_state.fields[0].rho != 1.0)
+
+
 def test_build_state_rejects_overlap():
     # at 1.5i neither start point lies inside the other drop and the
     # refined grids stay 0.014 apart, but the circles overlap in a lens

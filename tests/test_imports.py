@@ -1,5 +1,5 @@
 """Every name that a module of the package or of the tests imports is used,
-and the solver's modules load no heavy scipy subpackage.
+and the package runs without scipy, a test-only dependency.
 
 No linter is a test dependency, so an AST scan stands in for one: a name
 bound by an import must appear as a name somewhere in its module.
@@ -43,21 +43,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# the modules the benchmark loads (bench/workloads.py), and the scipy
-# subpackages that would add tens of MB to every run's resident memory
-SOLVER_MODULES = ("harness", "stepper", "stokes", "neareval", "spectral",
-                  "geometry", "surfactant", "dirichlet", "pair_oracle")
-HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.spatial", "scipy.special")
+MODULES = sorted(p.stem for p in (ROOT / "src" / "drops2d").glob("*.py")
+                 if p.stem != "__init__")
 
 
-def test_solver_modules_load_no_heavy_scipy():
-    # a fresh interpreter: this one has the tests' scipy imports loaded
-    code = "".join(f"import drops2d.{m}\n" for m in SOLVER_MODULES) + (
-        "import sys\n"
-        f"print(*sorted(m for m in sys.modules if m.startswith({HEAVY})))")
+def run_fresh(code: str, cwd) -> str:
+    """stdout of code run by a fresh interpreter on the checkout's src/
+    (this one has the tests' scipy imports loaded)."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == []
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+def test_package_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: no module of the package loads it
+    code = "".join(f"import drops2d.{m}\n" for m in MODULES) + (
+        "import sys\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert {"cli", "steady_oracle"} <= set(MODULES)
+    assert run_fresh(code, tmp_path).split() == []
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the CLI's function-level imports, with any scipy import an error
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "from drops2d.cli import main\n"
+            "for argv in (['oracle', 'steady', '--points', '64'],\n"
+            "             ['oracle', 'pair', '--nv', '16', '--t-end', '1e-3'],\n"
+            "             ['estimate-study', '--panels', '8', '--grid', '6']):\n"
+            "    assert main(argv + ['--out-dir', 'out']) == 0\n")
+    run_fresh(code, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "estimate_grid_8.csv", "pair_oracle.csv", "steady_oracle.csv"]

@@ -75,16 +75,15 @@ class TestSolveB:
         st = pair_from_circles(48, phi=0.35)
         st.a_pos[2] = 0.01          # perturb a_2
         b2 = solve_b(st, st.b)
-        st2 = ConformalPairState(b=b2, phi=st.phi, a_pos=st.a_pos)
+        st2 = ConformalPairState(b=b2, phi=st.phi, a_pos=st.a_pos, rho=st.rho)
         assert abs(bubble_area(st2) - np.pi) < 1e-10
 
 
 class TestSurfactant:
     def test_quiescent_uniform_rho(self):
         st = pair_from_circles(64, phi=0.35, rho0=1.0, E=0.5, Pe=10.0)
-        sigma = surfactant_sigma(st)
-        fl = solve_flow(st, 0.0, sigma)
-        _, _, zt, u = mapping_rhs(st, fl, sigma)
+        assert np.array_equal(surfactant_sigma(st), np.full(st.n_grid, 0.5))
+        _, _, zt, u = mapping_rhs(st, solve_flow(st, 0.0))
         f_exp = surfactant_rhs(st, zt, u)
         assert np.abs(f_exp).max() < 1e-10
         assert np.abs(u).max() < 1e-11
@@ -118,6 +117,14 @@ def pair_march():
 
 
 class TestEvolution:
+    def test_clean_pair_keeps_rho_zero(self, pair_march):
+        # a clean pair is the rho = 0 case: sigma is exactly 1 and every
+        # step keeps rho exactly 0, which physical_frame hands on
+        st, out = pair_march
+        assert np.array_equal(surfactant_sigma(st), np.ones(st.n_grid))
+        assert out.rho.shape == (out.n_grid,) and not np.any(out.rho)
+        assert np.array_equal(physical_frame(out)[1], out.rho)
+
     def test_stationary_at_zero_q(self):
         st = pair_from_circles(48, phi=0.35)
         out, _ = evolve_pair(st, Q_phys=0.0, t_end=1.0)
@@ -238,5 +245,9 @@ def test_cli_pair_oracle_defaults_to_pair_preset_q(tmp_path):
     with open(tmp_path / "pair_oracle.csv") as fh:
         header = dict(item.strip("# \n").split(" = ")
                       for item in fh.readline().split(","))
+        assert fh.readline() == "nu,alphaV,x,y,rho\n"
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     assert float(header["Q"]) == preset("pair_clean").flow.Q == 0.5
     assert float(header["t"]) == pytest.approx(1e-3)
+    # the default --rho0 0 is a clean pair: a zero rho column
+    assert rows.shape == (4 * 16 + 1, 5) and not np.any(rows[:, 4])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from drops2d.geometry import Interface, modified_tangential_velocity
 from drops2d.spectral import fourier_interp, spectral_derivative, uniform_alpha
@@ -66,6 +67,23 @@ def test_b_from_q_round_trip():
         for b in (0.05, 0.2, 0.3):
             q = steady_q(b, E)
             assert b_from_q(q, E) == pytest.approx(b, abs=1e-10)
+
+
+@pytest.mark.parametrize("Q, E", [(0.14, 0.5), (0.1, 0.5), (0.05, 0.2),
+                                  (0.2, 0.1), (0.01, 0.9)])
+def test_b_from_q_matches_brentq(Q, E):
+    # the bisection against scipy's root finder on the same bracket
+    bs = np.linspace(1e-6, 2.0, 400)
+    peak = bs[np.argmax([steady_q(b, E) for b in bs])]
+    ref = brentq(lambda b: steady_q(b, E) - Q, 1e-9, peak, xtol=1e-14)
+    assert abs(b_from_q(Q, E) - ref) < 1e-14
+
+
+@pytest.mark.parametrize("Q", [-0.1, 0.3])
+def test_b_from_q_rejects_q_off_the_branch(Q):
+    # the branch at E = 0.5 holds 0 < Q <= 0.259
+    with pytest.raises(ValueError, match="no steady state"):
+        b_from_q(Q, 0.5)
 
 
 def test_known_regime_values():
