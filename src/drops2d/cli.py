@@ -136,6 +136,8 @@ def _cmd_estimate_study(args):
 
 
 def main(argv=None):
+    from .harness import PRESETS
+
     ap = argparse.ArgumentParser(prog="drops2d",
                                  description="2D Stokes drop simulation and "
                                              "validation oracles")
@@ -144,9 +146,7 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a scenario")
     g = p_run.add_mutually_exclusive_group(required=True)
     g.add_argument("--config", help="JSON scenario file")
-    g.add_argument("--preset", help="named preset",
-                   choices=["steady_single", "pair_clean", "pair_surfactant",
-                            "swiss_roll"])
+    g.add_argument("--preset", help="named preset", choices=PRESETS)
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--checkpoint-every", type=int, default=0)
     p_run.add_argument("--restart-from", default=None)

@@ -16,7 +16,6 @@ from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
                        spectral_derivative, trapezoid, uniform_alpha)
 
 REFINE = 4                  # refined points per node in min_distance
-GROW, SHRINK = 1.2, 0.5     # adapt_resolution spacing bounds, in ds_target
 ARCLENGTH_TOL = 1e-12       # to_equal_arclength stops below this Newton step
 ARCLENGTH_MAXITER = 100
 
@@ -69,9 +68,6 @@ class Interface:
     def area(self) -> float:
         return abs(signed_area(self.z))
 
-    def spacing(self) -> float:
-        return self.length() / self.n
-
 
 @dataclass(frozen=True)
 class VelocityDecomposition:
@@ -90,10 +86,6 @@ class VelocityDecomposition:
 def signed_area(z) -> float:
     zp = spectral_derivative(z, 1)
     return float(0.5 * np.real(trapezoid(np.imag(np.conj(z) * zp))))
-
-
-def point_spacing(z) -> np.ndarray:
-    return np.abs(np.roll(z, -1) - z)
 
 
 def normals(iface: Interface) -> np.ndarray:
@@ -135,36 +127,6 @@ def modified_tangential_velocity(iface: Interface, u) -> VelocityDecomposition:
     H = antiderivative(h - h.mean())
     u_t_mod = H[0] - H
     return VelocityDecomposition(u_n=u_n, u_t=u_t, u_t_mod=u_t_mod)
-
-
-def advance_positions(iface: Interface, decomp: VelocityDecomposition,
-                      dt: float) -> Interface:
-    """Euler building block: move along [u_n + i u_t_mod] n."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = normals(iface)
-    znew = iface.z + dt * (decomp.u_n + 1j * decomp.u_t_mod) * n
-    return replace(iface, z=krasny_filter(znew))
-
-
-def adapt_resolution(iface: Interface, fields, ds_target: float):
-    """Double or halve N to keep the mean spacing near ds_target.
-
-    N doubles above GROW * ds_target and halves below SHRINK * ds_target.
-    All associated periodic fields are resampled identically.  N stays
-    a multiple of 16 and at least 32 by construction (factor-2 moves).
-    """
-    ds = iface.spacing()
-    n = iface.n
-    if ds > GROW * ds_target:
-        new_n = 2 * n
-    elif ds < SHRINK * ds_target and n >= 64:
-        new_n = n // 2
-    else:
-        return iface, tuple(fields)
-    znew = resample(iface.z, new_n)
-    out_fields = tuple(resample(f, new_n) for f in fields)
-    return replace(iface, z=znew), out_fields
 
 
 def deformation_number(iface: Interface) -> float:

@@ -50,14 +50,12 @@ class DropSpec:
 class RunSpec:
     t_end: float = 1.0
     steady: bool = False
-    steady_unorm: float = 1e-8
     tol: float = 1e-6
     dt0: float = 1e-3
     dt_max: float = 0.1
     fixed_dt: float = None
     output_every: int = 50
     checkpoint_every: int = 0
-    adapt_spacing: bool = False
     stokes_tol: float = 1e-11
 
 
@@ -222,8 +220,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
     rec.snapshots.append(_snapshot(state))
     count = [counter]
 
-    spacing = state.ifaces[0].spacing() if cfg.run.adapt_spacing else None
-
     def cb(s, info):
         fault = _crossing(s.ifaces)
         if fault is not None:
@@ -246,8 +242,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
     final, steady = advance_to(
         state, cfg.flow, ctrl,
         t_end=cfg.run.t_end, stokes_tol=cfg.run.stokes_tol, callback=cb,
-        steady_unorm=cfg.run.steady_unorm if cfg.run.steady else None,
-        adapt_spacing=spacing)
+        steady=cfg.run.steady)
     rec.final_state = final
     rec.steady = steady
     if rec.snapshots[-1]["t"] != final.t:
@@ -400,8 +395,11 @@ def _pair_center(phi0: float) -> float:
     return (1 + phi0) / (2 * np.sqrt(phi0))
 
 
+PRESETS = ("steady_single", "pair_clean", "pair_surfactant")
+
+
 def preset(name: str, n: int = None) -> ScenarioConfig:
-    """The validation configurations of the study cases."""
+    """The validation configuration named name, one of PRESETS."""
     if name == "steady_single":
         n = n or 128
         return ScenarioConfig(
@@ -409,8 +407,8 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
             drops=[DropSpec(shape="circle", center=0.0, radius=1.0,
                             lam=0.0, rho0=1.0, n=n)],
             flow=FlowConfig(Q=0.07, E=0.5, Pe=np.inf, eos="linear"),
-            run=RunSpec(t_end=200.0, steady=True, steady_unorm=1e-8,
-                        tol=1e-6, dt0=1e-3, dt_max=0.1, output_every=200))
+            run=RunSpec(t_end=200.0, steady=True, tol=1e-6, dt0=1e-3,
+                        dt_max=0.1, output_every=200))
     if name == "pair_clean":
         n = n or 576
         c = _pair_center(PAIR_CLEAN_PHI0)
@@ -435,59 +433,4 @@ def preset(name: str, n: int = None) -> ScenarioConfig:
             flow=FlowConfig(Q=0.5, E=0.5, Pe=10.0, eos="linear"),
             run=RunSpec(t_end=1.0, tol=1e-6, dt0=1e-3, dt_max=0.02,
                         output_every=100))
-    if name == "swiss_roll":
-        return _swiss_roll_config()
     raise ValueError(f"unknown preset {name}")
-
-
-def _swiss_roll_geometry(n_roll: int = 512, n_ell: int = 128):
-    """Spiral roll plus surrounding ellipses, best-effort geometry.
-
-    The roll is an Archimedean-spiral tube, closed smoothly and
-    low-pass filtered so it is spectrally representable; lengths are
-    normalized by half the bounding-box side.  Returns clockwise node
-    arrays; build_state reparametrizes them to equal arclength.
-    """
-    turns = 2.25
-    m = 4096
-    s = np.linspace(0, 1, m, endpoint=False)
-    th = 2 * np.pi * turns * s
-    rad = 0.16 + 0.40 * s
-    cl = rad * np.exp(1j * th)
-    width = 0.11 * np.sin(np.pi * np.clip((s + 0.02) / 1.04, 0, 1)) ** 0.5
-    t_vec = np.gradient(cl, s)
-    t_hat = t_vec / np.abs(t_vec)
-    n_hat = 1j * t_hat
-    outer = cl + 0.5 * width * n_hat
-    inner = cl - 0.5 * width * n_hat
-    boundary = np.concatenate([outer, inner[::-1]])
-    coef = np.fft.fft(boundary) / boundary.shape[0]
-    k = np.fft.fftfreq(boundary.shape[0], 1 / boundary.shape[0])
-    coef *= np.exp(-(np.abs(k) / 60.0) ** 4)
-    smooth = np.fft.ifft(coef * boundary.shape[0])
-    roll = resample(smooth, n_roll)
-    if signed_area(roll) > 0:
-        roll = roll[::-1]
-    # five ellipses on a ring, long axes along it
-    centers = 1.05 * np.exp(1j * (np.linspace(0, 2 * np.pi, 5,
-                                              endpoint=False) + 0.3))
-    ell = ellipse(n_ell, 0.30, 0.16).z
-    return [roll] + [c + 1j * c / abs(c) * ell for c in centers]
-
-
-def _swiss_roll_config() -> ScenarioConfig:
-    zs = _swiss_roll_geometry()
-    # characteristic length: half the bounding square side
-    allz = np.concatenate(zs)
-    span = max(allz.real.max() - allz.real.min(),
-               allz.imag.max() - allz.imag.min())
-    scale = 2.0 / span
-    drops = [DropSpec(shape="custom", n=z.size, lam=1.0,
-                      rho0=1.0 if k == 0 else 0.0,
-                      points=[(p.real * scale, p.imag * scale) for p in z])
-             for k, z in enumerate(zs)]
-    return ScenarioConfig(
-        name="swiss_roll", drops=drops,
-        flow=FlowConfig(Q=0.0, E=0.1, Pe=10.0, eos="linear"),
-        run=RunSpec(t_end=100.0, tol=1e-5, dt0=1e-4, dt_max=0.05,
-                    output_every=200, adapt_spacing=True))

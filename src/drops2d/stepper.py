@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import adapt_resolution, modified_tangential_velocity, normals
+from .geometry import modified_tangential_velocity, normals
 from .spectral import krasny_filter
 from .stokes import FlowConfig, interface_velocity
 from .surfactant import (rhs_explicit, rhs_implicit_apply,
@@ -25,6 +25,7 @@ from .surfactant import (rhs_explicit, rhs_implicit_apply,
 
 SAFETY = 0.9
 GROWTH_CAP = 2.0
+STEADY_UNORM = 1e-8     # a steady run stops once max |u.n| is at most this
 
 
 @dataclass
@@ -134,7 +135,7 @@ def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
                for i, d in zip(state.ifaces, decomps)]
     f_exp = [rhs_explicit(i, f, d)
              for i, f, d in zip(state.ifaces, state.fields, decomps)]
-    return u_list, decomps, motions, f_exp, sol
+    return decomps, motions, f_exp, sol
 
 
 def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
@@ -149,7 +150,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
 
     if stage1 is None:
         stage1 = _stage_eval(state, cfg, stokes_tol)
-    u1, dec1, g1, fE1, _ = stage1
+    dec1, g1, fE1, _ = stage1
     un_max = max(np.abs(d.u_n).max() for d in dec1)
 
     ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g))
@@ -162,7 +163,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     half = CoupledState(ifaces=ifaces_half, fields=fields_half,
                         t=state.t + 0.5 * dt)
 
-    u2, dec2, g2, fE2, sol2 = _stage_eval(half, cfg, stokes_tol)
+    _, g2, fE2, sol2 = _stage_eval(half, cfg, stokes_tol)
 
     z_new = [krasny_filter(i.z + dt * g) for i, g in zip(state.ifaces, g2)]
     z_eul = [i.z + dt * g for i, g in zip(state.ifaces, g1)]
@@ -187,13 +188,15 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
 
 def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
                t_end: float, stokes_tol: float = 1e-11, callback=None,
-               steady_unorm: float = None, adapt_spacing: float = None):
+               steady: bool = False):
     """Integrate until t_end (or steady state), retaking rejected steps.
 
     Returns (state, reached_steady).  ctrl clips the last attempt to land
-    on t_end.  callback(state, info) fires after each accepted step;
-    steady_unorm stops the run once max |u.n| at the start of an
-    accepted step falls below the threshold.
+    on t_end.  callback(state, info) fires after each accepted step.  A
+    steady run stops once max |u.n| at the start of an accepted attempt
+    is at most STEADY_UNORM; it returns the state that attempt started
+    from, which the callback has already seen (or the initial state), and
+    discards the attempt.
     """
     stage1 = None
     while state.t < t_end - 1e-14:
@@ -201,22 +204,10 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
         cand, info, stage1 = step(state, cfg, ctrl, stokes_tol, stage1=stage1)
         if not info.accepted:
             continue
-        if steady_unorm is not None and info.un_max <= steady_unorm:
-            if callback is not None:
-                callback(state, info)
+        if steady and info.un_max <= STEADY_UNORM:
             return state, True
         state = cand
         stage1 = None
-        if adapt_spacing is not None:
-            changed = False
-            ifaces, fields = [], []
-            for ifc, f in zip(state.ifaces, state.fields):
-                ifc2, (rho2,) = adapt_resolution(ifc, (f.rho,), adapt_spacing)
-                changed = changed or (ifc2.n != ifc.n)
-                ifaces.append(ifc2)
-                fields.append(with_rho(f, rho2))
-            if changed:
-                state = CoupledState(ifaces=ifaces, fields=fields, t=state.t)
         if callback is not None:
             callback(state, info)
     return state, False

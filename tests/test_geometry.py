@@ -4,13 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from drops2d.geometry import (Interface, advance_positions, adapt_resolution,
-                              circle, curvature, deformation_number,
-                              ellipse, interfaces_cross, min_distance,
-                              modified_tangential_velocity, normals,
-                              point_spacing, self_intersects, signed_area,
+from drops2d.geometry import (Interface, circle, curvature,
+                              deformation_number, ellipse, interfaces_cross,
+                              min_distance, modified_tangential_velocity,
+                              normals, self_intersects, signed_area,
                               to_equal_arclength)
-from drops2d.spectral import resample, trapezoid, uniform_alpha
+from drops2d.spectral import resample, uniform_alpha
 
 
 def test_interface_grid_validation():
@@ -97,65 +96,6 @@ class TestModifiedTangential:
             part = quad(h, 0, ai, limit=200)[0]
             ref.append(ai / (2 * np.pi) * total - part)
         assert np.abs(d.u_t_mod[:16] - np.array(ref)).max() < 1e-10
-
-    def test_equidistance_preserved_after_step(self):
-        n = 128
-        c = circle(n)
-        a = uniform_alpha(n)
-        u = (0.2 * np.cos(2 * a) + 0.05 * np.sin(3 * a)) * normals(c) \
-            + 0.1 * np.cos(a) * 1j * normals(c)
-        d = modified_tangential_velocity(c, u)
-        nxt = advance_positions(c, d, 1e-3)
-        sp = point_spacing(nxt.z)
-        assert np.abs(sp - sp.mean()).max() / sp.mean() < 1e-3
-
-
-class TestAdvance:
-    def test_zero_velocity_identity(self):
-        c = circle(64)
-        d = modified_tangential_velocity(c, np.zeros(64, dtype=complex))
-        nxt = advance_positions(c, d, 0.1)
-        assert np.abs(nxt.z - c.z).max() < 1e-15
-
-    def test_uniform_shrink(self):
-        c = circle(64)
-        d = modified_tangential_velocity(c, -0.1 * normals(c))
-        # u_n = -0.1 moves against the inward normal: radius grows by 0.01;
-        # u_n = +0.1 shrinks.  Follow the stated convention: u = u_n * n.
-        d2 = modified_tangential_velocity(c, 0.1 * normals(c))
-        nxt = advance_positions(c, d2, 0.1)
-        assert np.abs(np.abs(nxt.z) - 0.99).max() < 1e-12
-
-
-class TestAdapt:
-    def test_no_change_in_band(self):
-        c = circle(64)
-        ds = c.spacing()
-        out, _ = adapt_resolution(c, (), ds_target=ds)
-        assert out.n == 64
-
-    def test_growth_doubles(self):
-        c = circle(64, radius=2.0)
-        target = 2 * np.pi / 64   # spacing of a unit circle with N=64
-        out, _ = adapt_resolution(c, (), ds_target=target)
-        assert out.n == 128
-        assert abs(out.spacing() / target - 1) < 1.2
-
-    def test_mass_preserved(self):
-        c = circle(64, radius=2.0)
-        rho = 1 + 0.3 * np.cos(2 * uniform_alpha(64))
-        sp = np.abs(c.z_alpha())
-        mass0 = float(np.real(trapezoid(rho * sp)))
-        out, (rho2,) = adapt_resolution(c, (rho,), ds_target=2 * np.pi / 64)
-        sp2 = np.abs(out.z_alpha())
-        mass1 = float(np.real(trapezoid(rho2 * sp2)))
-        assert abs(mass1 - mass0) < 1e-12
-
-    def test_curve_unchanged(self):
-        c = circle(64, radius=2.0)
-        out, _ = adapt_resolution(c, (), ds_target=2 * np.pi / 64)
-        # resampled points must lie on the original circle
-        assert np.abs(np.abs(out.z) - 2.0).max() < 1e-10
 
 
 class TestDeformation:

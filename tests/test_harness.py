@@ -8,7 +8,7 @@ import pytest
 from drops2d import harness
 from drops2d.geometry import Interface
 from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
-                             compare_to_oracle, load_checkpoint,
+                             PRESETS, compare_to_oracle, load_checkpoint,
                              preset, read_snapshot, run_scenario)
 from drops2d.spectral import uniform_alpha
 from drops2d.steady_oracle import SteadyMap, b_from_q, steady_solution
@@ -60,12 +60,15 @@ class TestConfigRoundTrip:
         assert cfg2.to_json() == cfg.to_json()
         assert cfg2.config_hash() == cfg.config_hash()
 
-    def test_flow_lambdas_rejected(self):
-        # viscosity ratios live on the drops; a stale flow key must fail
+    @pytest.mark.parametrize("section, key", [
+        ("flow", "lambdas"), ("run", "adapt_spacing"), ("run", "steady_unorm")])
+    def test_stale_key_rejected(self, section, key):
+        # viscosity ratios live on the drops, and N and the steady
+        # threshold are fixed: a config naming a stale key must fail
         import json
         raw = json.loads(tiny_config().to_json())
-        raw["flow"]["lambdas"] = [0.0]
-        with pytest.raises(TypeError, match="lambdas"):
+        raw[section][key] = 1e-8
+        with pytest.raises(TypeError, match=key):
             ScenarioConfig.from_json(json.dumps(raw))
 
     def test_infinite_pe_round_trip(self):
@@ -231,9 +234,40 @@ def test_build_state_rejects_overlap():
             run=RunSpec())
         with pytest.raises(ValueError, match="drops must start disjoint"):
             build_state(cfg)
-    for name, drops in (("pair_clean", 2), ("pair_surfactant", 2),
-                        ("swiss_roll", 6)):
-        assert len(build_state(preset(name)).ifaces) == drops
+    for name in PRESETS:
+        cfg = preset(name)
+        assert len(build_state(cfg).ifaces) == len(cfg.drops)
+
+
+def test_build_state_checks_every_pair_of_three_drops():
+    def drops(third):
+        return ScenarioConfig(
+            name="three", drops=[DropSpec(center=0.0, n=64),
+                                 DropSpec(center=3.0, n=64), third],
+            flow=FlowConfig(), run=RunSpec())
+    assert len(build_state(drops(DropSpec(center=3j, n=64))).ifaces) == 3
+    with pytest.raises(ValueError, match="drops 0 and 2 are nested"):
+        build_state(drops(DropSpec(center=0.2, radius=0.3, n=32)))
+
+
+def test_steady_stop_records_only_steps_taken(tmp_path):
+    # the attempt that finds the flow steady is discarded, so it adds no
+    # row: the last row is the final state, and a drop steady from the
+    # start has none
+    def relax(shape):
+        cfg = ScenarioConfig(
+            name="relax", drops=[DropSpec(shape=shape, axes=(1.001, 1 / 1.001),
+                                          n=32)],
+            flow=FlowConfig(Q=0.0), run=RunSpec(t_end=100.0, steady=True))
+        return run_scenario(cfg, out_dir=str(tmp_path / shape))
+
+    rec = relax("ellipse")
+    t = np.loadtxt(tmp_path / "ellipse" / "series.csv", delimiter=",",
+                   skiprows=1, ndmin=2)[:, 0]
+    assert rec.steady and len(rec.series) == t.size == 132
+    assert np.all(np.diff(t) > 0) and t[-1] == rec.final_state.t
+    rec = relax("circle")
+    assert rec.steady and rec.series == [] and rec.final_state.t == 0.0
 
 
 def custom_drop(z, n=128):

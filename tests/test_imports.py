@@ -66,14 +66,27 @@ def test_package_loads_no_scipy(tmp_path):
     assert run_fresh(code, tmp_path).split() == []
 
 
+# the config that the CI's NumPy-only install also runs
+RUN_CONFIG = ("from drops2d.harness import DropSpec, RunSpec, ScenarioConfig\n"
+              "from drops2d.stokes import FlowConfig\n"
+              "cfg = ScenarioConfig(drops=[DropSpec(n=32)], flow=FlowConfig(),\n"
+              "                     run=RunSpec(t_end=6e-3, fixed_dt=2e-3))\n"
+              "open('run.json', 'w').write(cfg.to_json())\n")
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # the CLI's function-level imports, with any scipy import an error
-    code = ("import sys\nsys.modules['scipy'] = None\n"
+    code = ("import sys\nsys.modules['scipy'] = None\n" + RUN_CONFIG +
             "from drops2d.cli import main\n"
             "for argv in (['oracle', 'steady', '--points', '64'],\n"
             "             ['oracle', 'pair', '--nv', '16', '--t-end', '1e-3'],\n"
             "             ['estimate-study', '--panels', '8', '--grid', '6']):\n"
-            "    assert main(argv + ['--out-dir', 'out']) == 0\n")
-    run_fresh(code, tmp_path)
+            "    assert main(argv + ['--out-dir', 'out']) == 0\n"
+            "assert main(['run', '--config', 'run.json',\n"
+            "             '--out-dir', 'out/run']) == 0\n")
+    assert "scenario: 3 accepted steps to t=0.006" in run_fresh(
+        code, tmp_path).splitlines()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "estimate_grid_8.csv", "pair_oracle.csv", "steady_oracle.csv"]
+        "estimate_grid_8.csv", "pair_oracle.csv", "run", "steady_oracle.csv"]
+    assert (tmp_path / "out" / "run" / "series.csv").read_text().count(
+        "\n") == 4

@@ -148,12 +148,3 @@ class TestMass:
         f = SurfactantField(rho=1 + np.cos(uniform_alpha(64)))
         assert abs(surfactant_mass(c, f) - 2 * np.pi) < 1e-12
 
-    def test_mass_invariant_under_adapt(self):
-        from drops2d.geometry import adapt_resolution
-        c = circle(64, radius=2.0)
-        a = uniform_alpha(64)
-        f = SurfactantField(rho=1 + 0.3 * np.cos(2 * a))
-        m0 = surfactant_mass(c, f)
-        c2, (rho2,) = adapt_resolution(c, (f.rho,), ds_target=2 * np.pi / 64)
-        m1 = surfactant_mass(c2, with_rho(f, rho2))
-        assert abs(m1 - m0) < 1e-12
