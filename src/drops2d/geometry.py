@@ -8,12 +8,13 @@ Interfaces are stored clockwise on an equal-arclength parameter grid
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
                        fourier_interp, krasny_filter, resample,
-                       spectral_derivative, trapezoid, uniform_alpha)
+                       spectral_derivatives, trapezoid, uniform_alpha)
 
 REFINE = 4                  # refined points per node in min_distance
 ARCLENGTH_TOL = 1e-12       # to_equal_arclength stops below this Newton step
@@ -31,6 +32,9 @@ class Interface:
     the grid (N >= 32, a multiple of 16) and lam >= 0: orientation,
     simplicity and disjointness are checked by harness.check_drops when
     drops enter a run, and crossings after every accepted step.
+
+    z' and z'' are computed once per object, from one FFT of z on first
+    use, as read-only arrays that every geometric quantity reads.
     """
 
     z: np.ndarray
@@ -56,17 +60,29 @@ class Interface:
     def alpha(self) -> np.ndarray:
         return uniform_alpha(self.n)
 
+    @cached_property
+    def _derivatives(self):
+        out = spectral_derivatives(self.z, (1, 2))
+        for d in out:
+            d.flags.writeable = False
+        return out
+
     def z_alpha(self) -> np.ndarray:
-        return spectral_derivative(self.z, 1)
+        return self._derivatives[0]
 
     def z_alpha2(self) -> np.ndarray:
-        return spectral_derivative(self.z, 2)
+        return self._derivatives[1]
 
     def length(self) -> float:
         return float(np.real(trapezoid(np.abs(self.z_alpha()))))
 
+    def signed_area(self) -> float:
+        """Negative when clockwise."""
+        return float(0.5 * np.real(trapezoid(np.imag(np.conj(self.z)
+                                                     * self.z_alpha()))))
+
     def area(self) -> float:
-        return abs(signed_area(self.z))
+        return abs(self.signed_area())
 
 
 @dataclass(frozen=True)
@@ -81,11 +97,6 @@ class VelocityDecomposition:
     u_n: np.ndarray
     u_t: np.ndarray
     u_t_mod: np.ndarray
-
-
-def signed_area(z) -> float:
-    zp = spectral_derivative(z, 1)
-    return float(0.5 * np.real(trapezoid(np.imag(np.conj(z) * zp))))
 
 
 def normals(iface: Interface) -> np.ndarray:
@@ -107,12 +118,6 @@ def curvature(iface: Interface) -> np.ndarray:
     return np.imag(np.conj(zp) * zpp) / mag**3
 
 
-def decompose_velocity(iface: Interface, u) -> tuple[np.ndarray, np.ndarray]:
-    n = normals(iface)
-    w = np.asarray(u) * np.conj(n)
-    return w.real, w.imag
-
-
 def modified_tangential_velocity(iface: Interface, u) -> VelocityDecomposition:
     """Tangential velocity that keeps the nodes equidistant in arclength.
 
@@ -120,7 +125,8 @@ def modified_tangential_velocity(iface: Interface, u) -> VelocityDecomposition:
     periodic antiderivative of mean(h) - h, normalized so u_t_mod(0) = 0;
     both integrals reduce to FFTs.
     """
-    u_n, u_t = decompose_velocity(iface, u)
+    w = np.asarray(u) * np.conj(normals(iface))
+    u_n, u_t = w.real, w.imag
     zp = iface.z_alpha()
     zpp = iface.z_alpha2()
     h = np.imag(zpp / zp) * u_n
@@ -234,7 +240,7 @@ def to_equal_arclength(iface: Interface) -> Interface:
     z0 = iface.z
     n = z0.shape[0]
     alpha = uniform_alpha(n)
-    zp0 = spectral_derivative(z0, 1)
+    zp0 = iface.z_alpha()
     sp_abs = np.abs(zp0)
     total = float(np.real(trapezoid(sp_abs)))
 

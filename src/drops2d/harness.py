@@ -25,8 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (Interface, circle, ellipse, interfaces_cross,
-                       min_distance, self_intersects, signed_area,
-                       to_equal_arclength)
+                       min_distance, self_intersects, to_equal_arclength)
 from .spectral import fourier_interp, resample
 from .stepper import CoupledState, StepController, advance_to
 from .stokes import FlowConfig
@@ -123,10 +122,13 @@ class RunRecord:
 
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
-    """Initial state of cfg; its drops must pass check_drops."""
+    """Initial state of cfg; drops must pass check_drops and have rho0 >= 0."""
+    for k, d in enumerate(cfg.drops):
+        if d.rho0 < 0:
+            raise ValueError(f"drop {k}: negative rho0 {d.rho0}")
     ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
-    fields = [_field(cfg, np.full(d.n, max(d.rho0, 0.0))) for d in cfg.drops]
+    fields = [_field(cfg, np.full(d.n, d.rho0)) for d in cfg.drops]
     return CoupledState(ifaces=ifaces, fields=fields)
 
 
@@ -151,7 +153,7 @@ def check_drops(ifaces):
     and free of self-crossings and every pair of drops is disjoint: no
     crossing, neither inside the other."""
     for k, ifc in enumerate(ifaces):
-        if signed_area(ifc.z) >= 0:
+        if ifc.signed_area() >= 0:
             raise ValueError(f"drop {k} is not clockwise")
     fault = _crossing(ifaces) or next(
         (f"drops {j} and {k} are nested"
@@ -269,7 +271,7 @@ def write_outputs(rec: RunRecord, out_dir: str):
         for row in rec.series:
             vals = [_fmt(row[k]) for k in ("t", "dt", "r", "r_z", "r_rho")]
             vals.append(str(row["accepted"]))
-            vals.append(_fmt(row["un_max"] if row["un_max"] is not None else np.nan))
+            vals.append(_fmt(row["un_max"]))
             vals.append(str(row["iterations"]))
             vals += [_fmt(a) for a in row["areas"]]
             vals += [_fmt(m) for m in row["masses"]]

@@ -3,11 +3,17 @@
 Everything in this module works on samples taken at the equidistant nodes
 alpha_i = 2*pi*i/N, i = 0..N-1, or on composite 16-point Gauss-Legendre
 panels covering the same parameter interval [0, 2*pi).
+
+The uniform-grid transforms (spectral_derivative, resample, krasny_filter)
+act along axis 0, so that one call transforms the k fields of an (N, k)
+stack, each bit for bit as a call on it alone.  modes(n) and the derivative
+multipliers are cached per n on first use, read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -43,27 +49,37 @@ def uniform_alpha(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+@cache
 def modes(n: int) -> np.ndarray:
     """Signed Fourier mode numbers in FFT layout."""
-    return np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+    k = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+    k.flags.writeable = False
+    return k
+
+
+@cache
+def _derivative_factor(n: int, order: int, ndim: int) -> np.ndarray:
+    """(ik)^order along axis 0 of an ndim array.  The Nyquist mode is zeroed
+    for odd orders, where it carries no usable phase information."""
+    fac = (1j * modes(n)) ** order
+    if n % 2 == 0 and order % 2 == 1:
+        fac[n // 2] = 0.0
+    fac.flags.writeable = False
+    return fac.reshape((n,) + (1,) * (ndim - 1))
+
+
+def spectral_derivatives(f, orders) -> tuple:
+    """d^k f / d alpha^k for each k in orders, from one forward FFT."""
+    vals = np.asarray(f)
+    coef = np.fft.fft(vals, axis=0)
+    out = (np.fft.ifft(coef * _derivative_factor(len(vals), k, vals.ndim),
+                       axis=0) for k in orders)
+    return tuple(d.real if np.isrealobj(vals) else d for d in out)
 
 
 def spectral_derivative(f, order: int = 1) -> np.ndarray:
-    """d^order f / d alpha^order via the discrete Fourier transform.
-
-    The Nyquist mode is zeroed for odd derivative orders, where it carries
-    no usable phase information.
-    """
-    vals = np.asarray(f)
-    n = vals.shape[0]
-    k = modes(n)
-    fac = (1j * k) ** order
-    if n % 2 == 0 and order % 2 == 1:
-        fac[n // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(vals) * fac)
-    if np.isrealobj(vals):
-        return out.real
-    return out
+    """d^order f / d alpha^order via the discrete Fourier transform."""
+    return spectral_derivatives(f, (order,))[0]
 
 
 def resample(f, new_n: int) -> np.ndarray:
@@ -103,9 +119,9 @@ def krasny_filter(f) -> np.ndarray:
     """Zero every Fourier mode whose amplitude |c_k| falls below KRASNY_TOL."""
     vals = np.asarray(f)
     n = vals.shape[0]
-    coef = np.fft.fft(vals) / n
+    coef = np.fft.fft(vals, axis=0) / n
     coef[np.abs(coef) < KRASNY_TOL] = 0.0
-    out = np.fft.ifft(coef) * n
+    out = np.fft.ifft(coef, axis=0) * n
     if np.isrealobj(vals):
         return out.real
     return out
@@ -174,11 +190,8 @@ def gl_geometry(z, n_panels: int):
     """
     n, c = len(z), np.fft.fft(z)
     k = modes(n)
-    c1 = 1j * k * c
-    if n % 2 == 0:
-        c1[n // 2] = 0.0
-    out = uniform_to_gl_matrix(n, n_panels) @ np.stack([c, c1, -(k * k) * c],
-                                                       axis=1)
+    out = uniform_to_gl_matrix(n, n_panels) @ np.stack(
+        [c, _derivative_factor(n, 1, 1) * c, -(k * k) * c], axis=1)
     return out[:-n_panels].T, out[-n_panels:, 0]
 
 

@@ -103,6 +103,23 @@ class CoupledState:
         return [i.area() for i in self.ifaces]
 
 
+class NegativeConcentrationError(ValueError):
+    """A stage left drop `drop` with min rho `rho_min` < 0 at time t."""
+
+    def __init__(self, t: float, drop: int, rho_min: float):
+        super().__init__(f"drop {drop}: negative surfactant concentration "
+                         f"{rho_min:.3e} at t={t:.6g}")
+        self.t, self.drop, self.rho_min = t, drop, rho_min
+
+
+def _filtered_field(f, rho, t, drop):
+    """f carrying krasny_filter(rho), which must be nonnegative."""
+    rho = krasny_filter(rho)
+    if rho.min() < 0:
+        raise NegativeConcentrationError(t, drop, float(rho.min()))
+    return with_rho(f, rho)
+
+
 @dataclass
 class StepInfo:
     r: float
@@ -156,10 +173,10 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g))
                    for i, g in zip(state.ifaces, g1)]
     fields_half = []
-    for ifc_h, f, fe in zip(ifaces_half, state.fields, fE1):
+    for k, (ifc_h, f, fe) in enumerate(zip(ifaces_half, state.fields, fE1)):
         s_a = ifc_h.length() / (2 * np.pi)
         rho_h = rhs_implicit_solve(f.rho + 0.5 * dt * fe, s_a, f.Pe, 0.5 * dt)
-        fields_half.append(with_rho(f, krasny_filter(rho_h)))
+        fields_half.append(_filtered_field(f, rho_h, state.t + 0.5 * dt, k))
     half = CoupledState(ifaces=ifaces_half, fields=fields_half,
                         t=state.t + 0.5 * dt)
 
@@ -170,11 +187,12 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     new_ifaces = [replace(i, z=z) for i, z in zip(state.ifaces, z_new)]
 
     new_fields = []
-    for ifc_h, f, fh, fe2 in zip(ifaces_half, state.fields, fields_half, fE2):
+    for k, (ifc_h, f, fh, fe2) in enumerate(zip(ifaces_half, state.fields,
+                                                fields_half, fE2)):
         s_a = ifc_h.length() / (2 * np.pi)
         fI = rhs_implicit_apply(fh, s_a)
         rho_new = f.rho + dt * fe2 + dt * fI
-        new_fields.append(with_rho(f, krasny_filter(np.maximum(rho_new, 0.0))))
+        new_fields.append(_filtered_field(f, rho_new, state.t + dt, k))
 
     mass_before = state.masses()
     cand = CoupledState(ifaces=new_ifaces, fields=new_fields, t=state.t + dt)

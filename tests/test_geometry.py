@@ -7,9 +7,8 @@ from scipy.integrate import quad
 from drops2d.geometry import (Interface, circle, curvature,
                               deformation_number, ellipse, interfaces_cross,
                               min_distance, modified_tangential_velocity,
-                              normals, self_intersects, signed_area,
-                              to_equal_arclength)
-from drops2d.spectral import resample, uniform_alpha
+                              normals, self_intersects, to_equal_arclength)
+from drops2d.spectral import resample, spectral_derivative, uniform_alpha
 
 
 def test_interface_grid_validation():
@@ -21,9 +20,20 @@ def test_interface_grid_validation():
     Interface(z=np.zeros(32))
 
 
+def test_cached_derivatives_match_spectral_derivative():
+    z = ellipse(96, 1.4, 0.8).z * np.exp(0.3j) + 0.2
+    iface = Interface(z=z)
+    assert np.array_equal(iface.z_alpha(), spectral_derivative(z, 1))
+    assert np.array_equal(iface.z_alpha2(), spectral_derivative(z, 2))
+    assert iface.z_alpha() is iface.z_alpha()
+    for d in (iface.z_alpha(), iface.z_alpha2()):
+        with pytest.raises(ValueError):
+            d[0] = 0.0
+
+
 def test_circle_helper_is_valid():
     c = circle(64)
-    assert signed_area(c.z) < 0
+    assert c.signed_area() < 0
     assert abs(c.area() - np.pi) < 1e-12
     assert abs(c.length() - 2 * np.pi) < 1e-12
 

@@ -287,8 +287,9 @@ T = uniform_alpha(256)
     (replace(custom_drop(np.exp(-1j * T)), phase=0.3),
      "drop 1: phase applies to circles only"),
     (DropSpec(center=-3.2, radius=0.3, n=32), "drops 0 and 1 are nested"),
+    (DropSpec(center=3.0, n=32, rho0=-0.1), "drop 1: negative rho0"),
 ], ids=["counterclockwise", "self_crossing", "ellipse_phase", "custom_phase",
-        "nested"])
+        "nested", "negative_rho0"])
 def test_build_state_rejects_bad_drop(drop, message):
     cfg = ScenarioConfig(name="bad", drops=[DropSpec(center=-3.0, n=64), drop],
                          flow=FlowConfig(), run=RunSpec())

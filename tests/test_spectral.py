@@ -191,3 +191,43 @@ def test_derivative_commutes_with_resample(k, seed):
     r_then_d = spectral_derivative(resample(f, 128), order)
     scale = max(np.abs(d_then_r).max(), 1.0)
     assert np.abs(d_then_r - r_then_d).max() / scale < 1e-12
+
+
+def _stack(n, k, dtype, seed):
+    """k smooth fields of n samples as the columns of an (n, k) array, with
+    coefficients decaying past KRASNY_TOL (n >= 64) so that the filter
+    cuts some."""
+    rng = np.random.default_rng(seed)
+    decay = np.exp(-np.abs(spectral.modes(n)))[:, None]
+    coef = rng.standard_normal((n, k)) * decay
+    if dtype is complex:
+        coef = coef + 1j * rng.standard_normal((n, k)) * decay**0.8
+        return np.fft.ifft(coef, axis=0) * n
+    return (np.fft.ifft(coef, axis=0) * n).real
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [32, 128, 192, 288])
+def test_axis0_batch_equals_columns(n, dtype):
+    # a stacked call is bit for bit the 1-D calls on its columns
+    vals = _stack(n, 5, dtype, n)
+    cols = [vals[:, j].copy() for j in range(vals.shape[1])]
+
+    def each(fn):
+        return np.stack([fn(c) for c in cols], axis=1)
+
+    assert np.array_equal(krasny_filter(vals), each(krasny_filter))
+    for order in (1, 2, 3):
+        assert np.array_equal(spectral_derivative(vals, order),
+                              each(lambda c: spectral_derivative(c, order)))
+    for m in (3 * n // 2, n // 2, n + 16):
+        assert np.array_equal(resample(vals, m), each(lambda c: resample(c, m)))
+    both = spectral.spectral_derivatives(vals, (1, 2))
+    assert np.array_equal(both[0], spectral_derivative(vals, 1))
+    assert np.array_equal(both[1], spectral_derivative(vals, 2))
+
+
+def test_cached_multipliers_are_read_only():
+    assert spectral.modes(64) is spectral.modes(64)
+    with pytest.raises(ValueError):
+        spectral.modes(64)[0] = 1
