@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neareval
-from .spectral import panel_grid
+from .spectral import PANEL_ORDER, panel_grid
 from .stokes import gmres_solve, layer_matrices, near_layer_matrices
 
 # the star r(a) = 1 + AMPLITUDE cos(MODE a) of the quadrature studies
@@ -91,9 +91,9 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
 
     x, res, _ = gmres_solve(matvec, np.concatenate([data.real, data.imag]),
                             SOLVE_TOL)
-    panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
-                                    w.reshape(-1, 16), z_edges[:-1],
-                                    z_edges[1:])
+    panels = neareval.prepare_panel(
+        *(a.reshape(-1, PANEL_ORDER) for a in (z, zp, w)), z_edges[:-1],
+        z_edges[1:])
     return DirichletSolution(z=z, zp=zp, zpp=zpp, w=w,
                              mu=x[:n] + 1j * x[n:], panels=panels,
                              residual=res)
@@ -119,7 +119,7 @@ def estimate_field(sol: DirichletSolution, targets):
     One batched preimage and estimate pass covers every candidate pair.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    mu_inf = np.abs(sol.mu).reshape(len(sol.panels), 16).max(axis=1)
+    mu_inf = np.abs(sol.mu).reshape(-1, PANEL_ORDER).max(axis=1)
     ti, ip = neareval.candidates(sol.panels, t)
     pk = sol.panels[ip]
     est = neareval.estimate_error(pk, neareval.locate_preimage(pk, t[ti]),

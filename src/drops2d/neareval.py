@@ -15,13 +15,14 @@ cull: only the pairs it returns are ever estimated or corrected.
 
 Panels come as one stacked PanelData, built in one vectorised
 prepare_panel pass, with a leading panel axis on every field.  Indexing
-it like an array gives a subset: panels[k] is one panel and panels[ip]
-has one row per entry of ip.  Every stage runs on a batch of (target,
-panel) pairs whose panel rows match its targets one for one:
-locate_preimage runs Newton elementwise over the batch, estimate_error
-and needs_correction act on whole arrays, and kernel_rows takes one
-moment recursion and one batched Vandermonde solve for all of its pairs.
-One panel and one target form a batch of one.
+it like an array gives a subset: panels[ip] has one row per entry of ip.
+Every stage takes and returns one 1-D pair axis: a batch of m (target,
+panel) pairs is m targets and the m panel rows panels[ip] that match them
+one for one.  locate_preimage runs Newton elementwise over the batch,
+estimate_error and needs_correction act on whole arrays, and kernel_rows
+takes one moment recursion and one batched Vandermonde solve for all of
+its pairs.  The path-deformation residues of p_0 are built in
+correction_rows, only for the pairs it builds rows for.
 
 There is one correction mechanism: overwrite_near_blocks writes the
 special rows of the flagged pairs over the plain entries of the weighted
@@ -36,13 +37,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .spectral import GL_NODES
-
-N_GL = 16
+from .spectral import GL_NODES, PANEL_ORDER
 
 # Legendre-Vandermonde on the reference nodes; orthogonality makes the
 # panel-parametrization fit eta backward-stable out to moderate |xi|.
-_LEGV = npleg.legvander(GL_NODES, N_GL - 1)
+_LEGV = npleg.legvander(GL_NODES, PANEL_ORDER - 1)
 _LEGV_INV = np.linalg.inv(_LEGV)
 # estimated plain-GL panel error above which the correction is applied
 ACTIVATION_THRESHOLD = 1e-13
@@ -59,10 +58,9 @@ def _rows(obj, sel):
 
 
 def candidates(panels, targets):
-    """The cull of targets without assembled kernels, from their distances
-    to every node."""
-    t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    d = panels.z_nodes[None, :, :] - t[:, None, None]
+    """The cull of a 1-D array of targets without assembled kernels, from
+    their distances to every node."""
+    d = panels.z_nodes[None, :, :] - targets[:, None, None]
     return cull(panels, (d.real ** 2 + d.imag ** 2).min(axis=2))
 
 
@@ -81,11 +79,12 @@ def cull(panels, dist2):
 class PanelData:
     """A stacked set of panels and the quantities near evaluation reuses.
 
-    Every field has a leading panel axis (none for a single panel), and
-    node fields a trailing axis of N_GL nodes.  Positions of the
-    transformed frame put each panel's endpoints at -1 and +1.  Indexing
-    acts on all fields at once: panels[k] is panel k and panels[ip] holds
-    one row per entry of ip; len and iteration run over the panels.
+    Every field has a leading panel axis, and node fields a trailing axis
+    of PANEL_ORDER nodes.  Positions of the transformed frame put each
+    panel's endpoints at -1 and +1.  Indexing acts on all fields at once:
+    panels[ip], ip a 1-D index array, holds one row per entry of ip and is
+    what the stages take; panels[k] is panel k without the panel axis, for
+    reading its fields.  len and iteration run over the panels.
     """
 
     z_nodes: np.ndarray          # physical node positions
@@ -115,16 +114,16 @@ class PanelData:
 class PanelLocalFrame:
     """Target-specific frames of a batch of point-panel pairs.
 
-    Each field holds one entry per pair, shaped like the batch (0-d for a
-    single pair).  pair numbers the pairs in the batch that
-    locate_preimage solved; take keeps those numbers.
+    Each field holds one entry per pair along the batch's 1-D pair axis.
+    pair numbers the pairs in the batch that locate_preimage solved; take
+    keeps those numbers.  The frame carries no residue of p_0:
+    correction_rows builds it for the pairs it corrects.
     """
 
     z0: np.ndarray
     z0t: np.ndarray              # transformed target
     xi0: np.ndarray              # preimage of the target under eta
     newton_ok: np.ndarray
-    residue: np.ndarray          # 0 or +-2*pi*i added to p_0
     pair: np.ndarray
 
     take = _rows
@@ -133,32 +132,26 @@ class PanelLocalFrame:
 def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     """The transformed frames and interpolation data of a stack of panels.
 
-    z_nodes, zp_nodes and w_alpha hold (..., N_GL) node samples and za, zb
-    the (...) endpoints of each panel; the leading axes become the panel
-    axes of the result.
+    z_nodes, zp_nodes and w_alpha hold (n_panels, PANEL_ORDER) node
+    samples and za, zb the endpoints of each panel.
     """
     z_nodes = np.asarray(z_nodes, dtype=complex)
     za, zb = np.asarray(za, dtype=complex), np.asarray(zb, dtype=complex)
     mid = 0.5 * (za + zb)
     scale = 2.0 / (zb - za)
-    nodes_t = scale[..., None] * (z_nodes - mid[..., None])
+    nodes_t = scale[:, None] * (z_nodes - mid[:, None])
     # degree-15 parametrization of each transformed panel: eta(xi) with
     # eta(GL_NODES[k]) = nodes_t[k], stored as Legendre coefficients;
     # noise-level coefficients are zeroed so evaluation stays stable a
     # couple of panel lengths out; one matrix-vector product per panel
     # keeps each panel's coefficients independent of the stack
-    eta = (_LEGV_INV @ nodes_t[..., None])[..., 0]
+    eta = (_LEGV_INV @ nodes_t[:, :, None])[:, :, 0]
     eta[np.abs(eta) < 1e-14 * np.abs(eta).max(axis=-1, keepdims=True)] = 0.0
     return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
                      nodes_t=nodes_t, eta=eta,
                      eta_p=npleg.legder(eta, axis=-1),
                      length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1))
-
-
-def _batch(panel: PanelData) -> PanelData:
-    """The panel rows of a batch with one leading axis (one for a single pair)."""
-    return panel if np.ndim(panel.scale) else panel[None]
 
 
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
@@ -170,12 +163,7 @@ def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     is accepted (newton_ok) when the residual is within NEWTON_TOL
     relative to max(1, |z0t|) and |xi0| < 10.
     """
-    shape = np.shape(panel.scale)
-    z0 = np.broadcast_to(np.asarray(z0, dtype=complex), shape)
-    panel = _batch(panel)
-    # flat arrays throughout: a single pair then takes the same array
-    # arithmetic as a batch (NumPy scalar operators round differently)
-    zt = panel.transform(z0.ravel())
+    zt = panel.transform(z0)
     xi = zt.copy()
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
@@ -192,14 +180,11 @@ def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     resid = np.abs(npleg.legval(xi, panel.eta.T, tensor=False) - zt)
     ok = ((resid <= NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
           & (np.abs(xi) < 10.0))
-    residue = _residue_correction(panel, zt, xi, ok)
-    return PanelLocalFrame(
-        z0=z0, z0t=zt.reshape(shape), xi0=xi.reshape(shape),
-        newton_ok=ok.reshape(shape), residue=residue.reshape(shape),
-        pair=np.arange(zt.size).reshape(shape))
+    return PanelLocalFrame(z0=z0, z0t=zt, xi0=xi, newton_ok=ok,
+                           pair=np.arange(zt.size))
 
 
-def _residue_correction(panel: PanelData, z0t, xi0, ok):
+def _residue_correction(panel: PanelData, frame: PanelLocalFrame):
     """Path-deformation residues for targets between the panel and [-1, 1].
 
     Near the panel, eta is a graph-like perturbation of the identity, so
@@ -210,12 +195,12 @@ def _residue_correction(panel: PanelData, z0t, xi0, ok):
     bulges below the segment and clockwise when above.  Away from the panel
     (no reliable preimage) a comparison of the principal-branch p_0 with
     the 16-point rule along the actual arc settles the branch; plain
-    quadrature of p_0 is accurate there.  panel, z0t, xi0 and ok are flat
-    over the batch.
+    quadrature of p_0 is accurate there.
     """
+    z0t, xi0 = frame.z0t, frame.xi0
     residue = np.zeros(z0t.shape, dtype=complex)
     on_segment = (np.abs(z0t.imag) < 1e-14) & (np.abs(z0t.real) <= 1.0)
-    lens_test = ~on_segment & ok & (np.abs(xi0) < 1.2)
+    lens_test = ~on_segment & frame.newton_ok & (np.abs(xi0) < 1.2)
     # beyond the panel ends (|Re xi0| > 1) the target is outside the lens
     # whatever the sign of Im(xi0)
     between = (lens_test & (np.abs(xi0.real) <= 1.0)
@@ -236,54 +221,53 @@ def _residue_correction(panel: PanelData, z0t, xi0, ok):
     return residue
 
 
-def recursion_pq(z0t, residue=0.0) -> tuple[np.ndarray, np.ndarray]:
+def recursion_pq(z, residue=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Monomial moments p_j, q_j on [-1, 1], moment index first.
 
-    p[j] and q[j] have the shape of z0t.  A nonzero residue (+-2*pi*i) is
-    folded into p_0 before recursing; the recursions then propagate it to
-    every higher moment consistently.  Forward recursion is stable in the
-    activation region (preimages within about half a panel length,
-    |z0| <~ 1.5); farther out the absolute error grows like eps |z0|^15,
-    where the special rule is never selected.
+    z is a 1-D batch of transformed targets, and p[j] and q[j] have its
+    shape.  A nonzero residue (+-2*pi*i) is folded into p_0 before
+    recursing; the recursions then propagate it to every higher moment
+    consistently.  Forward recursion is stable in the activation region
+    (preimages within about half a panel length, |z0| <~ 1.5); farther
+    out the absolute error grows like eps |z0|^15, where the special rule
+    is never selected.
     """
-    shape = np.shape(z0t)
-    z = np.ravel(np.asarray(z0t, dtype=complex))
     if np.any((z.imag == 0.0) & (np.abs(z.real) <= 1.0)):
         raise ValueError("target preimage lies on the panel segment")
-    p = np.empty((N_GL, z.size), dtype=complex)
+    p = np.empty((PANEL_ORDER, z.size), dtype=complex)
     q = np.empty_like(p)
-    p[0] = np.log(1.0 - z) - np.log(-1.0 - z) + np.ravel(residue)
+    p[0] = np.log(1.0 - z) - np.log(-1.0 - z) + residue
     q[0] = -1.0 / (1.0 + z) - 1.0 / (1.0 - z)
-    for j in range(1, N_GL):
+    for j in range(1, PANEL_ORDER):
         p[j] = z * p[j - 1] + (1.0 - (-1.0) ** j) / j
         q[j] = z * q[j - 1] + p[j - 1]
-    return p.reshape((N_GL,) + shape), q.reshape((N_GL,) + shape)
+    return p, q
 
 
 def correction_rows(panel: PanelData, frame: PanelLocalFrame):
     """Row functionals for the two singular panel integrals.
 
-    Returns (r1, r2), one row of N_GL weights per pair of frame, with
+    Returns (r1, r2), one row of PANEL_ORDER weights per pair of frame,
+    with
 
         int_panel f(tau)/(tau - z0) dtau          ~ r1 . f(nodes)
         int_panel f(tau)/(tau - z0)^2 dtau        ~ r2 . f(nodes)
 
     where f is sampled at the nodes of the pair's panel (its row of panel)
-    and interpolated in the transformed position variable.
+    and interpolated in the transformed position variable.  Only these
+    pairs get the path-deformation residue of p_0.
     """
-    p, q = recursion_pq(frame.z0t, frame.residue)
-    # transformed Vandermonde V[..., k, j] = nodes_t[k]^j, built as
+    p, q = recursion_pq(frame.z0t, _residue_correction(panel, frame))
+    # transformed Vandermonde V[m, k, j] = nodes_t[m, k]^j, built as
     # np.vander builds it
-    V = np.empty(np.shape(panel.nodes_t) + (N_GL,), dtype=complex)
-    V[..., 0] = 1.0
-    V[..., 1:] = panel.nodes_t[..., None]
-    np.multiply.accumulate(V[..., 1:], out=V[..., 1:], axis=-1)
+    V = np.empty(panel.nodes_t.shape + (PANEL_ORDER,), dtype=complex)
+    V[:, :, 0] = 1.0
+    V[:, :, 1:] = panel.nodes_t[:, :, None]
+    np.multiply.accumulate(V[:, :, 1:], out=V[:, :, 1:], axis=2)
     # I1: row = p^T V^{-1}; I2 carries the affine Jacobian of 1/(tau-z0)^2;
     # one batched solve of V^T r = (p, q) covers every pair
-    r = np.linalg.solve(np.swapaxes(V, -1, -2),
-                        np.stack([np.moveaxis(p, 0, -1),
-                                  np.moveaxis(q, 0, -1)], axis=-1))
-    return r[..., 0], panel.scale[..., None] * r[..., 1]
+    r = np.linalg.solve(np.swapaxes(V, 1, 2), np.stack([p.T, q.T], axis=2))
+    return r[:, :, 0], panel.scale[:, None] * r[:, :, 1]
 
 
 def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
@@ -303,43 +287,19 @@ def kernel_rows(panel: PanelData, frame: PanelLocalFrame):
     tang = panel.zp_nodes / np.abs(panel.zp_nodes)
     nbar2 = -np.conj(tang) ** 2
     rJ2 = r1 * nbar2
-    rJ3 = r2 * (np.conj(panel.z_nodes) - np.conj(frame.z0)[..., None])
+    rJ3 = r2 * (np.conj(panel.z_nodes) - np.conj(frame.z0)[:, None])
     return r1, rJ2, rJ3
-
-
-def correct_panel_integrals(panel: PanelData, mu_panel, z0: complex):
-    """Corrected contributions of one panel to the two velocity kernels.
-
-    Returns (K1, K2) with
-
-        K1 = int mu(tau) Re{dtau/(tau - z0)}
-        K2 = int conj(mu(tau)) Im{dtau (conj tau - conj z0)}/(conj tau - conj z0)^2
-
-    or None when the frame could not be built (caller keeps plain GL).
-    """
-    frame = locate_preimage(panel, z0)
-    if not frame.newton_ok:
-        return None
-    mu_panel = np.asarray(mu_panel)
-    r1, rJ2, rJ3 = kernel_rows(panel, frame)
-    I1 = r1 @ mu_panel
-    I1c = r1 @ np.conj(mu_panel)
-    J2 = rJ2 @ mu_panel
-    J3 = rJ3 @ mu_panel
-    K1 = 0.5 * (I1 + np.conj(I1c))
-    K2 = 0.5j * (np.conj(J2) + np.conj(J3))
-    return K1, K2
 
 
 def overwrite_near_blocks(C, M2, panels, targets, ti, ip, mu_inf):
     """Write the special rows of the flagged pairs over the plain entries.
 
     C and M2 are the weighted kernels of stokes.layer_matrices, one row
-    per target, with panel g on columns 16g:16g+16.  (ti, ip) index
-    candidate pairs into targets and panels, and mu_inf is the density
-    max-norm of each pair's panel (or one value for all).  For every pair
-    that needs_correction flags, the kernel_rows (r1, rJ2, rJ3) replace
-    row ti, columns 16 ip:16 ip+16, in place:
+    per target, with panel g on columns 16g:16g+16 (16 = PANEL_ORDER).
+    (ti, ip) index candidate pairs into targets and panels, and mu_inf is
+    the density max-norm of each pair's panel (or one value for all).
+    For every pair that needs_correction flags, the kernel_rows (r1, rJ2,
+    rJ3) replace row ti, columns 16 ip:16 ip+16, in place:
 
         C  <- r1
         M2 <- (i/2) (conj rJ2 + conj rJ3)
@@ -356,7 +316,8 @@ def overwrite_near_blocks(C, M2, panels, targets, ti, ip, mu_inf):
         return ti[:0], ip[:0]
     ti, ip = ti[frame.pair], ip[frame.pair]
     r1, rJ2, rJ3 = kernel_rows(panels[ip], frame)
-    rows, cols = ti[:, None], N_GL * ip[:, None] + np.arange(N_GL)
+    rows = ti[:, None]
+    cols = PANEL_ORDER * ip[:, None] + np.arange(PANEL_ORDER)
     C[rows, cols] = r1
     M2[rows, cols] = 0.5j * (np.conj(rJ2) + np.conj(rJ3))
     return ti, ip
@@ -371,21 +332,20 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
     where Newton found no preimage, where the preimage degenerates onto
     the panel segment and where eta' vanishes at it.
     """
-    shape = np.shape(frame.xi0)
-    xi0 = np.ravel(frame.xi0)
-    mu = np.broadcast_to(mu_inf, shape).ravel()
+    xi0 = frame.xi0
+    mu = np.broadcast_to(mu_inf, xi0.shape)
     est = np.full(xi0.shape, np.inf)
     on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
-    k = np.flatnonzero(np.ravel(frame.newton_ok) & ~on_segment)
-    xi, mu, pk = xi0[k], mu[k], _batch(panel)
-    eta, eta_p = pk.eta[k], pk.eta_p[k]
-    # characteristic remainder function of the N_GL-point GL rule
+    k = np.flatnonzero(frame.newton_ok & ~on_segment)
+    xi, mu = xi0[k], mu[k]
+    eta, eta_p = panel.eta[k], panel.eta_p[k]
+    # characteristic remainder function of the PANEL_ORDER-point GL rule
     s = np.sqrt(xi * xi - 1.0)
     s = np.where(np.abs(xi + s) < 1.0, -s, s)
-    kn = 2.0 * np.pi / (xi + s) ** (2 * N_GL + 1)
+    kn = 2.0 * np.pi / (xi + s) ** (2 * PANEL_ORDER + 1)
     # a named quotient: NumPy would reuse a large unnamed temporary in place
     # and swap the complex operands, so the bits would depend on batch size
-    dlog = -(2 * N_GL + 1) / s
+    dlog = -(2 * PANEL_ORDER + 1) / s
     knp = kn * dlog
     etap0 = npleg.legval(xi, eta_p.T, tensor=False)
     # pairs with eta'(xi0) == 0 divide by zero here and get inf below
@@ -399,7 +359,7 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
         est[k] = np.where(etap0 == 0, np.inf,
                           np.abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi)
                                  + np.conj(R3) / (2 * np.pi)))
-    return est.reshape(shape)
+    return est
 
 
 def needs_correction(panel: PanelData, z0, mu_inf):

@@ -44,7 +44,8 @@ from functools import reduce
 import numpy as np
 
 from . import neareval
-from .spectral import DIFF16, gl_geometry, panel_grid, uniform_to_gl
+from .spectral import (DIFF16, PANEL_ORDER, gl_geometry, panel_grid,
+                       uniform_to_gl)
 
 DEFAULT_TOL = 1e-12
 # GMRES cycle length; a solve of n unknowns (2N for the density) allocates
@@ -81,8 +82,9 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite")
         if self.eos not in ("linear", "langmuir"):
             raise ValueError("eos must be 'linear' or 'langmuir'")
-        if not (self.Pe > 0):
-            raise ValueError("Pe must be positive (np.inf allowed)")
+        if self.Pe is None or not self.Pe > 0:
+            raise ValueError(f"Pe must be positive (np.inf allowed), "
+                             f"not {self.Pe}")
         if self.eos == "langmuir" and not (0 < self.E < 1):
             raise ValueError("langmuir needs 0 < E < 1")
 
@@ -201,24 +203,25 @@ class Discretization:
 
 def discretize(ifaces) -> Discretization:
     """Interpolate interface geometry onto the composite GL grids."""
-    n_panels = [ifc.n // 16 for ifc in ifaces]
+    n_panels = [ifc.n // PANEL_ORDER for ifc in ifaces]
     geo = [gl_geometry(ifc.z, npan) for ifc, npan in zip(ifaces, n_panels)]
     z, zp, zpp = np.concatenate([g for g, _ in geo], axis=1)
     za = np.concatenate([starts for _, starts in geo])
     zb = np.concatenate([np.roll(starts, -1) for _, starts in geo])
     w = np.concatenate([panel_grid(npan).weights for npan in n_panels])
-    panels = neareval.prepare_panel(z.reshape(-1, 16), zp.reshape(-1, 16),
-                                    w.reshape(-1, 16), za, zb)
+    panels = neareval.prepare_panel(
+        *(a.reshape(-1, PANEL_ORDER) for a in (z, zp, w)), za, zb)
     return Discretization(
         ifaces=list(ifaces), z=z, zp=zp, zpp=zpp, w=w,
-        drop_of=np.repeat(np.arange(len(n_panels)), 16 * np.array(n_panels)),
+        drop_of=np.repeat(np.arange(len(n_panels)),
+                          PANEL_ORDER * np.array(n_panels)),
         n_panels=n_panels, panels=panels)
 
 
 def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
     """Interpolate per-drop uniform surface tension to the GL grids."""
     return np.concatenate([uniform_to_gl(np.asarray(sig, dtype=float),
-                                         ifc.n // 16)
+                                         ifc.n // PANEL_ORDER)
                            for ifc, sig in zip(ifaces, sigma_uniform)])
 
 
@@ -244,9 +247,9 @@ def layer_matrices(z, zp, zpp, w, targets=None):
     C = np.empty_like(dz)
     sq = np.square(dz.view(float), out=C.view(float))
     d2 = sq[:, ::2] + sq[:, 1::2]
-    # node by node: a min over the trailing axis of 16 is 4x slower
-    dist2 = reduce(np.minimum,
-                   np.moveaxis(d2.reshape(t.size, z.size // 16, 16), 2, 0))
+    # node by node: a min over the trailing axis of a panel is 4x slower
+    dist2 = reduce(np.minimum, np.moveaxis(
+        d2.reshape(t.size, z.size // PANEL_ORDER, PANEL_ORDER), 2, 0))
     if targets is not None and np.any(dist2 == 0):
         raise ValueError("target coincides with a quadrature node")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,7 +276,7 @@ def near_layer_matrices(geom, mu, targets):
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     C, M2, dist2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
                                   targets=t)
-    mu_inf = np.abs(mu).reshape(len(geom.panels), 16).max(axis=1)
+    mu_inf = np.abs(mu).reshape(-1, PANEL_ORDER).max(axis=1)
     ti, ip = neareval.cull(geom.panels, dist2)
     neareval.overwrite_near_blocks(C, M2, geom.panels, t, ti, ip, mu_inf[ip])
     return C, M2
@@ -295,7 +298,7 @@ class DirectKernels:
     def __init__(self, disc: Discretization):
         self.CAU, M2, dist2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         i, ip = neareval.cull(disc.panels, dist2)
-        cross = disc.drop_of[i] != disc.drop_of[16 * ip]
+        cross = disc.drop_of[i] != disc.drop_of[PANEL_ORDER * ip]
         self.pairs = np.column_stack(neareval.overwrite_near_blocks(
             self.CAU, M2, disc.panels, disc.z, i[cross], ip[cross], 1.0))
         self.Uc = np.multiply(M2, 1j / np.pi, out=M2)
@@ -387,7 +390,7 @@ def evaluate_velocity_on_interface(disc: Discretization, sol: DensitySolution,
     D the per-panel d/d alpha (DIFF16 scaled by n_panels/pi).
     """
     mu = sol.mu
-    dmu = ((mu.reshape(-1, 16) @ DIFF16.T).ravel()
+    dmu = ((mu.reshape(-1, PANEL_ORDER) @ DIFF16.T).ravel()
            * (np.asarray(disc.n_panels)[disc.drop_of] / np.pi))
     # Re CAU on Re mu, Im mu and ones (its row sums) in one real product:
     # CAU viewed as (re, im) pairs, with zero weight on every im entry
@@ -432,5 +435,5 @@ def interface_velocity(ifaces, sigma_uniform, cfg: FlowConfig,
     u_gl = evaluate_velocity_on_interface(disc, sol, cfg, kernels)
     out = [panel_interp_to_uniform(u, npan, ifc.n) for ifc, npan, u in
            zip(ifaces, disc.n_panels,
-               np.split(u_gl, 16 * np.cumsum(disc.n_panels)[:-1]))]
+               np.split(u_gl, PANEL_ORDER * np.cumsum(disc.n_panels)[:-1]))]
     return out, sol, disc

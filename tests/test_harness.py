@@ -76,6 +76,14 @@ class TestConfigRoundTrip:
         cfg2 = ScenarioConfig.from_json(cfg.to_json())
         assert not np.isfinite(cfg2.flow.Pe)
 
+    def test_null_pe_rejected(self):
+        # to_json writes Pe = inf as Infinity; a null is no Peclet number
+        import json
+        raw = json.loads(preset("steady_single").to_json())
+        raw["flow"]["Pe"] = None
+        with pytest.raises(ValueError, match="Pe must be positive"):
+            ScenarioConfig.from_json(json.dumps(raw))
+
 
 class TestDeterminism:
     def test_fixed_dt_byte_identical(self, tmp_path):

@@ -2,7 +2,9 @@
 and the package runs without scipy, a test-only dependency.
 
 No linter is a test dependency, so an AST scan stands in for one: a name
-bound by an import must appear as a name somewhere in its module.
+bound by an import must be read in the scope that binds it, the module or
+the function whose body holds the import (functions nested in it
+included).
 """
 
 import ast
@@ -18,16 +20,34 @@ FILES = sorted([*(ROOT / "src" / "drops2d").glob("*.py"),
                 *(ROOT / "tests").glob("*.py")])
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def own_nodes(scope):
+    """The nodes of scope outside the functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
-    bound = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(bound - used)
+    unused = set()
+    for scope in [tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, FUNCTIONS))]:
+        bound = set()
+        for node in own_nodes(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused |= bound - read
+    return sorted(unused)
 
 
 def test_scan_flags_unused_names():
@@ -35,6 +55,15 @@ def test_scan_flags_unused_names():
            "import os.path\nimport numpy as np\nfrom math import pi, tau\n"
            "x = np.zeros(3) * pi\n")
     assert unused_imports(src) == ["os", "tau"]
+
+
+def test_scan_flags_names_unread_in_their_scope():
+    # a name only assigned, or read only outside the function that
+    # imports it, is not used by that import
+    src = ("import json\njson = None\n"
+           "def f():\n    from math import e\n    return 1\n"
+           "def g():\n    import os\n    return lambda: e + os.sep\n")
+    assert unused_imports(src) == ["e", "json"]
 
 
 @pytest.mark.parametrize("path", FILES,

@@ -11,15 +11,25 @@ from scipy.integrate import quad
 
 from drops2d import neareval
 from drops2d.neareval import (CULL_FACTOR, NEWTON_MAXITER, PanelData,
-                              candidates, correct_panel_integrals,
-                              estimate_error, kernel_rows,
-                              locate_preimage, needs_correction,
-                              overwrite_near_blocks, prepare_panel,
-                              recursion_pq)
+                              _residue_correction, candidates,
+                              estimate_error, kernel_rows, locate_preimage,
+                              needs_correction, overwrite_near_blocks,
+                              prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
 from drops2d.stokes import layer_matrices, near_layer_matrices
 
 warnings.filterwarnings("ignore", message=".*roundoff.*")
+
+
+def one_panel(z, zp, za, zb):
+    """A panel set holding the one panel with nodes z and endpoints za, zb."""
+    return prepare_panel(z[None], zp[None], GL_WEIGHTS[None].copy(),
+                         np.array([za]), np.array([zb]))
+
+
+def one(z0):
+    """The batch of the one target z0."""
+    return np.array([z0], dtype=complex)
 
 
 def quarter_circle_panel():
@@ -28,14 +38,13 @@ def quarter_circle_panel():
     th = th_a + (GL_NODES + 1) * (th_b - th_a) / 2
     z = np.exp(1j * th)
     zp = 1j * np.exp(1j * th) * (th_b - th_a) / 2   # dz/dxi
-    w = GL_WEIGHTS.copy()
-    return prepare_panel(z, zp, w, np.exp(1j * th_a), np.exp(1j * th_b)), (th_a, th_b)
+    return (one_panel(z, zp, np.exp(1j * th_a), np.exp(1j * th_b)),
+            (th_a, th_b))
 
 
 def flat_panel():
-    z = GL_NODES.astype(complex)
-    zp = np.ones(16, dtype=complex)
-    return prepare_panel(z, zp, GL_WEIGHTS.copy(), -1.0 + 0j, 1.0 + 0j)
+    return one_panel(GL_NODES.astype(complex), np.ones(16, dtype=complex),
+                     -1.0 + 0j, 1.0 + 0j)
 
 
 def plain_rows(panel, z0):
@@ -43,7 +52,7 @@ def plain_rows(panel, z0):
 
     panel holds one row per target z0.
     """
-    z0 = np.asarray(z0)[..., None]
+    z0 = z0[:, None]
     d = panel.z_nodes - z0
     base = panel.w_alpha * panel.zp_nodes
     r1 = base / d
@@ -62,40 +71,40 @@ def cquad(f, a, b):
 class TestPreimage:
     def test_flat_panel_interior_point(self):
         panel = flat_panel()
-        fr = locate_preimage(panel, 0.5j)
+        fr = locate_preimage(panel, one(0.5j))
         assert fr.newton_ok
         assert abs(fr.xi0 - 0.5j) < 1e-13
 
     def test_flat_panel_real_exterior(self):
         panel = flat_panel()
-        fr = locate_preimage(panel, 2.0 + 0j)
+        fr = locate_preimage(panel, one(2.0))
         assert abs(fr.xi0 - 2.0) < 1e-13
 
     def test_curved_panel_residual(self):
         panel, (ta, tb) = quarter_circle_panel()
         z0 = 0.98 * np.exp(1j * np.pi / 8)
-        fr = locate_preimage(panel, z0)
+        fr = locate_preimage(panel, one(z0))
         assert fr.newton_ok
-        eta_val = np.polynomial.legendre.legval(fr.xi0, panel.eta)
+        eta_val = np.polynomial.legendre.legval(fr.xi0, panel.eta[0])
         assert abs(eta_val - panel.transform(z0)) < 1e-13
 
 
 class TestRecursion:
     def test_p0_at_two(self):
-        p, q = recursion_pq(2.0 + 0j)
+        p, q = recursion_pq(one(2.0))
         assert abs(p[0] + np.log(3.0)) < 1e-14
 
     def test_q0_at_two(self):
-        p, q = recursion_pq(2.0 + 0j)
+        p, q = recursion_pq(one(2.0))
         assert abs(q[0] - 2.0 / 3.0) < 1e-14
 
     def test_on_segment_rejected(self):
         with pytest.raises(ValueError):
-            recursion_pq(0.3 + 0j)
+            recursion_pq(one(0.3))
 
     @pytest.mark.parametrize("z0", [0.2 + 0.05j, -0.7 + 0.3j, 1.3 - 0.8j])
     def test_against_adaptive_quadrature(self, z0):
-        p, q = recursion_pq(z0)
+        p, q = recursion_pq(one(z0))
         for j in range(16):
             pj = cquad(lambda t: t**j / (t - z0), -1, 1)
             qj = cquad(lambda t: t**j / (t - z0) ** 2, -1, 1)
@@ -110,7 +119,7 @@ class TestRecursion:
             r = 1.05 + 0.45 * rng.random()
             th = rng.random() * 2 * np.pi
             z0 = r * np.exp(1j * th)
-            p, q = recursion_pq(z0)
+            p, q = recursion_pq(one(z0))
             split = float(np.clip(z0.real, -1.0, 1.0))
             for j in (7, 15):
                 f = lambda t: t**j / (t - z0)
@@ -123,8 +132,8 @@ class TestRecursion:
 class TestCorrection:
     def test_far_target_matches_plain(self):
         panel, _ = quarter_circle_panel()
-        mu = np.exp(panel.z_nodes)
-        z0 = 0.3 + 0.1j
+        mu = np.exp(panel.z_nodes[0])
+        z0 = one(0.3 + 0.1j)
         fr = locate_preimage(panel, z0)
         r1, rJ2, rJ3 = kernel_rows(panel, fr)
         p1, pJ2, pJ3 = plain_rows(panel, z0)
@@ -138,9 +147,9 @@ class TestCorrection:
         mid = np.exp(1j * (ta + tb) / 2)
         for dist, side in ((1e-3, 1), (1e-3, -1), (0.03, 1)):
             z0 = mid * (1 + side * dist)
-            fr = locate_preimage(panel, z0)
+            fr = locate_preimage(panel, one(z0))
             r1, _, _ = kernel_rows(panel, fr)
-            got = r1 @ mu_f(panel.z_nodes)
+            got = r1 @ mu_f(panel.z_nodes[0])
             # split the parameter interval at the closest point for quad
             tm = (ta + tb) / 2
             f = lambda t: mu_f(np.exp(1j * t)) * 1j * np.exp(1j * t) / (np.exp(1j * t) - z0)
@@ -149,9 +158,10 @@ class TestCorrection:
 
     def test_zero_density(self):
         panel, _ = quarter_circle_panel()
-        out = correct_panel_integrals(panel, np.zeros(16), 1.001 * np.exp(1j * np.pi / 8))
-        assert out is not None
-        assert abs(out[0]) == 0 and abs(out[1]) == 0
+        fr = locate_preimage(panel, one(1.001 * np.exp(1j * np.pi / 8)))
+        assert fr.newton_ok
+        for r in kernel_rows(panel, fr):
+            assert np.all(r @ np.zeros(16) == 0)
 
     def test_residue_branch_both_sides(self):
         # mirrored targets very close to the curved panel: both need the
@@ -162,9 +172,9 @@ class TestCorrection:
         tm = (ta + tb) / 2
         for side in (1, -1):
             z0 = mid * (1 + side * 2e-3)
-            fr = locate_preimage(panel, z0)
+            fr = locate_preimage(panel, one(z0))
             r1, _, _ = kernel_rows(panel, fr)
-            got = r1 @ mu_f(panel.z_nodes)
+            got = r1 @ mu_f(panel.z_nodes[0])
             f = lambda t: mu_f(np.exp(1j * t)) * 1j * np.exp(1j * t) / (np.exp(1j * t) - z0)
             want = cquad(f, ta, tm) + cquad(f, tm, tb)
             assert abs(got - want) < 1e-10
@@ -181,11 +191,11 @@ class TestEstimate:
         panel, (ta, tb) = quarter_circle_panel()
         mid = np.exp(1j * (ta + tb) / 2)
         mu_f = lambda tau: np.exp(tau)
-        mu = mu_f(panel.z_nodes)
+        mu = mu_f(panel.z_nodes[0])
         tm = (ta + tb) / 2
         for dist in (0.3, 0.15, 0.08):
             z0 = mid * (1 + dist)
-            fr = locate_preimage(panel, z0)
+            fr = locate_preimage(panel, one(z0))
             est = estimate_error(panel, fr, np.abs(mu).max())
             # measured plain-GL error of the combined kernel value
             # I = -(i/pi) Im-part + conj parts
@@ -201,12 +211,13 @@ class TestEstimate:
                     return (-1j / np.pi) * J1 + np.conj(J2) / (2 * np.pi) + np.conj(J3) / (2 * np.pi)
                 return cquad(g, ta, tm) + cquad(g, tm, tb)
 
-            base = panel.w_alpha * panel.zp_nodes
-            d = panel.z_nodes - z0
+            zn = panel.z_nodes[0]
+            base = panel.w_alpha[0] * panel.zp_nodes[0]
+            d = zn - z0
             J1 = np.sum(mu * np.imag(base / d))
-            nb2 = np.conj(panel.z_nodes) ** 2
+            nb2 = np.conj(zn) ** 2
             J2 = np.sum(mu * nb2 * base / d)
-            J3 = np.sum(mu * (np.conj(panel.z_nodes) - np.conj(z0)) * base / d**2)
+            J3 = np.sum(mu * (np.conj(zn) - np.conj(z0)) * base / d**2)
             plain = (-1j / np.pi) * J1 + np.conj(J2) / (2 * np.pi) + np.conj(J3) / (2 * np.pi)
             measured = abs(plain - kernel_exact())
             if measured > 1e-12:
@@ -215,13 +226,13 @@ class TestEstimate:
 
     def test_zero_density_zero_estimate(self):
         panel, _ = quarter_circle_panel()
-        fr = locate_preimage(panel, 1.05 * np.exp(1j * np.pi / 8))
+        fr = locate_preimage(panel, one(1.05 * np.exp(1j * np.pi / 8)))
         assert estimate_error(panel, fr, 0.0) == 0.0
 
 
 def test_idempotence_where_plain_accurate():
     panel, (ta, tb) = quarter_circle_panel()
-    mu = np.cos(panel.z_nodes)
+    mu = np.cos(panel.z_nodes[0])
     z0 = np.exp(1j * np.pi / 8) * (1 + 1.0 * panel.length)
     fr = locate_preimage(panel, z0)
     r1, rJ2, rJ3 = kernel_rows(panel, fr)
@@ -328,7 +339,7 @@ class TestPanelSet:
 
 
 class TestNearCorrect:
-    """Corrected minus plain kernels against correct_panel_integrals.
+    """Corrected minus plain kernels against pair-by-pair panel integrals.
 
     near_layer_matrices overwrites the flagged blocks of layer_matrices;
     the difference of the two, applied to mu, is the summed increment of
@@ -337,22 +348,31 @@ class TestNearCorrect:
 
     @staticmethod
     def reference(panels, mu, targets):
-        """Summed (K1, K2) increments over the panels the estimate flags."""
+        """Summed (K1, K2) increments over the panels the estimate flags,
+        one (target, panel) pair at a time, with
+
+            K1 = int mu(tau) Re{dtau/(tau - z0)}
+            K2 = int conj(mu(tau)) Im{dtau (conj tau - conj z0)}
+                 / (conj tau - conj z0)^2
+        """
         mu_p = mu.reshape(len(panels), 16)
         dK1 = np.zeros(len(targets), dtype=complex)
         dK2 = np.zeros(len(targets), dtype=complex)
         dI = np.zeros(len(targets), dtype=complex)
         hits = 0
         for k, z0 in enumerate(targets):
-            for panel, m in zip(panels, mu_p):
-                if needs_correction(panel, z0, np.abs(m).max()) is None:
+            for g, m in enumerate(mu_p):
+                panel, z = panels[[g]], one(z0)
+                if needs_correction(panel, z, np.abs(m).max()) is None:
                     continue
                 hits += 1
-                K1, K2 = correct_panel_integrals(panel, m, z0)
-                p1, pJ2, pJ3 = plain_rows(panel, z0)
+                r1, rJ2, rJ3 = (r[0] for r in kernel_rows(
+                    panel, locate_preimage(panel, z)))
+                p1, pJ2, pJ3 = (r[0] for r in plain_rows(panel, z))
+                K1 = 0.5 * (r1 @ m + np.conj(r1 @ np.conj(m)))
+                K2 = 0.5j * (np.conj(rJ2 @ m) + np.conj(rJ3 @ m))
                 dK1[k] += K1 - np.real(p1) @ m
                 dK2[k] += K2 - 0.5j * (np.conj(pJ2 @ m) + np.conj(pJ3 @ m))
-                r1, _, _ = kernel_rows(panel, locate_preimage(panel, z0))
                 dI[k] += r1 @ m - p1 @ m
         return dK1, dK2, dI, hits
 
@@ -477,7 +497,7 @@ class TestBatchInvariance:
 
         def frame(pair, maxiter=NEWTON_MAXITER):
             with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
-                return locate_preimage(star[pair[1]], pair[0])
+                return locate_preimage(star[[pair[1]]], one(pair[0]))
 
         few = frame(FEW)
         assert few.newton_ok and few.xi0 == frame(FEW, 4).xi0
@@ -488,19 +508,19 @@ class TestBatchInvariance:
         assert not far.newton_ok and abs(far.xi0) >= 10
         assert far.xi0 == frame(FAR, NEWTON_MAXITER + 1).xi0
         on = frame(at_preimage(star, 0.3))
-        assert on.newton_ok and np.isinf(estimate_error(star[5], on, 1.0))
+        assert on.newton_ok and np.isinf(estimate_error(star[[5]], on, 1.0))
         # the p_0 branch test that replaces the lens test without Newton
         for maxiter in (NEWTON_MAXITER, 0):
             lens = frame(at_preimage(star, 0.3 + 0.01j), maxiter)
             assert lens.newton_ok == (maxiter > 0)
-            assert lens.residue == 2j * np.pi
+            assert _residue_correction(star[[5]], lens) == 2j * np.pi
 
     def test_newton_stops_on_relative_step(self):
         star, _, _ = batch_geometries()
 
         def frame(maxiter):
             with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
-                return locate_preimage(star[ULPS[1]], ULPS[0])
+                return locate_preimage(star[[ULPS[1]]], one(ULPS[0]))
 
         done = frame(NEWTON_MAXITER)
         assert done.newton_ok and 2 < abs(done.xi0) < 10
@@ -520,7 +540,7 @@ class TestBatchInvariance:
     @staticmethod
     def check_mixed_batch(seed, n_star, n_pair):
         star, pair, c = batch_geometries()
-        panels = stack(star, pair, flat_panel()[None])
+        panels = stack(star, pair, flat_panel())
         rng = np.random.default_rng(seed)
         th = rng.uniform(0, 2 * np.pi, n_star)
         depth = rng.uniform(-0.05, 0.3, n_star)
@@ -545,18 +565,20 @@ class TestBatchInvariance:
         frame = locate_preimage(pk, z0)
         est = estimate_error(pk, frame, mu_inf)
         rows = kernel_rows(pk, frame)
+        residue = _residue_correction(pk, frame)
         assert np.isinf(est).sum() >= 3
-        assert np.any(frame.residue != 0)
+        assert np.any(residue != 0)
         for k in range(z0.size):
-            one = locate_preimage(panels[ip[k]], z0[k])
-            assert abs(frame.xi0[k] - one.xi0) <= 1e-15
-            assert frame.newton_ok[k] == one.newton_ok
-            assert frame.residue[k] == one.residue
-            e = estimate_error(panels[ip[k]], one, mu_inf[k])
+            pk1, z1 = panels[ip[k:k + 1]], z0[k:k + 1]
+            fr1 = locate_preimage(pk1, z1)
+            assert abs(frame.xi0[k] - fr1.xi0[0]) <= 1e-15
+            assert frame.newton_ok[k] == fr1.newton_ok[0]
+            assert residue[k] == _residue_correction(pk1, fr1)[0]
+            e = estimate_error(pk1, fr1, mu_inf[k:k + 1])[0]
             assert e == est[k] or abs(e - est[k]) <= 1e-13 * abs(e)
-            for r, r_one in zip(rows, kernel_rows(panels[ip[k]], one)):
-                assert (np.abs(r[k] - r_one).max()
-                        <= 1e-13 * np.abs(r_one).max())
+            for r, r_one in zip(rows, kernel_rows(pk1, fr1)):
+                assert (np.abs(r[k] - r_one[0]).max()
+                        <= 1e-13 * np.abs(r_one[0]).max())
 
     def test_large_batch_matches_small_batches(self):
         # beyond 16,384 complex entries NumPy may reuse a temporary in
@@ -572,10 +594,16 @@ class TestBatchInvariance:
         big = locate_preimage(star[ip], z0)
         parts = [locate_preimage(star[ip[s:s + 1000]], z0[s:s + 1000])
                  for s in range(0, z0.size, 1000)]
-        for f in ("z0t", "xi0", "newton_ok", "residue"):
+        for f in ("z0t", "xi0", "newton_ok"):
             assert np.array_equal(getattr(big, f),
                                   np.concatenate([getattr(p, f)
                                                   for p in parts])), f
+        # so do the residues that correction_rows builds from the frames
+        assert np.array_equal(
+            _residue_correction(star[ip], big),
+            np.concatenate([_residue_correction(star[ip[s:s + 1000]], p)
+                            for s, p in zip(range(0, z0.size, 1000),
+                                            parts)]))
         # the estimates, computed from each side's own frames, match bitwise
         mu_inf = rng.uniform(0.5, 2.0, z0.size)
         est = estimate_error(star[ip], big, mu_inf)
