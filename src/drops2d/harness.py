@@ -9,7 +9,8 @@ checkpoint reproduces the remaining snapshots.
 
 Drops are checked where they enter the program: build_state and
 load_checkpoint run check_drops, which requires each drop to be
-clockwise and free of self-crossings and each pair to be disjoint.
+clockwise and free of self-crossings and each pair to be disjoint, and
+stepper.check_spacing, which requires each drop on equal arclength.
 After every accepted step, run_scenario runs its crossing part before
 the step reaches the series, a snapshot or a checkpoint.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from .geometry import (Interface, circle, ellipse, interfaces_cross,
                        min_distance, self_intersects, to_equal_arclength)
 from .spectral import fourier_interp, resample
-from .stepper import CoupledState, StepController, advance_to
+from .stepper import CoupledState, StepController, advance_to, check_spacing
 from .stokes import FlowConfig
 from .surfactant import SurfactantField, surface_tension
 
@@ -119,14 +120,17 @@ class RunRecord:
 
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
-    """Initial state of cfg; drops must pass check_drops and have rho0 >= 0."""
+    """Initial state of cfg; drops must pass check_drops, lie on equal
+    arclength (stepper.check_spacing) and have rho0 >= 0."""
     for k, d in enumerate(cfg.drops):
         if d.rho0 < 0:
             raise ValueError(f"drop {k}: negative rho0 {d.rho0}")
     ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
     fields = [_field(cfg, np.full(d.n, d.rho0)) for d in cfg.drops]
-    return CoupledState(ifaces=ifaces, fields=fields)
+    state = CoupledState(ifaces=ifaces, fields=fields)
+    check_spacing(state)
+    return state
 
 
 def _interface(k: int, d: DropSpec) -> Interface:
@@ -336,7 +340,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
 
     The checkpoint holds positions, concentrations, t and the controller;
     the material parameters (lambda, E, Pe, eos) come from cfg.  The
-    drops must pass check_drops.
+    drops must pass check_drops and stepper.check_spacing.
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
@@ -348,6 +352,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     check_drops(ifaces)
     fields = [_field(cfg, data[f"rho_{k}"]) for k in range(len(cfg.drops))]
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
+    check_spacing(state)
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
     return state, ctrl, meta["counter"]

@@ -24,6 +24,14 @@ takes one moment recursion and one batched Vandermonde solve for all of
 its pairs.  The path-deformation residues of p_0 are built in
 correction_rows, only for the pairs it builds rows for.
 
+The Legendre series of a batch are evaluated in stacked Clenshaw sweeps
+(one npleg.legval call each), since on a few hundred pairs the cost of a
+sweep is its count of NumPy operations, not its length.  Each Newton
+step of locate_preimage is one sweep over [eta'; eta]; one more sweep
+leaves eta, eta' and conj(eta') at xi0 and eta at conj(xi0) in the
+frame, and estimate_error reads them there instead of evaluating any
+series itself.
+
 There is one correction mechanism: overwrite_near_blocks writes the
 special rows of the flagged pairs over the plain entries of the weighted
 kernels, for the interface nodes (stokes.DirectKernels) and for targets
@@ -94,7 +102,11 @@ class PanelData:
     mid: np.ndarray
     nodes_t: np.ndarray          # transformed node positions
     eta: np.ndarray              # poly coefficients, eta(GL_NODES) = nodes_t
-    eta_p: np.ndarray            # derivative coefficients of eta
+    # derivative coefficients of eta with a zero top coefficient, so that
+    # eta and eta' stack into one array for one legval sweep; Clenshaw's
+    # constants follow the degree, so the zero adds one step that adds a
+    # signed zero, and the value is that of the 15-term series
+    eta_p: np.ndarray
     length: np.ndarray           # physical panel length (approx)
 
     __getitem__ = _rows
@@ -116,13 +128,17 @@ class PanelLocalFrame:
 
     Each field holds one entry per pair along the batch's 1-D pair axis.
     pair numbers the pairs in the batch that locate_preimage solved; take
-    keeps those numbers.  The frame carries no residue of p_0:
-    correction_rows builds it for the pairs it corrects.
+    keeps those numbers.  series holds, per pair, the four series values
+    that the residual check and estimate_error read, from one Clenshaw
+    sweep.  The frame carries no residue of p_0: correction_rows builds
+    it for the pairs it corrects.
     """
 
     z0: np.ndarray
     z0t: np.ndarray              # transformed target
     xi0: np.ndarray              # preimage of the target under eta
+    # (m, 4): eta, eta' and conj(eta') at xi0, and eta at conj(xi0)
+    series: np.ndarray
     newton_ok: np.ndarray
     pair: np.ndarray
 
@@ -147,41 +163,53 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     # keeps each panel's coefficients independent of the stack
     eta = (_LEGV_INV @ nodes_t[:, :, None])[:, :, 0]
     eta[np.abs(eta) < 1e-14 * np.abs(eta).max(axis=-1, keepdims=True)] = 0.0
+    # eta' padded with a zero top coefficient to eta's length
+    eta_p = np.zeros_like(eta)
+    eta_p[:, :-1] = npleg.legder(eta, axis=-1)
     return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
-                     nodes_t=nodes_t, eta=eta,
-                     eta_p=npleg.legder(eta, axis=-1),
+                     nodes_t=nodes_t, eta=eta, eta_p=eta_p,
                      length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1))
 
 
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
 
-    panel holds one row per target z0.  Each pair stops when eta'
-    vanishes at its iterate, when its Newton step falls below 1e-14
-    relative to max(1, |xi|), or after NEWTON_MAXITER steps; its preimage
-    is accepted (newton_ok) when the residual is within NEWTON_TOL
-    relative to max(1, |z0t|) and |xi0| < 10.
+    panel holds one row per target z0.  Each Newton step is one Clenshaw
+    sweep (npleg.legval) over the stacked series [eta'; eta] at [xi; xi]
+    of the live pairs; eta_p's zero top coefficient gives both series the
+    same length.  Each pair stops when eta' vanishes at its iterate, when
+    its Newton step falls below 1e-14 relative to max(1, |xi|), or after
+    NEWTON_MAXITER steps.  One more sweep fills the frame's series values
+    at xi0 for every pair; its preimage is accepted (newton_ok) when the
+    residual |eta(xi0) - z0t| is within NEWTON_TOL relative to
+    max(1, |z0t|) and |xi0| < 10.
     """
     zt = panel.transform(z0)
     xi = zt.copy()
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
-        dp = npleg.legval(xi[live], panel.eta_p[live].T, tensor=False)
+        x = xi[live]
+        both = npleg.legval(np.concatenate((x, x)), np.concatenate(
+            (panel.eta_p[live], panel.eta[live])).T, tensor=False)
+        dp, val = both[:live.size], both[live.size:]
         moving = dp != 0
         live, dp = live[moving], dp[moving]
-        step = (npleg.legval(xi[live], panel.eta[live].T, tensor=False)
-                - zt[live]) / dp
+        step = (val[moving] - zt[live]) / dp
         xi[live] -= step
         live = live[~(np.abs(step)
                       < 1e-14 * np.maximum(1.0, np.abs(xi[live])))]
         if live.size == 0:
             break
-    resid = np.abs(npleg.legval(xi, panel.eta.T, tensor=False) - zt)
+    series = npleg.legval(
+        np.concatenate((xi, xi, xi, np.conj(xi))),
+        np.concatenate((panel.eta, panel.eta_p, np.conj(panel.eta_p),
+                        panel.eta)).T, tensor=False).reshape(4, -1).T
+    resid = np.abs(series[:, 0] - zt)
     ok = ((resid <= NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
           & (np.abs(xi) < 10.0))
-    return PanelLocalFrame(z0=z0, z0t=zt, xi0=xi, newton_ok=ok,
-                           pair=np.arange(zt.size))
+    return PanelLocalFrame(z0=z0, z0t=zt, xi0=xi, series=series,
+                           newton_ok=ok, pair=np.arange(zt.size))
 
 
 def _residue_correction(panel: PanelData, frame: PanelLocalFrame):
@@ -328,7 +356,9 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
 
     Combines the remainders of the three kernel integrals, using the
     max-norm mu_inf of the density on the panel (per pair, or one value
-    for all) in place of its analytic continuation.  An estimate is +inf
+    for all) in place of its analytic continuation.  The values of eta,
+    eta' and conj(eta') at xi0 and of eta at conj(xi0) come from
+    frame.series, so no series is evaluated here.  An estimate is +inf
     where Newton found no preimage, where the preimage degenerates onto
     the panel segment and where eta' vanishes at it.
     """
@@ -338,7 +368,7 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
     on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
     k = np.flatnonzero(frame.newton_ok & ~on_segment)
     xi, mu = xi0[k], mu[k]
-    eta, eta_p = panel.eta[k], panel.eta_p[k]
+    eta0, etap0, cetap0, eta_c = frame.series[k].T
     # characteristic remainder function of the PANEL_ORDER-point GL rule
     s = np.sqrt(xi * xi - 1.0)
     s = np.where(np.abs(xi + s) < 1.0, -s, s)
@@ -347,15 +377,12 @@ def estimate_error(panel: PanelData, frame: PanelLocalFrame, mu_inf):
     # and swap the complex operands, so the bits would depend on batch size
     dlog = -(2 * PANEL_ORDER + 1) / s
     knp = kn * dlog
-    etap0 = npleg.legval(xi, eta_p.T, tensor=False)
     # pairs with eta'(xi0) == 0 divide by zero here and get inf below
     with np.errstate(divide="ignore", invalid="ignore"):
-        nbar2 = -npleg.legval(xi, np.conj(eta_p).T, tensor=False) / etap0
+        nbar2 = -cetap0 / etap0
         R1 = np.imag(kn * mu)
         R2 = kn * mu * nbar2
-        R3 = knp / etap0 * (
-            np.conj(npleg.legval(np.conj(xi), eta.T, tensor=False))
-            - np.conj(npleg.legval(xi, eta.T, tensor=False))) * mu
+        R3 = knp / etap0 * (np.conj(eta_c) - np.conj(eta0)) * mu
         est[k] = np.where(etap0 == 0, np.inf,
                           np.abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi)
                                  + np.conj(R3) / (2 * np.pi)))

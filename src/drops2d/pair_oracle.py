@@ -54,7 +54,12 @@ DT_MAX = 5e-3     # largest step of evolve_pair
 
 
 class PairOracleError(RuntimeError):
-    pass
+    """An oracle step failed; roots holds both roots of the area quadratic
+    when it has no admissible real one."""
+
+    def __init__(self, message: str, roots=None):
+        super().__init__(message)
+        self.roots = roots
 
 
 @dataclass
@@ -294,17 +299,21 @@ def solve_b(state: ConformalPairState, b_prev: float) -> float:
     K1 = np.sum((zh_inv / (zeta - sq) ** 2 - zh_z / (1 / zeta - sq)) * dzeta)
     K0 = np.sum(zh_inv * zh_z * dzeta)
     # area: b^2 K2 + b K1 - K0' = 2 i pi with K0' folding the a0-free terms
-    c2 = K2
-    c1 = K1
-    c0 = -K0 - 2j * np.pi
+    return _real_root(K2, K1, -K0 - 2j * np.pi, b_prev)
+
+
+def _real_root(c2, c1, c0, b_prev: float) -> float:
+    """The root of c2 b^2 + c1 b + c0 closest to b_prev among those that
+    are real up to rounding, which scales with the root: |Im r| <=
+    1e-8 max(1, |r|)."""
     disc = np.sqrt(c1 * c1 - 4 * c2 * c0)
     r1 = (-c1 + disc) / (2 * c2)
     r2 = (-c1 - disc) / (2 * c2)
-    roots = [r for r in (r1, r2) if abs(r.imag) < 1e-8]
+    roots = [r for r in (r1, r2) if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
     if not roots:
-        raise PairOracleError("area constraint has no admissible real root")
-    b_new = min(roots, key=lambda r: abs(r.real - b_prev)).real
-    return float(b_new)
+        raise PairOracleError("area constraint has no admissible real root "
+                              f"(roots {r1}, {r2})", roots=(r1, r2))
+    return float(min(roots, key=lambda r: abs(r.real - b_prev)).real)
 
 
 def bubble_area(state: ConformalPairState) -> float:

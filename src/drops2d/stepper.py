@@ -120,8 +120,8 @@ class NegativeConcentrationError(ValueError):
 
 
 class SpacingDriftError(ValueError):
-    """Drop `drop` entered a step at time t with spacing drift `drift`
-    above SPACING_DRIFT_MAX."""
+    """Drop `drop` entered the program or a step at time t with spacing
+    drift `drift` above SPACING_DRIFT_MAX."""
 
     def __init__(self, t: float, drop: int, drift: float):
         super().__init__(f"drop {drop}: nodes not equidistant in arclength "
@@ -130,7 +130,7 @@ class SpacingDriftError(ValueError):
         self.t, self.drop, self.drift = t, drop, drift
 
 
-def _check_spacing(state):
+def check_spacing(state):
     """Raise SpacingDriftError for the first drop of state whose spacing
     drift exceeds SPACING_DRIFT_MAX."""
     for k, ifc in enumerate(state.ifaces):
@@ -195,7 +195,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     dt = ctrl.dt
 
     if stage1 is None:
-        _check_spacing(state)
+        check_spacing(state)
         stage1 = _stage_eval(state, cfg, stokes_tol)
     dec1, g1, fE1, _ = stage1
     un_max = max(np.abs(d.u_n).max() for d in dec1)

@@ -11,6 +11,7 @@ from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
                              PRESETS, compare_to_oracle, load_checkpoint,
                              preset, read_snapshot, run_scenario)
 from drops2d.spectral import uniform_alpha
+from drops2d.stepper import SpacingDriftError
 from drops2d.steady_oracle import SteadyMap, b_from_q, steady_solution
 from drops2d.stokes import FlowConfig, interface_velocity
 from drops2d.surfactant import SurfactantField, surface_tension
@@ -303,6 +304,35 @@ def test_build_state_rejects_bad_drop(drop, message):
                          flow=FlowConfig(), run=RunSpec())
     with pytest.raises(ValueError, match=message):
         build_state(cfg)
+
+
+def test_build_state_rejects_unresolved_ellipse():
+    # N 32 cannot put an ellipse of aspect ratio 2 on equal arclength:
+    # geometry.ellipse leaves a spacing drift of 3.6e-3
+    cfg = ScenarioConfig(
+        name="coarse", flow=FlowConfig(), run=RunSpec(),
+        drops=[DropSpec(center=-3.0, n=64),
+               DropSpec(shape="ellipse", axes=(1.0, 0.5), center=3.0, n=32)])
+    with pytest.raises(SpacingDriftError) as err:
+        build_state(cfg)
+    assert err.value.t == 0.0 and err.value.drop == 1
+    assert err.value.drift == pytest.approx(3.6e-3, abs=1e-4)
+    cfg.drops[1].n = 64
+    build_state(cfg)
+
+
+def test_load_checkpoint_rejects_drop_off_equal_arclength(tmp_path):
+    cfg = tiny_config(fixed_dt=2e-3)
+    cfg.run.t_end, cfg.run.checkpoint_every = 4e-3, 1
+    run_scenario(cfg, out_dir=str(tmp_path))
+    path = str(tmp_path / "checkpoint.npz")
+    data = dict(np.load(path))
+    # the same circle, its nodes moved along it by up to 0.1 radians
+    t = uniform_alpha(64)
+    np.savez(path, **{**data, "z_0": np.exp(-1j * (t + 0.1 * np.sin(t)))})
+    with pytest.raises(SpacingDriftError) as err:
+        load_checkpoint(path, cfg)
+    assert err.value.t == pytest.approx(4e-3) and err.value.drop == 0
 
 
 def test_load_checkpoint_rejects_reversed_drop(tmp_path):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -637,3 +638,114 @@ class TestBatchInvariance:
         C0, M20, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
                                     targets=far)
         assert np.array_equal(C, C0) and np.array_equal(M2, M20)
+
+
+def reference_frame(panel, z0):
+    """(xi0, newton_ok) of locate_preimage, one npleg.legval call per series.
+
+    The Newton of the per-series evaluation: at each step eta' on its 15
+    Legendre coefficients, then eta, each in a call of its own, and the
+    residual by a third call.
+    """
+    eta_p = panel.eta_p[:, :-1]
+    zt = panel.transform(z0)
+    xi = zt.copy()
+    live = np.arange(zt.size)
+    for _ in range(neareval.NEWTON_MAXITER):
+        dp = npleg.legval(xi[live], eta_p[live].T, tensor=False)
+        moving = dp != 0
+        live, dp = live[moving], dp[moving]
+        step = (npleg.legval(xi[live], panel.eta[live].T, tensor=False)
+                - zt[live]) / dp
+        xi[live] -= step
+        live = live[~(np.abs(step)
+                      < 1e-14 * np.maximum(1.0, np.abs(xi[live])))]
+        if live.size == 0:
+            break
+    resid = np.abs(npleg.legval(xi, panel.eta.T, tensor=False) - zt)
+    ok = ((resid <= neareval.NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
+          & (np.abs(xi) < 10.0))
+    return xi, ok
+
+
+def reference_estimate(panel, xi0, newton_ok, mu_inf):
+    """estimate_error with its own four npleg.legval calls, on the 15
+    coefficients of eta'."""
+    eta_p = panel.eta_p[:, :-1]
+    mu = np.broadcast_to(mu_inf, xi0.shape)
+    est = np.full(xi0.shape, np.inf)
+    on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
+    k = np.flatnonzero(newton_ok & ~on_segment)
+    xi, mu = xi0[k], mu[k]
+    eta, eta_p = panel.eta[k], eta_p[k]
+    s = np.sqrt(xi * xi - 1.0)
+    s = np.where(np.abs(xi + s) < 1.0, -s, s)
+    kn = 2.0 * np.pi / (xi + s) ** 33
+    dlog = -33 / s
+    knp = kn * dlog
+    etap0 = npleg.legval(xi, eta_p.T, tensor=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nbar2 = -npleg.legval(xi, np.conj(eta_p).T, tensor=False) / etap0
+        R1 = np.imag(kn * mu)
+        R2 = kn * mu * nbar2
+        R3 = knp / etap0 * (
+            np.conj(npleg.legval(np.conj(xi), eta.T, tensor=False))
+            - np.conj(npleg.legval(xi, eta.T, tensor=False))) * mu
+        est[k] = np.where(etap0 == 0, np.inf,
+                          np.abs(-(1j / np.pi) * R1 + np.conj(R2) / (2 * np.pi)
+                                 + np.conj(R3) / (2 * np.pi)))
+    return est
+
+
+@lru_cache(maxsize=None)
+def equivalence_panels():
+    """Panels of the 25-panel star, of an equal-arclength pinched ellipse
+    (N 256, neck half-width 0.3) and of the phi = 0.6 pair at 2x256."""
+    from drops2d.geometry import Interface, to_equal_arclength
+    from drops2d.spectral import uniform_alpha
+    from drops2d.stokes import discretize
+
+    star, pair, _ = batch_geometries()
+    t = uniform_alpha(256)
+    z = np.cos(t) - 1j * np.sin(t) * (0.3 + 0.7 * np.cos(t) ** 2)
+    pinched = discretize([to_equal_arclength(Interface(z=z))]).panels
+    return {"star": star, "pinched": pinched, "pair": pair}
+
+
+class TestStackedSweep:
+    """locate_preimage and estimate_error equal the per-series evaluation
+    bit for bit."""
+
+    def test_panels_cover_both_top_coefficients(self):
+        # eta' has a zero top coefficient of its own where the noise cut
+        # zeroed eta's (star, pair), and a nonzero one on the pinched drop
+        top = {name: p.eta_p[:, -2] == 0
+               for name, p in equivalence_panels().items()}
+        assert top["star"].all() and top["pair"].any()
+        assert not top["pinched"].any()
+        for p in equivalence_panels().values():
+            assert np.all(p.eta_p[:, -1] == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["star", "pinched", "pair"]),
+           n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1),
+           maxiter=st.sampled_from([NEWTON_MAXITER, 3]))
+    def test_matches_per_series_evaluation(self, shape, n, seed, maxiter):
+        panels = equivalence_panels()[shape]
+        rng = np.random.default_rng(seed)
+        ip = rng.integers(0, len(panels), n)
+        # transformed targets cycling through the four quadrants, from on
+        # the panel's chord out to three half-lengths
+        quad = np.arange(n) % 4
+        zt = (np.where(quad % 3 == 0, 1, -1) * rng.uniform(0, 3, n)
+              + 1j * np.where(quad < 2, 1, -1) * rng.uniform(0, 1.5, n))
+        pk = panels[ip]
+        z0 = pk.mid + zt / pk.scale
+        mu_inf = rng.uniform(0.5, 2.0, n)
+        with mock.patch.object(neareval, "NEWTON_MAXITER", maxiter):
+            frame = locate_preimage(pk, z0)
+            xi0, ok = reference_frame(pk, z0)
+        assert np.array_equal(frame.xi0, xi0, equal_nan=True)
+        assert np.array_equal(frame.newton_ok, ok)
+        assert np.array_equal(estimate_error(pk, frame, mu_inf),
+                              reference_estimate(pk, xi0, ok, mu_inf))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
 from drops2d.pair_oracle import (IMPLICIT_TOL, ConformalPairState,
-                                 _diffusion, bubble_area, evolve_pair,
+                                 PairOracleError, _diffusion, _real_root, bubble_area, evolve_pair,
                                  geometry, interface_velocity, mapping_rhs,
                                  min_gap, pair_from_circles, physical_frame,
                                  solve_b, solve_flow, step_midpoint,
@@ -77,6 +79,24 @@ class TestSolveB:
         b2 = solve_b(st, st.b)
         st2 = ConformalPairState(b=b2, phi=st.phi, a_pos=st.a_pos, rho=st.rho)
         assert abs(bubble_area(st2) - np.pi) < 1e-10
+
+    def test_root_tolerance_scales_with_the_root(self):
+        # scaling the map coefficients by s scales the area root by s; at
+        # s = 1e14 rounding leaves the root an imaginary part above 1e-8,
+        # which a tolerance without the scale of the root rejects
+        st = pair_from_circles(32, phi=0.35)
+        rng = np.random.default_rng(0)
+        a = np.zeros(33)
+        a[1:] = (1e-3 * 0.35 ** (np.arange(1, 33) / 2)
+                 * rng.standard_normal(32))
+        b = [solve_b(replace(st, a_pos=s * a), st.b) / s
+             for s in (1e10, 1e14)]
+        assert b[1] == pytest.approx(b[0], rel=1e-12)
+
+    def test_no_real_root_carries_both_roots(self):
+        with pytest.raises(PairOracleError) as err:
+            _real_root(1 + 0j, 0j, 1 + 0j, 0.0)
+        assert err.value.roots == (1j, -1j)
 
 
 class TestSurfactant:

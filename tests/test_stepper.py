@@ -238,3 +238,28 @@ def test_one_step_conserves_mass_to_third_order(b, aspect, turn, Q, Pe, amps,
     assert abs(change[0]) <= 2e-7
     if abs(change[1]) > 1e-9 / 8:
         assert 7.5 <= change[1] / change[2] <= 8.5
+
+
+@pytest.mark.parametrize("eos", ["linear", "langmuir"])
+def test_fixed_dt_second_order_through_run_scenario(eos):
+    # one surfactant ellipse to t = 0.1 at dt = 0.1/8 ... 0.1/64 against
+    # dt = 0.1/256; measured orders 2.01-2.07 in z and in rho for both
+    # equations of state
+    from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig,
+                                 run_scenario)
+
+    def final(k):
+        cfg = ScenarioConfig(
+            name="order", flow=FlowConfig(Q=0.1, E=0.5, Pe=10.0, eos=eos),
+            drops=[DropSpec(shape="ellipse", axes=(1.2, 1 / 1.2), rho0=0.5,
+                            n=64)],
+            run=RunSpec(t_end=0.1, fixed_dt=0.1 / k, output_every=0))
+        state = run_scenario(cfg).final_state
+        assert state.t == pytest.approx(0.1, abs=1e-14)
+        return state.ifaces[0].z, state.fields[0].rho
+
+    z_ref, rho_ref = final(256)
+    errs = np.array([[np.abs(z - z_ref).max(), np.abs(rho - rho_ref).max()]
+                     for z, rho in map(final, (8, 16, 32, 64))])
+    order = np.log2(errs[:-1] / errs[1:])
+    assert np.all(order > 1.9), order

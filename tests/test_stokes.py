@@ -448,10 +448,10 @@ def pair_velocity(ifaces, cfg):
     return interface_velocity(ifaces, [np.ones(i.n) for i in ifaces], cfg)[0]
 
 
-def assert_close(got, want):
+def assert_close(got, want, tol=1e-10):
     scale = max(np.abs(u).max() for u in want)
     for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-10 * scale
+        assert np.abs(g - w).max() <= tol * scale
 
 
 class TestVelocityProperties:
@@ -472,6 +472,49 @@ class TestVelocityProperties:
         turned = [Interface(z=turn * i.z) for i in pair]
         assert_close(pair_velocity(turned, cfg),
                      [turn * u for u in pair_velocity(pair, cfg)])
+
+    # Rolling the nodes, or shifting a circle's phase by whole node
+    # spacings, moves the panel breaks along the drops, so the velocity
+    # changes by the discretization error at N 128.  Measured: at most
+    # 2.0e-9 max|u| over 120 random draws of each test, and 2.1e-8 over
+    # 400 draws of ellipse pairs at gap 0.5 and a/b 1.6.
+    PHASE_TOL = 1e-7
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=clean_pairs(), k=st.tuples(st.integers(0, 127),
+                                           st.integers(0, 127)),
+           Q=st.floats(-0.5, 0.5), B=st.floats(-0.5, 0.5))
+    def test_node_roll_equivariant(self, pair, k, Q, B):
+        cfg = FlowConfig(Q=Q, B=B)
+        rolled = [Interface(z=np.roll(i.z, -kk)) for i, kk in zip(pair, k)]
+        assert_close(pair_velocity(rolled, cfg),
+                     [np.roll(u, -kk)
+                      for u, kk in zip(pair_velocity(pair, cfg), k)],
+                     tol=self.PHASE_TOL)
+
+    @settings(max_examples=25, deadline=None)
+    @given(phase=st.tuples(st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi)),
+           k=st.tuples(st.integers(0, 127), st.integers(0, 127)),
+           radius=st.floats(0.5, 1.0), gap=st.floats(0.5, 1.5),
+           angle=st.floats(0, 2 * np.pi), Q=st.floats(-0.5, 0.5),
+           B=st.floats(-0.5, 0.5))
+    def test_circle_phase_shift_rolls_velocity(self, phase, k, radius, gap,
+                                               angle, Q, B):
+        # node j of circle(n, phase=p + 2 pi k/n) is node j - k of
+        # circle(n, phase=p)
+        cfg = FlowConfig(Q=Q, B=B)
+        center = (1 + radius + gap) * np.exp(1j * angle)
+
+        def drops(shift):
+            return [circle(128, 1.0, 0.0,
+                           phase=phase[0] + 2 * np.pi * shift[0] / 128),
+                    circle(128, radius, center,
+                           phase=phase[1] + 2 * np.pi * shift[1] / 128)]
+
+        assert_close(pair_velocity(drops(k), cfg),
+                     [np.roll(u, kk)
+                      for u, kk in zip(pair_velocity(drops((0, 0)), cfg), k)],
+                     tol=self.PHASE_TOL)
 
     @settings(max_examples=25, deadline=None)
     @given(pair=clean_pairs(), Q=st.floats(-0.5, 0.5), B=st.floats(-0.5, 0.5))
