@@ -29,6 +29,14 @@ def _cmd_run(args):
     return 0
 
 
+def _write_curve(path, header, nu, alphaV, z, rho):
+    """Oracle CSV: the header line, then nu, alphaV, x, y, rho per point."""
+    with open(path, "w") as fh:
+        fh.write(header + "\nnu,alphaV,x,y,rho\n")
+        for row in zip(nu, alphaV, z.real, z.imag, rho):
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
 def _cmd_oracle(args):
     from .harness import preset
 
@@ -42,39 +50,24 @@ def _cmd_oracle(args):
         b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
         sol = steady_solution(SteadyMap.from_b(b), E=args.E, M=args.points)
         path = os.path.join(args.out_dir, "steady_oracle.csv")
-        with open(path, "w") as fh:
-            # Q is the FlowConfig Q that holds this steady state
-            fh.write(f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
-                     f"E = {args.E}, b = {b:.17g}\n")
-            fh.write("nu,alphaV,x,y,rho\n")
-            for j in range(sol["nu"].shape[0]):
-                fh.write(",".join(format(v, ".17g") for v in
-                                  (sol["nu"][j], sol["alphaV"][j],
-                                   sol["z"][j].real, sol["z"][j].imag,
-                                   sol["rho"][j])) + "\n")
+        # Q is the FlowConfig Q that holds this steady state
+        _write_curve(path, f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
+                     f"E = {args.E}, b = {b:.17g}",
+                     sol["nu"], sol["alphaV"], sol["z"], sol["rho"])
         print(f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f} -> {path}")
         return 0
-    if args.kind == "pair":
-        from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
-                                  physical_frame)
-        st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
-                               E=args.E, Pe=args.Pe)
-        out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
-                             tol=args.tol)
-        z, rho, aV = physical_frame(out)
-        path = os.path.join(args.out_dir, "pair_oracle.csv")
-        with open(path, "w") as fh:
-            fh.write(f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
-                     f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
-                     f"Q = {args.Q:.17g}\n")
-            fh.write("nu,alphaV,x,y,rho\n")
-            for j in range(aV.shape[0]):
-                fh.write(",".join(format(v, ".17g") for v in
-                                  (out.nu[j], aV[j], z[j].real, z[j].imag,
-                                   rho[j])) + "\n")
-        print(f"pair oracle: t={out.t:.4f} min_gap={min_gap(out):.5f} -> {path}")
-        return 0
-    raise SystemExit(f"unknown oracle kind {args.kind}")
+    from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
+                              physical_frame)
+    st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
+                           E=args.E, Pe=args.Pe)
+    out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end, tol=args.tol)
+    z, rho, aV = physical_frame(out)
+    path = os.path.join(args.out_dir, "pair_oracle.csv")
+    _write_curve(path, f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
+                 f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
+                 f"Q = {args.Q:.17g}", out.nu, aV, z, rho)
+    print(f"pair oracle: t={out.t:.4f} min_gap={min_gap(out):.5f} -> {path}")
+    return 0
 
 
 def _cmd_compare(args):
@@ -153,22 +146,27 @@ def main(argv=None):
     p_run.set_defaults(func=_cmd_run)
 
     p_or = sub.add_parser("oracle", help="generate oracle data")
-    p_or.add_argument("kind", choices=["steady", "pair"])
-    p_or.add_argument("--out-dir", required=True)
-    p_or.add_argument("--Q", type=float, default=None,
-                      help="extensional rate in the convention of "
-                           "stokes.FlowConfig (default: the Q of the "
-                           "steady_single or pair_clean preset)")
-    p_or.add_argument("--E", type=float, default=0.5)
-    p_or.add_argument("--Pe", type=float, default=np.inf)
-    p_or.add_argument("--b", type=float, default=None)
-    p_or.add_argument("--phi", type=float, default=0.35)
-    p_or.add_argument("--rho0", type=float, default=0.0)
-    p_or.add_argument("--nv", type=int, default=192)
-    p_or.add_argument("--t-end", dest="t_end", type=float, default=1.5)
-    p_or.add_argument("--tol", type=float, default=1e-7)
-    p_or.add_argument("--points", type=int, default=512)
     p_or.set_defaults(func=_cmd_oracle)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out-dir", required=True)
+    shared.add_argument("--Q", type=float, default=None,
+                        help="extensional rate in the convention of "
+                             "stokes.FlowConfig (default: the Q of the "
+                             "steady_single or pair_clean preset)")
+    shared.add_argument("--E", type=float, default=0.5)
+    # each kind accepts only the options it reads
+    kinds = p_or.add_subparsers(dest="kind", required=True)
+    p_steady = kinds.add_parser("steady", parents=[shared],
+                                help="steady single bubble")
+    p_steady.add_argument("--b", type=float, default=None)
+    p_steady.add_argument("--points", type=int, default=512)
+    p_pair = kinds.add_parser("pair", parents=[shared], help="bubble pair")
+    p_pair.add_argument("--Pe", type=float, default=np.inf)
+    p_pair.add_argument("--phi", type=float, default=0.35)
+    p_pair.add_argument("--rho0", type=float, default=0.0)
+    p_pair.add_argument("--nv", type=int, default=192)
+    p_pair.add_argument("--t-end", dest="t_end", type=float, default=1.5)
+    p_pair.add_argument("--tol", type=float, default=1e-7)
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("dir_a")

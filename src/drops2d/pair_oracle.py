@@ -35,15 +35,25 @@ bubble-area quadratic each step.
 
 A clean pair is the rho = 0 case of the same equations: sigma = 1 - E*0
 is exactly 1, and every step keeps rho exactly 0.
+
+A ConformalPairState is immutable: its arrays are read-only and a step
+builds new states with dataclasses.replace.  So the map is evaluated on
+the grid once per state (ConformalPairState.geometry, cached), however
+many of the functions below read it.  The flow solve works on Fourier
+modes: every column of its system is a two-mode sequence or a shift of
+the spectrum of one grid function, and only five grid functions are
+transformed (see solve_flow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .spectral import KRASNY_TOL, antiderivative, modes, spectral_derivative
+from .spectral import (KRASNY_TOL, equal_arclength_parameter, modes,
+                       spectral_derivative, uniform_alpha)
 from .stepper import StepController
 from .stokes import gmres_solve
 
@@ -62,9 +72,13 @@ class PairOracleError(RuntimeError):
         self.roots = roots
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConformalPairState:
-    """Map parameters plus surfactant samples on the upper bubble."""
+    """Map parameters plus surfactant samples on the upper bubble.
+
+    Immutable: a_pos and rho are read-only copies of the arrays passed
+    in, and dataclasses.replace builds a changed state.
+    """
 
     b: float
     phi: float
@@ -77,9 +91,11 @@ class ConformalPairState:
     def __post_init__(self):
         if not (0 < self.phi < 1):
             raise ValueError("phi must lie in (0, 1)")
-        self.a_pos = np.asarray(self.a_pos, dtype=float).copy()
-        self.a_pos[0] = self.b / (2 * np.sqrt(self.phi))
-        self.rho = np.asarray(self.rho, dtype=float).copy()
+        a_pos = np.array(self.a_pos, dtype=float)
+        a_pos[0] = self.b / (2 * np.sqrt(self.phi))
+        object.__setattr__(self, "a_pos", _read_only(a_pos))
+        object.__setattr__(self, "rho",
+                           _read_only(np.array(self.rho, dtype=float)))
         if self.rho.shape != (self.n_grid,):
             raise ValueError("rho must live on the 2*MV+1 point grid")
 
@@ -95,27 +111,35 @@ class ConformalPairState:
     def n_grid(self) -> int:
         return 2 * self.mv + 1
 
-    @property
+    @cached_property
     def zeta(self) -> np.ndarray:
         j = np.arange(self.n_grid)
-        return np.exp(2j * np.pi * j / self.n_grid)
+        return _read_only(np.exp(2j * np.pi * j / self.n_grid))
 
-    @property
+    @cached_property
     def nu(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n_grid) / self.n_grid
+        return _read_only(uniform_alpha(self.n_grid))
 
     def spectrum(self) -> np.ndarray:
         """Full coefficient array a_n, n = -NV..NV, in FFT layout."""
-        m = self.n_grid
-        a = np.zeros(m)
-        n = np.arange(1, self.nv + 1)
-        a[0] = self.a_pos[0]
-        a[1:self.nv + 1] = self.a_pos[1:]
-        a[m - self.nv:] = (-self.phi**n * self.a_pos[1:])[::-1]
-        return a
+        return _deck_odd(self.a_pos[0], self.a_pos[1:], self.phi, self.n_grid)
 
-    def copy(self) -> "ConformalPairState":
-        return replace(self)   # __post_init__ copies a_pos and rho
+    @cached_property
+    def geometry(self):
+        """z, z_zeta, z_zeta at 1/zeta, z_zetazeta on the collocation grid,
+        read-only and evaluated once per state."""
+        m = self.n_grid
+        sq = np.sqrt(self.phi)
+        zeta = self.zeta
+        a = self.spectrum().astype(complex)
+        n_idx = modes(m)
+        da = a * n_idx
+        dda = da * (n_idx - 1)
+        z = self.b / (zeta - sq) + _ev(a, m)
+        zz = -self.b / (zeta - sq) ** 2 + _ev(da, m) / zeta
+        zz_inv = -self.b / (1 / zeta - sq) ** 2 + _ev(_flip(da), m) * zeta
+        zzz = 2 * self.b / (zeta - sq) ** 3 + _ev(dda, m) / zeta**2
+        return tuple(_read_only(v) for v in (z, zz, zz_inv, zzz))
 
 
 @dataclass
@@ -127,28 +151,28 @@ class PairFlowField:
     residual: float
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _deck_odd(c0, c_pos, phi, m):
+    """Length-m FFT layout of c_0, c_n (n >= 1) and c_{-n} = -phi^n c_n, the
+    Laurent coefficients of a deck-odd function."""
+    n = np.arange(1, len(c_pos) + 1)
+    out = np.zeros(m, dtype=np.result_type(c_pos, float))
+    out[0] = c0
+    out[1:len(c_pos) + 1] = c_pos
+    out[m - len(c_pos):] = (-phi**n * c_pos)[::-1]
+    return out
+
+
 def _ev(spec, m):
     return np.fft.ifft(spec) * m
 
 
 def _flip(spec):
     return np.concatenate([spec[:1], spec[1:][::-1]])
-
-
-def geometry(state: ConformalPairState):
-    """z, z_zeta, z_zeta at 1/zeta, z_zetazeta on the collocation grid."""
-    m = state.n_grid
-    sq = np.sqrt(state.phi)
-    zeta = state.zeta
-    a = state.spectrum().astype(complex)
-    n_idx = modes(m)
-    da = a * n_idx
-    dda = da * (n_idx - 1)
-    z = state.b / (zeta - sq) + _ev(a, m)
-    zz = -state.b / (zeta - sq) ** 2 + _ev(da, m) / zeta
-    zz_inv = -state.b / (1 / zeta - sq) ** 2 + _ev(_flip(da), m) * zeta
-    zzz = 2 * state.b / (zeta - sq) ** 3 + _ev(dda, m) / zeta**2
-    return z, zz, zz_inv, zzz
 
 
 def zhat_deriv_at(state: ConformalPairState, w: float) -> float:
@@ -163,58 +187,57 @@ def solve_flow(state: ConformalPairState, Q: float) -> PairFlowField:
     with sigma = surfactant_sigma(state), exactly 1 on a clean pair.
 
     The linear system is real: conjugations in the stress bracket act
-    antilinearly, so real and imaginary parts of every coefficient carry
-    separate columns.  A least-squares solve with the collocation rows,
-    the two zero-flux rows and the rotation pin is rank-deficient only
-    along the velocity-invisible pressure gauge.
+    antilinearly, so a complex unknown c enters the balance as
+    c H + conj(c) C, and its real and imaginary parts carry the columns
+    H + C and i(H - C).  The unknowns are the pole coefficient of P0, the
+    Laurent coefficients F_k of f with basis h_k = zeta^k - phi^k zeta^-k,
+    the image coefficients, q_z and K.  The rows are the Fourier modes
+    -NV..NV of the balance, built from spectra: h_k and the image basis
+    zeta^-k - phi^k zeta^k are two modes each, and the base term of h_k,
+    g k (zeta^(1-k) + phi^k zeta^(k+1)) with g = z/z_zeta(1/zeta), is two
+    index shifts of the spectrum of g.  Only P0, its base term, g, z and
+    the right-hand side are transformed.  A least-squares solve with these
+    rows, the two zero-flux rows and the rotation pin is rank-deficient
+    only along the velocity-invisible pressure gauge.
     """
     nv, m, phi = state.nv, state.n_grid, state.phi
     sq = np.sqrt(phi)
     zeta = state.zeta
     zinv = 1 / zeta
-    z, zz, zz_inv, _ = geometry(state)
+    z, zz, zz_inv, _ = state.geometry
     sigma = surfactant_sigma(state)
+    g = z / zz_inv
     P0 = 1 / (zeta - sq) + 1 / (2 * sq)
     G0 = Q * state.b / (2 * sq)
-
-    def fpair(h, hp_inv):
-        base = z * hp_inv / zz_inv
-        return h + base, 1j * h - 1j * base
-
-    cols = []
-    cre, cim = fpair(P0, -1 / (zinv - sq) ** 2)
-    cols += [cre, cim]
-    for k in range(1, nv + 1):
-        h = zeta**k - phi**k * zeta ** (-1.0 * k)
-        hp_inv = k * (zinv ** (k - 1.0) + phi**k * zinv ** (-k - 1.0))
-        cre, cim = fpair(h, hp_inv)
-        cols += [cre, cim]
-    for k in range(1, nv + 1):
-        s_img = zinv ** (1.0 * k) - phi**k * zinv ** (-1.0 * k)
-        cols += [s_img, -1j * s_img]
-    cols += [-z, -1j * z, -np.ones(m), -1j * np.ones(m)]
-    A = np.array(cols).T
     rhs_grid = 0.5 * sigma * zeta * zz / np.abs(zz) - Q * state.b / (zinv - sq) - G0
+    g_spec, P0_spec, base0_spec, z_spec, R = np.fft.fft(
+        [g, P0, -g / (zinv - sq) ** 2, z, rhs_grid]) / m
 
-    spec = np.fft.fft(A, axis=0) / m
-    R = np.fft.fft(rhs_grid) / m
-    rows = np.arange(-nv, nv + 1)
-    Mc = spec[rows % m, :]
-    bc = R[rows % m]
-    ncol = A.shape[1]
-    Mreal = np.concatenate([Mc.real, Mc.imag], axis=0)
-    breal = np.concatenate([bc.real, bc.imag])
-    crow_re = np.zeros(ncol)
-    crow_im = np.zeros(ncol)
-    for k in range(1, nv + 1):
-        wgt = 2 * k * phi ** ((k - 1) / 2.0)
-        crow_re[2 + 2 * nv + 2 * (k - 1)] = wgt
-        crow_im[2 + 2 * nv + 2 * (k - 1) + 1] = wgt
-    closure = Q * zhat_deriv_at(state, sq)
-    rot = np.zeros(ncol)
-    rot[1] = 1.0
-    Mfull = np.vstack([Mreal, crow_re, crow_im, rot])
-    bfull = np.concatenate([breal, [closure, 0.0, 0.0]])
+    r = np.arange(-nv, nv + 1)             # the Fourier mode of each row
+    rc = r[:, None]
+    k = np.arange(1, nv + 1)
+    pk = phi**k
+    h = (rc == k) - pk * (rc == -k)
+    H = np.zeros((2 * nv + 1, 2 * nv + 3), dtype=complex)
+    C = np.zeros_like(H)
+    H[:, 0], C[:, 0] = P0_spec[r], base0_spec[r]
+    H[:, 1:nv + 1] = h
+    C[:, 1:nv + 1] = k * (g_spec[(rc + k - 1) % m]
+                          + pk * g_spec[(rc - k - 1) % m])
+    C[:, nv + 1:2 * nv + 1] = h[::-1]          # the image basis
+    C[:, -2] = -z_spec[r]
+    C[nv, -1] = -1.0
+    Mc = np.stack([H + C, 1j * H - 1j * C], axis=-1).reshape(2 * nv + 1, -1)
+    bc = R[r]
+    # zero flux, sum_k 2 k phi^((k-1)/2) G_k = Q zhat_zeta(sqrt(phi)) on the
+    # image coefficients G_k, and the rotation pin Im cp = 0
+    pins = np.zeros((3, Mc.shape[1]))
+    pins[0, 2 + 2 * nv:2 + 4 * nv:2] = pins[1, 3 + 2 * nv:3 + 4 * nv:2] = (
+        2 * k * phi ** ((k - 1) / 2.0))
+    pins[2, 1] = 1.0
+    Mfull = np.vstack([Mc.real, Mc.imag, pins])
+    bfull = np.concatenate([bc.real, bc.imag,
+                            [Q * zhat_deriv_at(state, sq), 0.0, 0.0]])
     x, *_ = np.linalg.lstsq(Mfull, bfull, rcond=None)
     residual = float(np.abs(Mfull @ x - bfull).max())
     if residual > FLOW_RESIDUAL_TOL:
@@ -227,38 +250,21 @@ def solve_flow(state: ConformalPairState, Q: float) -> PairFlowField:
     return PairFlowField(cp=cp, qz=qz, K=K, F=F, residual=residual)
 
 
-def _f_on_grid(state: ConformalPairState, fl: PairFlowField):
-    m, nv, phi = state.n_grid, state.nv, state.phi
-    sq = np.sqrt(phi)
-    k = np.arange(1, nv + 1)
-    spec = np.zeros(m, dtype=complex)
-    spec[1:nv + 1] = fl.F
-    spec[m - nv:] = (-phi**k * fl.F)[::-1]
-    P0 = 1 / (state.zeta - sq) + 1 / (2 * sq)
-    return fl.cp * P0 + _ev(spec, m)
-
-
 def interface_velocity(state: ConformalPairState, fl: PairFlowField):
     """Fluid velocity on the upper bubble, computational frame."""
-    z, zz, _, _ = geometry(state)
-    sigma = surfactant_sigma(state)
-    Fg = _f_on_grid(state, fl)
-    return 0.5 * sigma * state.zeta * zz / np.abs(zz) + fl.K + fl.qz * z - 2 * Fg
+    return mapping_rhs(state, fl)[3]
 
 
 def kinematic_coefficients(state: ConformalPairState, fl: PairFlowField):
     """I(zeta) on the grid and phidot from the kinematic condition."""
     m, phi = state.n_grid, state.phi
-    z, zz, _, _ = geometry(state)
+    z, zz, _, _ = state.geometry
     D = 0.5 * surfactant_sigma(state) / np.abs(zz) + np.real(fl.K / (state.zeta * zz))
     Dsp = np.fft.fft(D) / m
     n = np.arange(1, state.mv + 1)
-    Isp = np.zeros(m, dtype=complex)
-    Isp[0] = Dsp[0].real
-    In = (2 * Dsp[1:state.mv + 1].real / (1 - phi**n)
-          + 2j * Dsp[1:state.mv + 1].imag / (1 + phi**n))
-    Isp[1:state.mv + 1] = In
-    Isp[m - state.mv:] = (-phi**n * In)[::-1]
+    Isp = _deck_odd(Dsp[0].real,
+                    2 * Dsp[1:state.mv + 1].real / (1 - phi**n)
+                    + 2j * Dsp[1:state.mv + 1].imag / (1 + phi**n), phi, m)
     Ig = _ev(Isp, m)
     phidot = -2 * phi * Isp[0].real
     return Ig, phidot
@@ -266,13 +272,16 @@ def kinematic_coefficients(state: ConformalPairState, fl: PairFlowField):
 
 def mapping_rhs(state: ConformalPairState, fl: PairFlowField):
     """Laurent RHS (f_n for n >= 1, g = phidot) plus z_t and u on the grid."""
-    z, zz, _, _ = geometry(state)
+    m, nv, phi = state.n_grid, state.nv, state.phi
+    sq = np.sqrt(phi)
+    z, zz, _, _ = state.geometry
     Ig, phidot = kinematic_coefficients(state, fl)
-    Fg = _f_on_grid(state, fl)
+    Fg = (fl.cp * (1 / (state.zeta - sq) + 1 / (2 * sq))
+          + _ev(_deck_odd(0.0, fl.F, phi, m), m))
     zt = state.zeta * zz * Ig + fl.qz * z - 2 * Fg
-    zts = np.fft.fft(zt) / state.n_grid
-    f_pos = zts[1:state.nv + 1]
-    u = interface_velocity(state, fl)
+    f_pos = (np.fft.fft(zt) / m)[1:nv + 1]
+    u = (0.5 * surfactant_sigma(state) * state.zeta * zz / np.abs(zz) + fl.K
+         + fl.qz * z - 2 * Fg)
     return f_pos, phidot, zt, u
 
 
@@ -317,15 +326,11 @@ def _real_root(c2, c1, c0, b_prev: float) -> float:
 
 
 def bubble_area(state: ConformalPairState) -> float:
-    m = state.n_grid
-    sq = np.sqrt(state.phi)
-    zeta = state.zeta
-    a = state.spectrum().astype(complex)
-    n_idx = modes(m)
-    z_inv = state.b / (1 / zeta - sq) + _ev(_flip(a), m)
-    zz = -state.b / (zeta - sq) ** 2 + _ev(a * n_idx, m) / zeta
-    val = np.sum(z_inv * zz * 1j * zeta) * (2 * np.pi / m)
-    return float((-1 / 2j * val).real)
+    """-(1/2i) times the contour integral of z(1/zeta) dz; z(1/zeta) is
+    conj(z) on |zeta| = 1, the map coefficients being real."""
+    z, zz, _, _ = state.geometry
+    dz = zz * 1j * state.zeta * (2 * np.pi / state.n_grid)
+    return float((-1 / 2j * np.sum(np.conj(z) * dz)).real)
 
 
 def surfactant_sigma(state: ConformalPairState) -> np.ndarray:
@@ -341,7 +346,7 @@ def surfactant_rhs(state: ConformalPairState, zt, u):
     zt and u are the map velocity and the interface velocity that
     mapping_rhs returns for the same state.
     """
-    _, zz, _, zzz = geometry(state)
+    _, zz, _, zzz = state.geometry
     zeta = state.zeta
     z_nu = 1j * zeta * zz
     z_nunu = -zeta * zz - zeta**2 * zzz
@@ -371,7 +376,7 @@ def surfactant_implicit_solve(state: ConformalPairState, rhs,
 
 def _diffusion(state: ConformalPairState):
     """Surface diffusion L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|)."""
-    _, zz, _, _ = geometry(state)
+    _, zz, _, _ = state.geometry
     sp = np.abs(1j * state.zeta * zz)
 
     def L(r):
@@ -382,7 +387,7 @@ def _diffusion(state: ConformalPairState):
 
 def surfactant_mass_pair(state: ConformalPairState) -> float:
     """Mass on the upper bubble, int rho |z_nu| d nu."""
-    _, zz, _, _ = geometry(state)
+    _, zz, _, _ = state.geometry
     sp = np.abs(1j * state.zeta * zz)
     return float(np.sum(state.rho * sp) * 2 * np.pi / state.n_grid)
 
@@ -394,14 +399,13 @@ def _krasny_real(arr):
 
 
 def _apply_update(state: ConformalPairState, da_pos, dphi):
-    new = state.copy()
-    new.a_pos[1:] = _krasny_real(state.a_pos[1:] + da_pos)
-    new.phi = state.phi + dphi
-    if not (0 < new.phi < 1):
-        raise PairOracleError(f"phi left (0,1): {new.phi}")
-    new.b = solve_b(new, state.b)
-    new.a_pos[0] = new.b / (2 * np.sqrt(new.phi))
-    return new
+    """The state with a_n += da_pos, phi += dphi and b restoring the area."""
+    phi = state.phi + dphi
+    if not (0 < phi < 1):
+        raise PairOracleError(f"phi left (0,1): {phi}")
+    a_pos = np.concatenate([[0.0], _krasny_real(state.a_pos[1:] + da_pos)])
+    probe = replace(state, phi=phi, a_pos=a_pos)
+    return replace(probe, b=solve_b(probe, state.b))
 
 
 def _stage(state: ConformalPairState, Q: float):
@@ -412,12 +416,11 @@ def _stage(state: ConformalPairState, Q: float):
 def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     """Midpoint/IMEX2 step; returns (new_state, r_combined)."""
     f1, g1, fe1 = _stage(state, Q)
-    half = _apply_update(state, 0.5 * dt * f1, 0.5 * dt * g1)
-    half.rho = _krasny_real(surfactant_implicit_solve(
-        half, state.rho + 0.5 * dt * fe1, 0.5 * dt))
-    half.t = state.t + 0.5 * dt
+    half_map = _apply_update(state, 0.5 * dt * f1, 0.5 * dt * g1)
+    half = replace(half_map, t=state.t + 0.5 * dt, rho=_krasny_real(
+        surfactant_implicit_solve(half_map, state.rho + 0.5 * dt * fe1,
+                                  0.5 * dt)))
     f2, g2, fe2 = _stage(half, Q)
-    new = _apply_update(state, dt * f2, dt * g2)
     params_mid = np.concatenate([state.a_pos[1:] + dt * f2,
                                  [state.phi + dt * g2]])
     params_eul = np.concatenate([state.a_pos[1:] + dt * f1,
@@ -425,11 +428,11 @@ def step_midpoint(state: ConformalPairState, Q: float, dt: float):
     scale = max(1.0, np.abs(params_mid).max())
     r_map = np.abs(params_mid - params_eul).max() / scale
     fI2 = _diffusion(half)(half.rho) if np.isfinite(state.Pe) else 0.0
-    new.rho = _krasny_real(state.rho + dt * fe2 + dt * fI2)
+    new = replace(_apply_update(state, dt * f2, dt * g2), t=state.t + dt,
+                  rho=_krasny_real(state.rho + dt * fe2 + dt * fI2))
     mass0 = surfactant_mass_pair(state)
     mass1 = surfactant_mass_pair(new)
     r_rho = abs(mass1 - mass0) / abs(mass0) if mass0 != 0 else 0.0
-    new.t = state.t + dt
     return new, max(r_map, r_rho)
 
 
@@ -446,7 +449,7 @@ def pair_from_circles(nv: int, phi: float, rho0: float = 0.0, E: float = 0.5,
 
 def min_gap(state: ConformalPairState) -> float:
     """Minimum distance between the two bubbles (= 2 min Re z here)."""
-    z, _, _, _ = geometry(state)
+    z = state.geometry[0]
     return float(2 * np.abs(z.real).min())
 
 
@@ -457,14 +460,8 @@ def physical_frame(state: ConformalPairState):
     and alphaV the equal-arclength parameter measured clockwise from
     nu = 0 (top of the upper bubble).
     """
-    z, zz, _, _ = geometry(state)
-    z_nu = 1j * state.zeta * zz
-    sp = np.abs(z_nu)
-    mean = sp.mean()
-    osc = antiderivative(sp - mean)
-    S = mean * state.nu + (osc - osc[0])
-    L = mean * 2 * np.pi
-    alphaV = S * 2 * np.pi / L
+    z, zz, _, _ = state.geometry
+    alphaV, _ = equal_arclength_parameter(np.abs(1j * state.zeta * zz))
     return 1j * z, state.rho.copy(), alphaV
 
 
@@ -479,11 +476,10 @@ def evolve_pair(state: ConformalPairState, Q_phys: float, t_end: float,
     """
     Q = -Q_phys
     ctrl = StepController(tol=tol, dt=DT0, dt_max=DT_MAX)
-    st = state.copy()
     steps = 0
-    while st.t < t_end - 1e-14:
-        cand, r = step_midpoint(st, Q, ctrl.clip(t_end - st.t))
-        if ctrl.judge(r, st.t):
-            st = cand
+    while state.t < t_end - 1e-14:
+        cand, r = step_midpoint(state, Q, ctrl.clip(t_end - state.t))
+        if ctrl.judge(r, state.t):
+            state = cand
             steps += 1
-    return st, steps
+    return state, steps

@@ -222,6 +222,16 @@ def antiderivative(f) -> np.ndarray:
     return res
 
 
+def equal_arclength_parameter(speed):
+    """alpha_V = 2 pi S/L, S the arclength from nu = 0, and the length L of
+    a closed curve with speed |z_nu| on the uniform grid nu."""
+    mean = speed.mean()
+    osc = antiderivative(speed - mean)
+    S = mean * uniform_alpha(speed.shape[0]) + (osc - osc[0])
+    L = mean * 2 * np.pi
+    return S * 2 * np.pi / L, L
+
+
 @dataclass(frozen=True)
 class PanelGrid:
     """Composite 16-point Gauss-Legendre grid on the parameter interval.

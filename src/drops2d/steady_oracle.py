@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import antiderivative, uniform_alpha
+from .spectral import equal_arclength_parameter, uniform_alpha
 
 QUAD_POINTS = 2048
 B_MAX = 2.0         # b_from_q searches the stable branch on (0, B_MAX]
@@ -87,11 +87,7 @@ def steady_solution(mp: SteadyMap, E: float, M: int = 256) -> dict:
     r = np.abs(z)
     D = (r.max() - r.min()) / (r.max() + r.min())
     Q = A * b / np.sqrt(1.0 + b * b)
-    sp = np.abs(z_nu)
-    L = sp.mean() * 2.0 * np.pi
-    osc = antiderivative(sp - sp.mean())
-    S = sp.mean() * nu + (osc - osc[0])
-    alphaV = S * 2.0 * np.pi / L
+    alphaV, L = equal_arclength_parameter(np.abs(z_nu))
     return {"nu": nu, "z": z, "z_nu": z_nu, "rho": rho, "D": D, "Q": Q,
             "A": A, "alphaV": alphaV, "length": L}
 

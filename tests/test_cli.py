@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from drops2d.cli import main
 from drops2d.harness import DropSpec, RunSpec, ScenarioConfig
 from drops2d.stokes import FlowConfig
@@ -27,6 +29,17 @@ def test_oracle_steady_writes_curve(tmp_path):
     assert out[0].startswith("# Q = ")
     assert out[1] == "nu,alphaV,x,y,rho"
     assert len(out) == 2 + 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "steady", "--Pe", "10", "--rho0", "0.3", "--nv", "7"],
+    ["oracle", "pair", "--b", "0.3", "--points", "9"],
+], ids=["steady", "pair"])
+def test_oracle_rejects_options_it_does_not_read(argv, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_from_config_file(tmp_path):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -6,19 +6,20 @@ import pytest
 from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
-from drops2d.pair_oracle import (IMPLICIT_TOL, ConformalPairState,
-                                 PairOracleError, _diffusion, _real_root, bubble_area, evolve_pair,
-                                 geometry, interface_velocity, mapping_rhs,
-                                 min_gap, pair_from_circles, physical_frame,
-                                 solve_b, solve_flow, step_midpoint,
+from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, IMPLICIT_TOL,
+                                 PairFlowField, PairOracleError, _diffusion,
+                                 _real_root, bubble_area, evolve_pair,
+                                 interface_velocity, mapping_rhs, min_gap,
+                                 pair_from_circles, physical_frame, solve_b,
+                                 solve_flow, step_midpoint,
                                  surfactant_implicit_solve,
                                  surfactant_mass_pair, surfactant_rhs,
-                                 surfactant_sigma)
+                                 surfactant_sigma, zhat_deriv_at)
 
 
 def test_initial_circles_geometry():
     st = pair_from_circles(48, phi=0.35)
-    z, zz, _, _ = geometry(st)
+    z, zz, _, _ = st.geometry
     c = (1 + 0.35) / (2 * np.sqrt(0.35))
     assert np.abs(np.abs(z - c) - 1.0).max() < 1e-12   # unit circle at +c
     assert abs(bubble_area(st) - np.pi) < 1e-12
@@ -29,6 +30,104 @@ def test_surfactant_center_matches_quoted_value():
     st = pair_from_circles(32, phi=0.2875)
     c = (1 + st.phi) / (2 * np.sqrt(st.phi))
     assert abs(c - 1.201) < 5e-4
+
+
+def test_state_is_immutable():
+    st = pair_from_circles(16, phi=0.35, rho0=1.0)
+    for arr in (st.a_pos, st.rho, st.zeta, st.nu, *st.geometry):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        st.b = 0.5
+    # the map is evaluated once per state
+    assert st.geometry is st.geometry
+
+
+def _solve_flow_on_grid(state, Q):
+    """solve_flow with every basis column collocated on the grid and
+    transformed: the reference for the spectral column build.
+
+    The powers zeta^p are grid points looked up by index; complex powers
+    with exponents up to NV + 1 carry a rounding error that the close
+    pairs' conditioning lifts to 2e-11 in the coefficients."""
+    nv, m, phi = state.nv, state.n_grid, state.phi
+    sq = np.sqrt(phi)
+    zeta = state.zeta
+    zinv = 1 / zeta
+
+    def pw(p):
+        return zeta[(p * np.arange(m)) % m]
+
+    z, zz, zz_inv, _ = state.geometry
+    sigma = surfactant_sigma(state)
+    P0 = 1 / (zeta - sq) + 1 / (2 * sq)
+    G0 = Q * state.b / (2 * sq)
+
+    def fpair(h, hp_inv):
+        base = z * hp_inv / zz_inv
+        return h + base, 1j * h - 1j * base
+
+    cols = []
+    cre, cim = fpair(P0, -1 / (zinv - sq) ** 2)
+    cols += [cre, cim]
+    for k in range(1, nv + 1):
+        h = pw(k) - phi**k * pw(-k)
+        hp_inv = k * (pw(1 - k) + phi**k * pw(k + 1))
+        cre, cim = fpair(h, hp_inv)
+        cols += [cre, cim]
+    for k in range(1, nv + 1):
+        s_img = pw(-k) - phi**k * pw(k)
+        cols += [s_img, -1j * s_img]
+    cols += [-z, -1j * z, -np.ones(m), -1j * np.ones(m)]
+    A = np.array(cols).T
+    rhs_grid = 0.5 * sigma * zeta * zz / np.abs(zz) - Q * state.b / (zinv - sq) - G0
+
+    spec = np.fft.fft(A, axis=0) / m
+    R = np.fft.fft(rhs_grid) / m
+    rows = np.arange(-nv, nv + 1)
+    Mc = spec[rows % m, :]
+    bc = R[rows % m]
+    ncol = A.shape[1]
+    Mreal = np.concatenate([Mc.real, Mc.imag], axis=0)
+    breal = np.concatenate([bc.real, bc.imag])
+    crow_re = np.zeros(ncol)
+    crow_im = np.zeros(ncol)
+    for k in range(1, nv + 1):
+        wgt = 2 * k * phi ** ((k - 1) / 2.0)
+        crow_re[2 + 2 * nv + 2 * (k - 1)] = wgt
+        crow_im[2 + 2 * nv + 2 * (k - 1) + 1] = wgt
+    closure = Q * zhat_deriv_at(state, sq)
+    rot = np.zeros(ncol)
+    rot[1] = 1.0
+    Mfull = np.vstack([Mreal, crow_re, crow_im, rot])
+    bfull = np.concatenate([breal, [closure, 0.0, 0.0]])
+    x, *_ = np.linalg.lstsq(Mfull, bfull, rcond=None)
+    residual = float(np.abs(Mfull @ x - bfull).max())
+    assert residual <= FLOW_RESIDUAL_TOL
+    return PairFlowField(cp=x[0] + 1j * x[1],
+                         F=x[2:2 + 2 * nv:2] + 1j * x[3:3 + 2 * nv:2],
+                         qz=x[-4] + 1j * x[-3], K=x[-2] + 1j * x[-1],
+                         residual=residual)
+
+
+@pytest.mark.parametrize("nv", [32, 64, 128])
+@pytest.mark.parametrize("phi", [0.35, 0.6, 0.8, 0.9])
+def test_spectral_columns_match_grid_columns(nv, phi):
+    # a perturbed map carrying nonuniform surfactant
+    rng = np.random.default_rng(nv)
+    st = pair_from_circles(nv, phi=phi, rho0=1.0)
+    a_pos = np.zeros(nv + 1)
+    a_pos[1:] = (1e-3 * phi ** (np.arange(1, nv + 1) / 2)
+                 * rng.standard_normal(nv))
+    st = replace(st, a_pos=a_pos, rho=1 + 0.1 * np.cos(st.nu))
+    st = replace(st, b=solve_b(st, st.b))
+    fl, ref = solve_flow(st, -0.5), _solve_flow_on_grid(st, -0.5)
+    coef = np.concatenate([[fl.cp, fl.qz, fl.K], fl.F])
+    coef_ref = np.concatenate([[ref.cp, ref.qz, ref.K], ref.F])
+    assert np.abs(coef - coef_ref).max() <= 1e-11 * np.abs(coef_ref).max()
+    u_ref = interface_velocity(st, ref)
+    assert (np.abs(interface_velocity(st, fl) - u_ref).max()
+            <= 1e-11 * np.abs(u_ref).max())
 
 
 class TestFlowSolve:
@@ -62,7 +161,7 @@ class TestFlowSolve:
         Qm = -0.5
         fl = solve_flow(st, Qm)
         u = interface_velocity(st, fl)
-        z, _, _, _ = geometry(st)
+        z, _, _, _ = st.geometry
         cw = 20.0
         u_iso = Qm * cw + Qm / cw + (2 * Qm - Qm / cw**2) * np.conj(z - cw)
         assert np.abs(u - u_iso).max() < 2e-4
@@ -75,9 +174,10 @@ class TestSolveB:
 
     def test_restores_area_after_perturbation(self):
         st = pair_from_circles(48, phi=0.35)
-        st.a_pos[2] = 0.01          # perturb a_2
-        b2 = solve_b(st, st.b)
-        st2 = ConformalPairState(b=b2, phi=st.phi, a_pos=st.a_pos, rho=st.rho)
+        a_pos = st.a_pos.copy()
+        a_pos[2] = 0.01             # perturb a_2
+        st = replace(st, a_pos=a_pos)
+        st2 = replace(st, b=solve_b(st, st.b))
         assert abs(bubble_area(st2) - np.pi) < 1e-10
 
     def test_root_tolerance_scales_with_the_root(self):

@@ -448,10 +448,10 @@ def pair_velocity(ifaces, cfg):
     return interface_velocity(ifaces, [np.ones(i.n) for i in ifaces], cfg)[0]
 
 
-def assert_close(got, want, tol=1e-10):
+def assert_close(got, want, tol=1e-10, floor=0.0):
     scale = max(np.abs(u).max() for u in want)
     for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= tol * scale
+        assert np.abs(g - w).max() <= tol * scale + floor
 
 
 class TestVelocityProperties:
@@ -479,6 +479,12 @@ class TestVelocityProperties:
     # 2.0e-9 max|u| over 120 random draws of each test, and 2.1e-8 over
     # 400 draws of ellipse pairs at gap 0.5 and a/b 1.6.
     PHASE_TOL = 1e-7
+    # sigma = 1 drives no flow on a circle, so max|u| of two circles falls
+    # to zero with Q and B, but the density solve leaves an absolute error
+    # from the O(1) tension forcing.  Measured at |Q|, |B| <= 1e-10: the
+    # phase-shift difference exceeds PHASE_TOL max|u| by at most 2.1e-12
+    # over 400 draws.  At Q = B = 0 the velocity is exactly zero.
+    ROUNDING_FLOOR = 2e-11
 
     @settings(max_examples=25, deadline=None)
     @given(pair=clean_pairs(), k=st.tuples(st.integers(0, 127),
@@ -498,6 +504,8 @@ class TestVelocityProperties:
            radius=st.floats(0.5, 1.0), gap=st.floats(0.5, 1.5),
            angle=st.floats(0, 2 * np.pi), Q=st.floats(-0.5, 0.5),
            B=st.floats(-0.5, 0.5))
+    @example(phase=(0.0, 0.0), k=(0, 1), radius=1.0, gap=1.0, angle=0.0,
+             Q=0.0, B=1e-8)
     def test_circle_phase_shift_rolls_velocity(self, phase, k, radius, gap,
                                                angle, Q, B):
         # node j of circle(n, phase=p + 2 pi k/n) is node j - k of
@@ -514,7 +522,7 @@ class TestVelocityProperties:
         assert_close(pair_velocity(drops(k), cfg),
                      [np.roll(u, kk)
                       for u, kk in zip(pair_velocity(drops((0, 0)), cfg), k)],
-                     tol=self.PHASE_TOL)
+                     tol=self.PHASE_TOL, floor=self.ROUNDING_FLOOR)
 
     @settings(max_examples=25, deadline=None)
     @given(pair=clean_pairs(), Q=st.floats(-0.5, 0.5), B=st.floats(-0.5, 0.5))
