@@ -2,7 +2,9 @@
 
 Interfaces are stored clockwise on an equal-arclength parameter grid
 (alpha in [0, 2*pi)); with that convention the inward unit normal is
--i z'/|z'| and the curvature of a circle is negative.
+-i z'/|z'| and the curvature of a circle is negative.  The grid maps,
+the equal-arclength one included, live in spectral; to_equal_arclength
+only applies it to an Interface.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
-                       fourier_interp, krasny_filter, resample,
-                       spectral_derivatives, trapezoid, uniform_alpha)
+                       equal_arclength_nodes, fourier_interp, krasny_filter,
+                       resample, spectral_derivatives, trapezoid,
+                       uniform_alpha)
 
 REFINE = 4                  # refined points per node in min_distance
-ARCLENGTH_TOL = 1e-12       # to_equal_arclength stops below this Newton step
-ARCLENGTH_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -232,34 +233,8 @@ def ellipse(n: int, a_axis: float, b_axis: float, center: complex = 0.0,
 
 
 def to_equal_arclength(iface: Interface) -> Interface:
-    """Reparametrize so the nodes are equidistant in arclength.
-
-    Newton iteration on the parameter map: sample the trigonometric
-    interpolant at parameters where the cumulative arclength is uniform.
-    """
-    z0 = iface.z
-    n = z0.shape[0]
-    alpha = uniform_alpha(n)
-    zp0 = iface.z_alpha()
-    sp_abs = np.abs(zp0)
-    total = float(np.real(trapezoid(sp_abs)))
-
-    def cumlen(t):
-        # cumulative arclength of the original parametrization at t
-        sp_t = np.abs(fourier_interp(zp0, t))
-        mean = total / (2 * np.pi)
-        osc = antiderivative(np.abs(zp0) - mean)
-        osc_t = fourier_interp(osc, t)
-        osc_0 = fourier_interp(osc, np.array([0.0]))[0]
-        return mean * t + (osc_t - osc_0), sp_t
-
-    t = alpha.copy()
-    target = total * alpha / (2 * np.pi)
-    for _ in range(ARCLENGTH_MAXITER):
-        cum, sp_t = cumlen(t)
-        corr = (target - cum) / sp_t
-        t = t + corr
-        if np.abs(corr).max() < ARCLENGTH_TOL:
-            break
-    zs = krasny_filter(fourier_interp(z0, t))
-    return replace(iface, z=zs)
+    """Reparametrize so the nodes are equidistant in arclength: z's
+    trigonometric interpolant at spectral.equal_arclength_nodes, then the
+    Krasny filter."""
+    t = equal_arclength_nodes(np.abs(iface.z_alpha()), iface.n)
+    return replace(iface, z=krasny_filter(fourier_interp(iface.z, t)))

@@ -4,10 +4,17 @@ Everything in this module works on samples taken at the equidistant nodes
 alpha_i = 2*pi*i/N, i = 0..N-1, or on composite 16-point Gauss-Legendre
 panels covering the same parameter interval [0, 2*pi).
 
+It is the one home of every map between the package's grids: uniform to
+GL panels (uniform_to_gl, gl_geometry), GL panels to uniform
+(panel_interp_to_uniform), uniform to any parameters (fourier_interp), and
+the equal-arclength parameter alpha_V (equal_arclength_parameter) with its
+inverse (equal_arclength_nodes), the only cumulative-arclength code.
+
 The uniform-grid transforms (spectral_derivative, resample, krasny_filter)
 act along axis 0, so that one call transforms the k fields of an (N, k)
-stack, each bit for bit as a call on it alone.  modes(n) and the derivative
-multipliers are cached per n on first use, read-only.
+stack, each bit for bit as a call on it alone.  modes(n), the derivative
+multipliers, panel_grid and both transfer matrices are cached per size on
+first use (functools.cache), read-only.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from numpy.polynomial.legendre import leggauss
 MIN_POINTS = 32
 PANEL_ORDER = 16
 KRASNY_TOL = 1e-12
+ARCLENGTH_TOL = 1e-12       # equal_arclength_nodes stops below this Newton step
+ARCLENGTH_MAXITER = 100
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every panel.
 GL_NODES, GL_WEIGHTS = leggauss(PANEL_ORDER)
@@ -49,12 +58,15 @@ def uniform_alpha(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @cache
 def modes(n: int) -> np.ndarray:
     """Signed Fourier mode numbers in FFT layout."""
-    k = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
-    k.flags.writeable = False
-    return k
+    return _read_only(np.fft.fftfreq(n, 1.0 / n).round().astype(int))
 
 
 @cache
@@ -64,8 +76,7 @@ def _derivative_factor(n: int, order: int, ndim: int) -> np.ndarray:
     fac = (1j * modes(n)) ** order
     if n % 2 == 0 and order % 2 == 1:
         fac[n // 2] = 0.0
-    fac.flags.writeable = False
-    return fac.reshape((n,) + (1,) * (ndim - 1))
+    return _read_only(fac).reshape((n,) + (1,) * (ndim - 1))
 
 
 def spectral_derivatives(f, orders) -> tuple:
@@ -153,23 +164,16 @@ def fourier_interp(f, targets) -> np.ndarray:
     return out
 
 
-_GL_INTERP_CACHE = {}
-
-
+@cache
 def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
     """Cached fourier_matrix of n uniform samples at the panel layout.
 
     Its first 16*n_panels rows evaluate at the composite GL nodes, its last
     n_panels rows at the panel starts.
     """
-    key = (n, n_panels)
-    M = _GL_INTERP_CACHE.get(key)
-    if M is None:
-        grid = panel_grid(n_panels)
-        M = fourier_matrix(n, np.concatenate([grid.alpha,
-                                              grid.endpoints[:-1]]))
-        _GL_INTERP_CACHE[key] = M
-    return M
+    grid = panel_grid(n_panels)
+    return _read_only(fourier_matrix(n, np.concatenate([grid.alpha,
+                                                        grid.endpoints[:-1]])))
 
 
 def uniform_to_gl(values, n_panels: int) -> np.ndarray:
@@ -232,6 +236,27 @@ def equal_arclength_parameter(speed):
     return S * 2 * np.pi / L, L
 
 
+def equal_arclength_nodes(speed, n: int) -> np.ndarray:
+    """The n parameters nu_j at which alpha_V = 2 pi j/n: the inverse of
+    equal_arclength_parameter, by Newton on the interpolant of alpha_V - nu
+    and its derivative, one fourier_matrix product per iteration.  Raises
+    RuntimeError unless a step falls below ARCLENGTH_TOL within
+    ARCLENGTH_MAXITER iterations."""
+    m = speed.shape[0]
+    alpha_v, _ = equal_arclength_parameter(speed)
+    c = np.fft.fft(alpha_v - uniform_alpha(m))
+    coef = np.stack([c, _derivative_factor(m, 1, 1) * c], axis=1)
+    t = target = uniform_alpha(n)
+    for _ in range(ARCLENGTH_MAXITER):
+        per, dper = (fourier_matrix(m, t) @ coef).real.T
+        corr = (target - t - per) / (1.0 + dper)
+        t = t + corr
+        if np.abs(corr).max() < ARCLENGTH_TOL:
+            return t
+    raise RuntimeError(f"equal_arclength_nodes: Newton step "
+                       f"{np.abs(corr).max():.3e} above ARCLENGTH_TOL")
+
+
 @dataclass(frozen=True)
 class PanelGrid:
     """Composite 16-point Gauss-Legendre grid on the parameter interval.
@@ -246,17 +271,17 @@ class PanelGrid:
     endpoints: np.ndarray = field(repr=False)
 
 
+@cache
 def panel_grid(n_panels: int) -> PanelGrid:
     edges = np.linspace(0.0, 2.0 * np.pi, n_panels + 1)
     h = edges[1] - edges[0]
     alpha = (edges[:-1, None] + (GL_NODES[None, :] + 1.0) * h / 2.0).ravel()
     weights = np.tile(GL_WEIGHTS * h / 2.0, n_panels)
-    return PanelGrid(alpha=alpha, weights=weights, endpoints=edges)
+    return PanelGrid(alpha=_read_only(alpha), weights=_read_only(weights),
+                     endpoints=_read_only(edges))
 
 
-_PANEL_INTERP_CACHE = {}
-
-
+@cache
 def panel_to_uniform_matrix(n_panels: int, n_out: int) -> np.ndarray:
     """Cached real matrix from composite GL samples to n_out uniform ones.
 
@@ -265,31 +290,26 @@ def panel_to_uniform_matrix(n_panels: int, n_out: int) -> np.ndarray:
     2*n_out uniform points and resampled to n_out.  The matrix is built
     one panel's 16 columns at a time.
     """
-    key = (n_panels, n_out)
-    P = _PANEL_INTERP_CACHE.get(key)
-    if P is None:
-        n_fine = 2 * n_out
-        fine_alpha = uniform_alpha(n_fine)
-        edges = np.linspace(0.0, 2.0 * np.pi, n_panels + 1)
-        h = edges[1] - edges[0]
-        idx = np.minimum((fine_alpha / h).astype(int), n_panels - 1)
-        blocks = []
-        for p in range(n_panels):
-            sel = idx == p
-            xi = 2.0 * (fine_alpha[sel] - edges[p]) / h - 1.0
-            diff = xi[:, None] - GL_NODES
-            hit = np.isclose(diff, 0.0, atol=1e-15)
-            diff[hit] = 1.0
-            c = _BARY_W / diff
-            c /= c.sum(axis=1)[:, None]
-            rows, cols = np.nonzero(hit)
-            c[rows] = np.eye(PANEL_ORDER)[cols]
-            fine = np.zeros((n_fine, PANEL_ORDER))
-            fine[sel] = c
-            blocks.append(resample(fine, n_out))
-        P = np.concatenate(blocks, axis=1)
-        _PANEL_INTERP_CACHE[key] = P
-    return P
+    n_fine = 2 * n_out
+    fine_alpha = uniform_alpha(n_fine)
+    edges = panel_grid(n_panels).endpoints
+    h = edges[1] - edges[0]
+    idx = np.minimum((fine_alpha / h).astype(int), n_panels - 1)
+    blocks = []
+    for p in range(n_panels):
+        sel = idx == p
+        xi = 2.0 * (fine_alpha[sel] - edges[p]) / h - 1.0
+        diff = xi[:, None] - GL_NODES
+        hit = np.isclose(diff, 0.0, atol=1e-15)
+        diff[hit] = 1.0
+        c = _BARY_W / diff
+        c /= c.sum(axis=1)[:, None]
+        rows, cols = np.nonzero(hit)
+        c[rows] = np.eye(PANEL_ORDER)[cols]
+        fine = np.zeros((n_fine, PANEL_ORDER))
+        fine[sel] = c
+        blocks.append(resample(fine, n_out))
+    return _read_only(np.concatenate(blocks, axis=1))
 
 
 def panel_interp_to_uniform(g, n_panels: int, n_out: int) -> np.ndarray:

@@ -31,7 +31,8 @@ STEADY_UNORM = 1e-8     # a steady run stops once max |u.n| is at most this
 # off equal arclength lose mass at first order in dt.  The presets at
 # their documented sizes reach 1.6e-7 (steady_single), 1.2e-5
 # (pair_clean) and 9.5e-7 (pair_surfactant); an ellipse of aspect ratio
-# 1.26 sampled at equal parameter steps starts at 0.12.
+# 1.26 sampled at equal parameter steps starts at 0.12.  pair_clean at
+# 2x64 stops here at t = 0.5977 (drift 1.025e-3); 2x128 reaches t = 0.6.
 SPACING_DRIFT_MAX = 1e-3
 
 
@@ -184,20 +185,16 @@ def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
 
 
 def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
-         stokes_tol: float = 1e-11, stage1=None):
+         stokes_tol: float = 1e-11):
     """One coupled midpoint/IMEX2 attempt of size ctrl.dt, judged by ctrl.
 
-    Returns (candidate_state, info, stage1) where stage1 can be fed back
-    in on a retake to avoid recomputing the first Stokes solve at the
-    unchanged state.  The drops must enter on equal-arclength nodes
-    (SpacingDriftError otherwise).
+    Returns (candidate_state, info).  The drops must enter on
+    equal-arclength nodes (SpacingDriftError otherwise).
     """
     dt = ctrl.dt
 
-    if stage1 is None:
-        check_spacing(state)
-        stage1 = _stage_eval(state, cfg, stokes_tol)
-    dec1, g1, fE1, _ = stage1
+    check_spacing(state)
+    dec1, g1, fE1, _ = _stage_eval(state, cfg, stokes_tol)
     un_max = max(np.abs(d.u_n).max() for d in dec1)
 
     ifaces_half = [replace(i, z=krasny_filter(i.z + 0.5 * dt * g))
@@ -231,7 +228,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     accepted = ctrl.judge(r, state.t)
     info = StepInfo(r=r, r_z=r_z, r_rho=r_rho, dt_used=dt, accepted=accepted,
                     un_max=un_max, iterations=sol2.iterations)
-    return cand, info, stage1
+    return cand, info
 
 
 def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
@@ -246,16 +243,14 @@ def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     from, which the callback has already seen (or the initial state), and
     discards the attempt.
     """
-    stage1 = None
     while state.t < t_end - 1e-14:
         ctrl.clip(t_end - state.t)
-        cand, info, stage1 = step(state, cfg, ctrl, stokes_tol, stage1=stage1)
+        cand, info = step(state, cfg, ctrl, stokes_tol)
         if not info.accepted:
             continue
         if steady and info.un_max <= STEADY_UNORM:
             return state, True
         state = cand
-        stage1 = None
         if callback is not None:
             callback(state, info)
     return state, False

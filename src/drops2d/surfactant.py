@@ -23,6 +23,18 @@ from .spectral import (krasny_filter, modes, resample, spectral_derivative,
                        trapezoid)
 
 
+def check_material(E: float, Pe: float, eos: str):
+    """Raise ValueError unless eos is 'linear' or 'langmuir', Pe > 0 (inf
+    allowed) and, with langmuir, 0 < E < 1; FlowConfig and SurfactantField
+    both run this one check."""
+    if eos not in ("linear", "langmuir"):
+        raise ValueError("eos must be 'linear' or 'langmuir'")
+    if Pe is None or not Pe > 0:
+        raise ValueError(f"Pe must be positive (np.inf allowed), not {Pe}")
+    if eos == "langmuir" and not (0 < E < 1):
+        raise ValueError("langmuir needs 0 < E < 1")
+
+
 @dataclass(frozen=True)
 class SurfactantField:
     """Concentration samples plus the constitutive parameters."""
@@ -33,14 +45,13 @@ class SurfactantField:
     eos: str = "linear"
 
     def __post_init__(self):
+        check_material(self.E, self.Pe, self.eos)
         vals = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", vals)
         if np.any(vals < 0):
             raise ValueError("surfactant concentration must be nonnegative")
         if self.eos == "langmuir" and np.any(vals >= 1):
             raise ValueError("langmuir equation of state needs rho < 1")
-        if self.eos not in ("linear", "langmuir"):
-            raise ValueError("unknown equation of state")
 
     @property
     def n(self):

@@ -95,11 +95,15 @@ def test_package_loads_no_scipy(tmp_path):
     assert run_fresh(code, tmp_path).split() == []
 
 
-# the config that the CI's NumPy-only install also runs
+# the config that the CI's NumPy-only install also runs: an ellipse, so
+# that the run puts a drop on equal arclength
 RUN_CONFIG = ("from drops2d.harness import DropSpec, RunSpec, ScenarioConfig\n"
               "from drops2d.stokes import FlowConfig\n"
-              "cfg = ScenarioConfig(drops=[DropSpec(n=32)], flow=FlowConfig(),\n"
-              "                     run=RunSpec(t_end=6e-3, fixed_dt=2e-3))\n"
+              "cfg = ScenarioConfig(\n"
+              "    drops=[DropSpec(shape='ellipse', axes=(1.2, 1 / 1.2),\n"
+              "                    rho0=0.5, n=32)],\n"
+              "    flow=FlowConfig(Q=0.1, Pe=10.0),\n"
+              "    run=RunSpec(t_end=6e-3, fixed_dt=2e-3))\n"
               "open('run.json', 'w').write(cfg.to_json())\n")
 
 

@@ -231,3 +231,36 @@ def test_cached_multipliers_are_read_only():
     assert spectral.modes(64) is spectral.modes(64)
     with pytest.raises(ValueError):
         spectral.modes(64)[0] = 1
+
+
+def test_cached_transfers_are_read_only():
+    grid = panel_grid(8)
+    assert grid is panel_grid(8)
+    assert spectral.uniform_to_gl_matrix(64, 4) is (
+        spectral.uniform_to_gl_matrix(64, 4))
+    assert panel_to_uniform_matrix(4, 64) is panel_to_uniform_matrix(4, 64)
+    for arr in (grid.alpha, grid.weights, grid.endpoints,
+                spectral.uniform_to_gl_matrix(64, 4),
+                panel_to_uniform_matrix(4, 64)):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("n, m", [(64, 64), (128, 256), (96, 48)])
+def test_equal_arclength_nodes_invert_the_parameter(n, m):
+    # alpha_V at the nodes, from its interpolant, takes n equal steps
+    nu = uniform_alpha(m)
+    z = (1 + 0.2 * np.cos(3 * nu)) * (1.3 * np.cos(nu) - 1j * np.sin(nu))
+    speed = np.abs(spectral_derivative(z))
+    alpha_v, _ = spectral.equal_arclength_parameter(speed)
+    t = spectral.equal_arclength_nodes(speed, n)
+    at_nodes = t + fourier_interp(alpha_v - nu, t)
+    assert np.abs(at_nodes - uniform_alpha(n)).max() < 1e-12
+
+
+def test_equal_arclength_nodes_raise_without_convergence(monkeypatch):
+    nu = uniform_alpha(64)
+    speed = np.abs(spectral_derivative(1.5 * np.cos(nu) - 1j * np.sin(nu)))
+    monkeypatch.setattr(spectral, "ARCLENGTH_MAXITER", 2)
+    with pytest.raises(RuntimeError, match="ARCLENGTH_TOL"):
+        spectral.equal_arclength_nodes(speed, 64)

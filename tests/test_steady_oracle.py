@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from drops2d.geometry import Interface, modified_tangential_velocity
-from drops2d.spectral import fourier_interp, spectral_derivative, uniform_alpha
+from drops2d.spectral import equal_arclength_nodes, fourier_interp
 from drops2d.steady_oracle import (SteadyMap, b_from_q, steady_q,
                                    steady_solution)
 from drops2d.stokes import FlowConfig, interface_velocity
@@ -95,13 +95,8 @@ def test_known_regime_values():
 
 def oracle_on_uniform_alpha(sol, n):
     """Oracle shape and surfactant at n nodes equidistant in arclength."""
-    per = sol["alphaV"] - sol["nu"]
-    alpha = uniform_alpha(n)
-    dper = spectral_derivative(per)
-    t = alpha.copy()
-    for _ in range(50):
-        t -= (t + fourier_interp(per, t) - alpha) / (1 + fourier_interp(dper, t))
-    return fourier_interp(sol["z"], t), fourier_interp(sol["rho"], t)
+    nu = equal_arclength_nodes(np.abs(sol["z_nu"]), n)
+    return fourier_interp(sol["z"], nu), fourier_interp(sol["rho"], nu)
 
 
 class TestSolverConvention:

@@ -34,6 +34,20 @@ class TestSurfaceTension:
         with pytest.raises(ValueError):
             SurfactantField(rho=np.ones(64), E=0.5, eos="langmuir")
 
+    @pytest.mark.parametrize("params", [
+        dict(Pe=-1.0), dict(Pe=0.0), dict(Pe=None), dict(Pe=-0.01),
+        dict(E=1.5, eos="langmuir"), dict(eos="frumkin")])
+    def test_field_and_flow_reject_the_same_parameters(self, params):
+        # one check of E, Pe and eos: a field with Pe = -0.01 would run
+        # the diffusion backwards
+        from drops2d.stokes import FlowConfig
+
+        with pytest.raises(ValueError) as flow_err:
+            FlowConfig(**params)
+        with pytest.raises(ValueError) as field_err:
+            SurfactantField(rho=np.zeros(64), **params)
+        assert str(field_err.value) == str(flow_err.value)
+
     def test_monotone_decreasing(self):
         rho = np.linspace(0, 0.8, 64)
         for eos in ("linear", "langmuir"):
