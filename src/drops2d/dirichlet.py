@@ -116,7 +116,10 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
 def estimate_field(sol: DirichletSolution, targets):
     """Summed per-panel remainder estimates at each target.
 
-    One batched preimage and estimate pass covers every candidate pair.
+    One batched preimage and estimate pass covers every pair of
+    neareval.candidates, within ESTIMATE_RADIUS panel lengths: wider than
+    the reach of the correction cull, so that the terms the sum leaves out
+    stay below 1e-20.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu_inf = np.abs(sol.mu).reshape(-1, PANEL_ORDER).max(axis=1)

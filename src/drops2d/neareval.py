@@ -10,8 +10,17 @@ the singular moments
 
 are generated by forward recursion.  A separate contour-integral remainder
 estimate predicts the plain Gauss-Legendre error for each point-panel pair
-and decides when the special rule is needed.  cull is the one distance
-cull: only the pairs it returns are ever estimated or corrected.
+and decides when the special rule is needed.
+
+Two distance culls choose the pairs that get a preimage and an estimate.
+cull, for the pairs that may be corrected (stokes.DirectKernels and
+stokes.near_layer_matrices), keeps a pair when the target lies within
+the panel's reach: the distance beyond which the estimate, set by the
+Bernstein ellipse of the preimage, cannot come near the activation
+threshold.  The reach follows each panel's shape, about 0.9 panel
+lengths on a well-resolved one.  candidates, for the summed estimates of
+dirichlet.estimate_field, keeps a pair within a fixed ESTIMATE_RADIUS
+panel lengths, wider, so that the terms that sum drops stay below 1e-20.
 
 Panels come as one stacked PanelData, built in one vectorised
 prepare_panel pass, with a leading panel axis on every field.  Indexing
@@ -24,13 +33,14 @@ takes one moment recursion and one batched Vandermonde solve for all of
 its pairs.  The path-deformation residues of p_0 are built in
 correction_rows, only for the pairs it builds rows for.
 
-The Legendre series of a batch are evaluated in stacked Clenshaw sweeps
-(one npleg.legval call each), since on a few hundred pairs the cost of a
-sweep is its count of NumPy operations, not its length.  Each Newton
-step of locate_preimage is one sweep over [eta'; eta]; one more sweep
-leaves eta, eta' and conj(eta') at xi0 and eta at conj(xi0) in the
-frame, and estimate_error reads them there instead of evaluating any
-series itself.
+On a few hundred pairs the cost of evaluating a series is its count of
+NumPy operations, not its length.  Newton in locate_preimage therefore
+runs in the power basis, on monomial coefficients of [eta'; eta] taken
+once per pair, each step one Horner pass over both.  Acceptance stays on
+the Legendre series: one stacked Clenshaw sweep (one npleg.legval call)
+leaves eta, eta' and conj(eta') at xi0 and eta at conj(xi0) in the frame;
+the residual check reads eta there, and estimate_error reads all four
+instead of evaluating any series itself.
 
 There is one correction mechanism: overwrite_near_blocks writes the
 special rows of the flagged pairs over the plain entries of the weighted
@@ -41,6 +51,7 @@ off the interfaces alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import comb
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -51,10 +62,32 @@ from .spectral import GL_NODES, PANEL_ORDER
 # panel-parametrization fit eta backward-stable out to moderate |xi|.
 _LEGV = npleg.legvander(GL_NODES, PANEL_ORDER - 1)
 _LEGV_INV = np.linalg.inv(_LEGV)
+# power-basis coefficients of the Legendre polynomials, P_j on column j,
+# from the explicit sum: integer numerators over 2^j, so every entry is exact
+_LEG2POW = np.zeros((PANEL_ORDER, PANEL_ORDER))
+for _j in range(PANEL_ORDER):
+    for _k in range(_j // 2 + 1):
+        _LEG2POW[_j - 2 * _k, _j] = ((-1) ** _k * comb(_j, _k)
+                                     * comb(2 * _j - 2 * _k, _j) / 2 ** _j)
 # estimated plain-GL panel error above which the correction is applied
 ACTIVATION_THRESHOLD = 1e-13
-# targets farther than this many panel lengths are never corrected
-CULL_FACTOR = 1.5
+# the Bernstein ellipse E_rho outside which no preimage needs the special
+# rule: 2 pi/rho^33 is 7e-18 at rho = 3.5, and no pair outside a panel's
+# reach (prepare_panel) has measured above 5.0e-17 (star targets at 25-100
+# panels, a pinched drop, pair_clean nodes at 2x64-2x512).  The reach
+# follows the panel: 0.83-0.94 panel lengths on the 50-panel star, up to 15
+# on the tips of an under-resolved pinched drop, where a fixed 1.0 would
+# miss estimates up to 1.8e-12
+REACH_RHO = 3.5
+# 32 points of E_rho's boundary (the Joukowski image of the circle of
+# radius rho), their Legendre-Vandermonde, and for each the node nearest
+# its real part, clipped to the panel
+_RIM = np.cos(2 * np.pi * np.arange(32) / 32 - 1j * np.log(REACH_RHO))
+_RIM_LEGV = npleg.legvander(_RIM, PANEL_ORDER - 1)
+_RIM_NODE = np.abs(np.clip(_RIM.real, -1, 1)[:, None] - GL_NODES).argmin(1)
+# the cull of estimate_field's summed estimates, in panel lengths: at 1.0
+# the terms it would drop reach 2.3e-18 on the 25-panel star
+ESTIMATE_RADIUS = 1.5
 # Newton for the panel preimage: iteration cap and relative acceptance
 NEWTON_MAXITER = 20
 NEWTON_TOL = 1e-13
@@ -66,10 +99,15 @@ def _rows(obj, sel):
 
 
 def candidates(panels, targets):
-    """The cull of a 1-D array of targets without assembled kernels, from
-    their distances to every node."""
+    """(target, panel) pairs of a 1-D array of targets whose nearest panel
+    node lies within ESTIMATE_RADIUS panel lengths, target-major.
+
+    These are the pairs of dirichlet.estimate_field's sums, wider than the
+    reach of cull so that the terms the sums leave out stay below 1e-20.
+    """
     d = panels.z_nodes[None, :, :] - targets[:, None, None]
-    return cull(panels, (d.real ** 2 + d.imag ** 2).min(axis=2))
+    dist2 = (d.real ** 2 + d.imag ** 2).min(axis=2)
+    return np.nonzero(np.sqrt(dist2) <= ESTIMATE_RADIUS * panels.length)
 
 
 def cull(panels, dist2):
@@ -77,10 +115,13 @@ def cull(panels, dist2):
 
     dist2[i, g] is the squared distance from target i to the nearest node
     of panel g (stokes.layer_matrices returns it with the kernels).  A pair
-    is a candidate when that distance is at most CULL_FACTOR panel
-    lengths.  Returns two index arrays, target-major, as np.nonzero does.
+    is a candidate when that distance is within the panel's reach, beyond
+    which the remainder estimate stays far below ACTIVATION_THRESHOLD (see
+    prepare_panel); overwrite_near_blocks estimates only these pairs, for
+    stokes.DirectKernels and near_layer_matrices.  Returns two index
+    arrays, target-major, as np.nonzero does.
     """
-    return np.nonzero(np.sqrt(dist2) <= CULL_FACTOR * panels.length)
+    return np.nonzero(dist2 <= panels.reach ** 2)
 
 
 @dataclass
@@ -108,6 +149,7 @@ class PanelData:
     # signed zero, and the value is that of the 15-term series
     eta_p: np.ndarray
     length: np.ndarray           # physical panel length (approx)
+    reach: np.ndarray            # physical radius of cull (prepare_panel)
 
     __getitem__ = _rows
 
@@ -166,32 +208,50 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     # eta' padded with a zero top coefficient to eta's length
     eta_p = np.zeros_like(eta)
     eta_p[:, :-1] = npleg.legder(eta, axis=-1)
+    # reach: the largest distance from a point of eta(boundary of E_rho) to
+    # its _RIM_NODE node (at most 2% above the nearest-node distance); a
+    # target farther from every node has its preimage outside E_rho.  Its
+    # rounding may vary with the stack size, which moves only pairs whose
+    # estimates lie far below the threshold
+    reach = np.abs(eta @ _RIM_LEGV.T - nodes_t[:, _RIM_NODE]).max(axis=1)
     return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
                      nodes_t=nodes_t, eta=eta, eta_p=eta_p,
-                     length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1))
+                     length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1),
+                     reach=reach / np.abs(scale))
 
 
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
 
-    panel holds one row per target z0.  Each Newton step is one Clenshaw
-    sweep (npleg.legval) over the stacked series [eta'; eta] at [xi; xi]
-    of the live pairs; eta_p's zero top coefficient gives both series the
-    same length.  Each pair stops when eta' vanishes at its iterate, when
-    its Newton step falls below 1e-14 relative to max(1, |xi|), or after
-    NEWTON_MAXITER steps.  One more sweep fills the frame's series values
-    at xi0 for every pair; its preimage is accepted (newton_ok) when the
-    residual |eta(xi0) - z0t| is within NEWTON_TOL relative to
-    max(1, |z0t|) and |xi0| < 10.
+    panel holds one row per target z0.  Newton runs in the power basis:
+    one real matrix-vector product per pair (by _LEG2POW) takes the
+    Legendre coefficients of eta' and eta to monomial ones, and each step
+    evaluates [eta'; eta] at [xi; xi] of the live pairs by Horner's rule,
+    in fewer NumPy operations than a Clenshaw sweep.  Each pair stops when eta'
+    vanishes at its iterate, when its Newton step falls below 1e-14
+    relative to max(1, |xi|), or after NEWTON_MAXITER steps.  Acceptance
+    stays on the Legendre series: one Clenshaw sweep (npleg.legval) fills
+    the frame's series values at xi0 for every pair, and its preimage is
+    accepted (newton_ok) when the residual |eta(xi0) - z0t| is within
+    NEWTON_TOL relative to max(1, |z0t|) and |xi0| < 10.
     """
     zt = panel.transform(z0)
     xi = zt.copy()
+    # (PANEL_ORDER, 2, m): monomial coefficients of eta' then eta, per pair
+    legendre = np.stack((panel.eta_p, panel.eta), axis=-1)
+    power = np.ascontiguousarray(np.moveaxis(
+        (_LEG2POW @ legendre.view(float)).view(complex), 0, -1))
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
         x = xi[live]
-        both = npleg.legval(np.concatenate((x, x)), np.concatenate(
-            (panel.eta_p[live], panel.eta[live])).T, tensor=False)
+        xx, coef = (np.concatenate((x, x)),
+                    power[:, :, live].reshape(PANEL_ORDER, -1))
+        # Horner's rule: elementwise, so a pair's value does not depend on
+        # the others in the batch
+        both = coef[-1]
+        for row in coef[-2::-1]:
+            both = both * xx + row
         dp, val = both[:live.size], both[live.size:]
         moving = dp != 0
         live, dp = live[moving], dp[moving]

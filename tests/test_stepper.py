@@ -292,3 +292,31 @@ def test_fixed_dt_second_order_through_run_scenario(eos):
                      for z, rho in map(final, (8, 16, 32, 64))])
     order = np.log2(errs[:-1] / errs[1:])
     assert np.all(order > 1.9), order
+
+
+def test_adaptive_error_follows_tol_through_run_scenario():
+    # one surfactant ellipse to t = 1 at tol 1e-4, 1e-5 and 1e-6 (19, 44
+    # and 128 accepted steps) against a tol-1e-7 run (398 steps).  Against
+    # that reference the error per tol measured 0.161-0.171 in z and
+    # 0.364-0.379 in rho; against a tol-1e-8 run (1,255 steps) 0.163-0.177
+    # and 0.373-0.400, so the reference's own error moves the ratio at tol
+    # 1e-6 by under 10%.  The band is 0.75x the smallest to 1.4x the
+    # largest ratio measured.
+    from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig,
+                                 run_scenario)
+
+    def final(tol):
+        cfg = ScenarioConfig(
+            name="tol", flow=FlowConfig(Q=0.1, E=0.5, Pe=10.0),
+            drops=[DropSpec(shape="ellipse", axes=(1.2, 1 / 1.2), rho0=0.5,
+                            n=64)],
+            run=RunSpec(t_end=1.0, tol=tol, output_every=0))
+        state = run_scenario(cfg).final_state
+        assert state.t == pytest.approx(1.0, abs=1e-14)
+        return state.ifaces[0].z, state.fields[0].rho
+
+    z_ref, rho_ref = final(1e-7)
+    for tol in (1e-4, 1e-5, 1e-6):
+        z, rho = final(tol)
+        assert 0.12 <= np.abs(z - z_ref).max() / tol <= 0.24, tol
+        assert 0.27 <= np.abs(rho - rho_ref).max() / tol <= 0.53, tol
