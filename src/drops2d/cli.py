@@ -38,17 +38,22 @@ def _write_curve(path, header, nu, alphaV, z, rho):
 
 
 def _cmd_oracle(args):
-    from .harness import preset
+    from .harness import PAIR_CLEAN_PHI0, preset
 
     os.makedirs(args.out_dir, exist_ok=True)
-    # by default each oracle runs at the Q of the preset it checks
-    if args.Q is None:
-        args.Q = preset({"steady": "steady_single",
-                         "pair": "pair_clean"}[args.kind]).flow.Q
+    # an unset option takes its value from the preset the oracle checks
+    cfg = preset({"steady": "steady_single", "pair": "pair_clean"}[args.kind])
+    unset = {"Q": cfg.flow.Q, "E": cfg.flow.E}
+    if args.kind == "pair":
+        unset.update(Pe=cfg.flow.Pe, phi=PAIR_CLEAN_PHI0,
+                     rho0=cfg.drops[0].rho0, t_end=cfg.run.t_end)
+    for name, value in unset.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.kind == "steady":
-        from .steady_oracle import SteadyMap, b_from_q, steady_solution
+        from .steady_oracle import b_from_q, steady_solution
         b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
-        sol = steady_solution(SteadyMap.from_b(b), E=args.E, M=args.points)
+        sol = steady_solution(b, E=args.E, M=args.points)
         path = os.path.join(args.out_dir, "steady_oracle.csv")
         # Q is the FlowConfig Q that holds this steady state
         _write_curve(path, f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
@@ -149,11 +154,12 @@ def main(argv=None):
     p_or.set_defaults(func=_cmd_oracle)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out-dir", required=True)
+    # options with a preset counterpart default to None: _cmd_oracle
+    # reads them from the steady_single or pair_clean preset
     shared.add_argument("--Q", type=float, default=None,
                         help="extensional rate in the convention of "
-                             "stokes.FlowConfig (default: the Q of the "
-                             "steady_single or pair_clean preset)")
-    shared.add_argument("--E", type=float, default=0.5)
+                             "stokes.FlowConfig (default: the preset's)")
+    shared.add_argument("--E", type=float, default=None)
     # each kind accepts only the options it reads
     kinds = p_or.add_subparsers(dest="kind", required=True)
     p_steady = kinds.add_parser("steady", parents=[shared],
@@ -161,11 +167,11 @@ def main(argv=None):
     p_steady.add_argument("--b", type=float, default=None)
     p_steady.add_argument("--points", type=int, default=512)
     p_pair = kinds.add_parser("pair", parents=[shared], help="bubble pair")
-    p_pair.add_argument("--Pe", type=float, default=np.inf)
-    p_pair.add_argument("--phi", type=float, default=0.35)
-    p_pair.add_argument("--rho0", type=float, default=0.0)
+    p_pair.add_argument("--Pe", type=float, default=None)
+    p_pair.add_argument("--phi", type=float, default=None)
+    p_pair.add_argument("--rho0", type=float, default=None)
     p_pair.add_argument("--nv", type=int, default=192)
-    p_pair.add_argument("--t-end", dest="t_end", type=float, default=1.5)
+    p_pair.add_argument("--t-end", dest="t_end", type=float, default=None)
     p_pair.add_argument("--tol", type=float, default=1e-7)
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")

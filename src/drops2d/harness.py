@@ -28,7 +28,8 @@ import numpy as np
 from .geometry import (Interface, circle, ellipse, interfaces_cross,
                        min_distance, self_intersects, to_equal_arclength)
 from .spectral import fourier_interp, resample
-from .stepper import CoupledState, StepController, advance_to, check_spacing
+from .stepper import (STOKES_TOL, CoupledState, StepController, advance_to,
+                      check_spacing)
 from .stokes import FlowConfig
 from .surfactant import SurfactantField, surface_tension
 
@@ -56,7 +57,7 @@ class RunSpec:
     fixed_dt: float = None
     output_every: int = 50
     checkpoint_every: int = 0
-    stokes_tol: float = 1e-11
+    stokes_tol: float = STOKES_TOL
 
 
 @dataclass
@@ -90,6 +91,8 @@ class ScenarioConfig:
         def dec(v):
             if isinstance(v, dict) and set(v) == {"re", "im"}:
                 return complex(v["re"], v["im"])
+            if isinstance(v, list):
+                return [dec(x) for x in v]
             return v
         drops = []
         for d in raw["drops"]:
@@ -121,13 +124,15 @@ class RunRecord:
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
     """Initial state of cfg; drops must pass check_drops, lie on equal
-    arclength (stepper.check_spacing) and have rho0 >= 0."""
+    arclength (stepper.check_spacing) and have rho0 >= 0.  Every field
+    refers to cfg.flow; a clean drop carries rho = 0."""
     for k, d in enumerate(cfg.drops):
         if d.rho0 < 0:
             raise ValueError(f"drop {k}: negative rho0 {d.rho0}")
     ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
-    fields = [_field(cfg, np.full(d.n, d.rho0)) for d in cfg.drops]
+    fields = [SurfactantField(np.full(d.n, d.rho0), cfg.flow)
+              for d in cfg.drops]
     state = CoupledState(ifaces=ifaces, fields=fields)
     check_spacing(state)
     return state
@@ -173,13 +178,6 @@ def _crossing(ifaces):
         if interfaces_cross(a, b):
             return f"drops {j} and {k} cross"
     return None
-
-
-def _field(cfg: ScenarioConfig, rho) -> SurfactantField:
-    """Surfactant field carrying rho, with the flow's E, Pe and eos; a
-    clean drop carries rho = 0."""
-    return SurfactantField(rho=rho, E=cfg.flow.E, Pe=cfg.flow.Pe,
-                           eos=cfg.flow.eos)
 
 
 def _encloses(iface: Interface, pt: complex) -> bool:
@@ -339,7 +337,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     """State and controller saved by save_checkpoint.
 
     The checkpoint holds positions, concentrations, t and the controller;
-    the material parameters (lambda, E, Pe, eos) come from cfg.  The
+    lambda comes from cfg.drops and every field refers to cfg.flow.  The
     drops must pass check_drops and stepper.check_spacing.
     """
     data = np.load(path, allow_pickle=False)
@@ -350,7 +348,8 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     ifaces = [Interface(z=data[f"z_{k}"], lam=d.lam)
               for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
-    fields = [_field(cfg, data[f"rho_{k}"]) for k in range(len(cfg.drops))]
+    fields = [SurfactantField(data[f"rho_{k}"], cfg.flow)
+              for k in range(len(cfg.drops))]
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
     check_spacing(state)
     ctrl = _controller(cfg.run, dt=meta["dt"])

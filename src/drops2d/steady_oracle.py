@@ -18,32 +18,12 @@ point of FlowConfig(Q=steady_q(b, E) / 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import equal_arclength_parameter, uniform_alpha
 
 QUAD_POINTS = 2048
 B_MAX = 2.0         # b_from_q searches the stable branch on (0, B_MAX]
-
-
-@dataclass(frozen=True)
-class SteadyMap:
-    """Conformal-map parameters; a < 0, b >= 0 with a^2 - b^2 = 1."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a >= 0 or self.b < 0:
-            raise ValueError("need a < 0 and b >= 0")
-        if abs(self.a**2 - self.b**2 - 1.0) > 1e-12:
-            raise ValueError("constant-area constraint a^2 - b^2 = 1 violated")
-
-    @classmethod
-    def from_b(cls, b: float) -> "SteadyMap":
-        return cls(a=-np.sqrt(1.0 + b * b), b=b)
 
 
 def _B_profile(b: float, nu: np.ndarray) -> np.ndarray:
@@ -65,16 +45,19 @@ def steady_q(b: float, E: float) -> float:
     return A * b / np.sqrt(1.0 + b * b)
 
 
-def steady_solution(mp: SteadyMap, E: float, M: int = 256) -> dict:
-    """Shape, concentration and capillary number of the steady state.
+def steady_solution(b: float, E: float, M: int = 256) -> dict:
+    """Shape, concentration and capillary number of the steady state of
+    the map with b >= 0, whose A0 = sqrt(1 + b^2) keeps the area.
 
     Returns z(nu_j), rho(nu_j), the deformation number D, the capillary
     number Q, and the equal-arclength parameters alphaV(nu_j) used to
     compare against simulation output.
     """
+    if b < 0:
+        raise ValueError(f"need b >= 0, not {b}")
     if M < 64:
         raise ValueError("need at least 64 points")
-    a, b = mp.a, mp.b
+    a = -np.sqrt(1.0 + b * b)
     nu = uniform_alpha(M)
     zeta = np.exp(1j * nu)
     z = -a / zeta + b * zeta

@@ -34,6 +34,9 @@ STEADY_UNORM = 1e-8     # a steady run stops once max |u.n| is at most this
 # 1.26 sampled at equal parameter steps starts at 0.12.  pair_clean at
 # 2x64 stops here at t = 0.5977 (drift 1.025e-3); 2x128 reaches t = 0.6.
 SPACING_DRIFT_MAX = 1e-3
+# GMRES tolerance of the Stokes solves of a step (RunSpec.stokes_tol's
+# default); stokes.DEFAULT_TOL is the tighter one of a direct solve
+STOKES_TOL = 1e-11
 
 
 @dataclass
@@ -185,11 +188,12 @@ def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
 
 
 def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
-         stokes_tol: float = 1e-11):
+         stokes_tol: float = STOKES_TOL):
     """One coupled midpoint/IMEX2 attempt of size ctrl.dt, judged by ctrl.
 
     Returns (candidate_state, info).  The drops must enter on
-    equal-arclength nodes (SpacingDriftError otherwise).
+    equal-arclength nodes (SpacingDriftError otherwise).  The material
+    parameters come from each field's flow; cfg gives the far field.
     """
     dt = ctrl.dt
 
@@ -202,7 +206,8 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     fields_half = []
     for k, (ifc_h, f, fe) in enumerate(zip(ifaces_half, state.fields, fE1)):
         s_a = ifc_h.length() / (2 * np.pi)
-        rho_h = rhs_implicit_solve(f.rho + 0.5 * dt * fe, s_a, f.Pe, 0.5 * dt)
+        rho_h = rhs_implicit_solve(f.rho + 0.5 * dt * fe, s_a, f.flow.Pe,
+                                   0.5 * dt)
         fields_half.append(_filtered_field(f, rho_h, state.t + 0.5 * dt, k))
     half = CoupledState(ifaces=ifaces_half, fields=fields_half,
                         t=state.t + 0.5 * dt)
@@ -232,7 +237,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
 
 
 def advance_to(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
-               t_end: float, stokes_tol: float = 1e-11, callback=None,
+               t_end: float, stokes_tol: float = STOKES_TOL, callback=None,
                steady: bool = False):
     """Integrate until t_end (or steady state), retaking rejected steps.
 

@@ -46,7 +46,6 @@ import numpy as np
 from . import neareval
 from .spectral import (DIFF16, PANEL_ORDER, gl_geometry, panel_grid,
                        uniform_to_gl)
-from .surfactant import check_material
 
 DEFAULT_TOL = 1e-12
 # GMRES cycle length; a solve of n unknowns (2N for the density) allocates
@@ -61,8 +60,10 @@ class FlowConfig:
     Q is the extensional rate (capillary number), B and G the shear
     parameters of the linear far field (Q + iB) conj(z) - (iG/2) z.  E
     and Pe describe the surfactant (Pe = inf disables surface diffusion);
-    eos selects the equation of state; surfactant.check_material checks
-    the three.  Viscosity ratios are per drop and live on Interface.lam.
+    eos selects the equation of state.  This is the one home of E, Pe and
+    eos: every surfactant.SurfactantField of a run refers to its
+    FlowConfig, and only this class checks them.  Viscosity ratios are
+    per drop and live on Interface.lam.
 
     This Q is the one convention of the package.  The pair oracle runs
     at the same rate (pair_oracle.evolve_pair's Q_phys = Q); the steady
@@ -81,7 +82,13 @@ class FlowConfig:
         for v, name in ((self.Q, "Q"), (self.B, "B"), (self.G, "G")):
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        check_material(self.E, self.Pe, self.eos)
+        if self.eos not in ("linear", "langmuir"):
+            raise ValueError("eos must be 'linear' or 'langmuir'")
+        if self.Pe is None or not self.Pe > 0:
+            raise ValueError("Pe must be positive (np.inf allowed), "
+                             f"not {self.Pe}")
+        if self.eos == "langmuir" and not (0 < self.E < 1):
+            raise ValueError("langmuir needs 0 < E < 1")
 
 
 class SolverError(RuntimeError):

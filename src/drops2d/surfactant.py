@@ -5,6 +5,9 @@ interface.  Convection and stretching are treated explicitly and
 pseudo-spectrally, surface diffusion implicitly; with Pe = inf the
 implicit stage is skipped entirely.
 
+A field holds its samples and a reference to the run's stokes.FlowConfig,
+the one home of the material parameters E, Pe and eos.
+
 Products are de-aliased by 3/2 zero-padding (Orszag 1971) and the Krasny
 filter, in batches: rhs_explicit pads its six factors in one resample of a
 stack, truncates and filters its three products in one more, and only the
@@ -21,36 +24,23 @@ import numpy as np
 from .geometry import Interface, VelocityDecomposition, curvature
 from .spectral import (krasny_filter, modes, resample, spectral_derivative,
                        trapezoid)
-
-
-def check_material(E: float, Pe: float, eos: str):
-    """Raise ValueError unless eos is 'linear' or 'langmuir', Pe > 0 (inf
-    allowed) and, with langmuir, 0 < E < 1; FlowConfig and SurfactantField
-    both run this one check."""
-    if eos not in ("linear", "langmuir"):
-        raise ValueError("eos must be 'linear' or 'langmuir'")
-    if Pe is None or not Pe > 0:
-        raise ValueError(f"Pe must be positive (np.inf allowed), not {Pe}")
-    if eos == "langmuir" and not (0 < E < 1):
-        raise ValueError("langmuir needs 0 < E < 1")
+from .stokes import FlowConfig
 
 
 @dataclass(frozen=True)
 class SurfactantField:
-    """Concentration samples plus the constitutive parameters."""
+    """Concentration samples plus the FlowConfig whose E, Pe and eos
+    they obey (default: E 0.5, Pe inf, linear)."""
 
     rho: np.ndarray
-    E: float = 0.5
-    Pe: float = np.inf
-    eos: str = "linear"
+    flow: FlowConfig = FlowConfig()
 
     def __post_init__(self):
-        check_material(self.E, self.Pe, self.eos)
         vals = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", vals)
         if np.any(vals < 0):
             raise ValueError("surfactant concentration must be nonnegative")
-        if self.eos == "langmuir" and np.any(vals >= 1):
+        if self.flow.eos == "langmuir" and np.any(vals >= 1):
             raise ValueError("langmuir equation of state needs rho < 1")
 
     @property
@@ -60,10 +50,10 @@ class SurfactantField:
 
 def surface_tension(f: SurfactantField) -> np.ndarray:
     """sigma(rho): 1 - E rho (linear) or 1 + E log(1 - rho) (langmuir)."""
-    if f.eos == "linear":
-        sig = 1.0 - f.E * f.rho
+    if f.flow.eos == "linear":
+        sig = 1.0 - f.flow.E * f.rho
     else:
-        sig = 1.0 + f.E * np.log(1.0 - f.rho)
+        sig = 1.0 + f.flow.E * np.log(1.0 - f.rho)
     if np.any(sig <= 0):
         raise ValueError("surface tension dropped to zero or below")
     return sig
@@ -107,9 +97,9 @@ def rhs_implicit_solve(rhs_samples, s_alpha: float, Pe: float,
 
 def rhs_implicit_apply(f: SurfactantField, s_alpha: float) -> np.ndarray:
     """Diffusion term (1/(Pe s_a^2)) rho_aa; zero when Pe = inf."""
-    if not np.isfinite(f.Pe):
+    if not np.isfinite(f.flow.Pe):
         return np.zeros(f.n)
-    return spectral_derivative(f.rho, 2) / (f.Pe * s_alpha**2)
+    return spectral_derivative(f.rho, 2) / (f.flow.Pe * s_alpha**2)
 
 
 def surfactant_mass(iface: Interface, f: SurfactantField) -> float:

@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from drops2d import pair_oracle, steady_oracle
 from drops2d.cli import main
-from drops2d.harness import DropSpec, RunSpec, ScenarioConfig
+from drops2d.harness import (PAIR_CLEAN_PHI0, DropSpec, RunSpec,
+                             ScenarioConfig, preset)
+from drops2d.steady_oracle import b_from_q
 from drops2d.stokes import FlowConfig
 
 
@@ -29,6 +33,43 @@ def test_oracle_steady_writes_curve(tmp_path):
     assert out[0].startswith("# Q = ")
     assert out[1] == "nu,alphaV,x,y,rho"
     assert len(out) == 2 + 64
+
+
+class Captured(Exception):
+    """Raised by a stand-in oracle once it holds its arguments."""
+
+
+def test_oracle_defaults_come_from_presets(monkeypatch, tmp_path):
+    # each unset option with a preset counterpart reads the preset the
+    # oracle checks; the stand-ins stop before any oracle work
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Captured
+
+    monkeypatch.setattr(steady_oracle, "steady_solution", capture)
+    monkeypatch.setattr(pair_oracle, "evolve_pair", capture)
+    for argv in (["steady"], ["steady", "--E", "0.3", "--b", "0.2"], ["pair"]):
+        with pytest.raises(Captured):
+            main(["oracle", *argv, "--out-dir", str(tmp_path)])
+    steady, set_steady, pair = calls
+
+    flow = preset("steady_single").flow
+    assert steady == ((b_from_q(2 * flow.Q, flow.E),), {"E": flow.E, "M": 512})
+    assert set_steady == ((0.2,), {"E": 0.3, "M": 512})
+
+    cfg = preset("pair_clean")
+    (st,), kwargs = pair
+    assert kwargs == {"Q_phys": cfg.flow.Q, "t_end": cfg.run.t_end,
+                      "tol": 1e-7}
+    assert (st.nv, st.phi, st.E, st.Pe) == (192, PAIR_CLEAN_PHI0,
+                                            cfg.flow.E, cfg.flow.Pe)
+    assert np.all(st.rho == cfg.drops[0].rho0)
+    # the values the options had as literal defaults
+    assert flow.E == 0.5
+    assert (PAIR_CLEAN_PHI0, cfg.drops[0].rho0, cfg.run.t_end, cfg.flow.E,
+            cfg.flow.Pe, cfg.flow.Q) == (0.35, 0.0, 1.5, 0.5, np.inf, 0.5)
 
 
 @pytest.mark.parametrize("argv", [

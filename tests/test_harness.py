@@ -12,7 +12,7 @@ from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig, build_state,
                              preset, read_snapshot, run_scenario)
 from drops2d.spectral import uniform_alpha
 from drops2d.stepper import SpacingDriftError
-from drops2d.steady_oracle import SteadyMap, b_from_q, steady_solution
+from drops2d.steady_oracle import b_from_q, steady_solution
 from drops2d.stokes import FlowConfig, interface_velocity
 from drops2d.surfactant import SurfactantField, surface_tension
 
@@ -41,11 +41,10 @@ class TestPresets:
         cfg = preset("steady_single")
         assert cfg.run.steady and not np.isfinite(cfg.flow.Pe)
         flow, n = cfg.flow, cfg.drops[0].n
-        sol = steady_solution(SteadyMap.from_b(b_from_q(2 * flow.Q, flow.E)),
-                              E=flow.E)
+        sol = steady_solution(b_from_q(2 * flow.Q, flow.E), E=flow.E)
         z, rho = oracle_on_uniform_alpha(sol, n)
         iface = Interface(z, lam=cfg.drops[0].lam)
-        field = SurfactantField(rho, E=flow.E, eos=flow.eos)
+        field = SurfactantField(rho, flow)
         u, _, _ = interface_velocity([iface], [surface_tension(field)], flow)
         assert np.abs(u[0]).max() < 5e-9
 
@@ -60,6 +59,20 @@ class TestConfigRoundTrip:
         cfg2 = ScenarioConfig.from_json(cfg.to_json())
         assert cfg2.to_json() == cfg.to_json()
         assert cfg2.config_hash() == cfg.config_hash()
+
+    def test_custom_complex_points_round_trip(self):
+        # complex boundary samples nest one level below the drop's keys;
+        # the reloaded config must build the same state bit for bit
+        t = uniform_alpha(64)
+        cfg = tiny_config()
+        cfg.drops = [DropSpec(shape="custom", n=64, rho0=0.5,
+                              points=list(1.2 * np.cos(t) - 0.8j * np.sin(t)))]
+        text = cfg.to_json()
+        cfg2 = ScenarioConfig.from_json(text)
+        assert cfg2.to_json() == text
+        s1, s2 = build_state(cfg), build_state(cfg2)
+        assert np.array_equal(s1.ifaces[0].z, s2.ifaces[0].z)
+        assert np.array_equal(s1.fields[0].rho, s2.fields[0].rho)
 
     @pytest.mark.parametrize("section, key", [
         ("flow", "lambdas"), ("run", "adapt_spacing"), ("run", "steady_unorm")])
@@ -127,7 +140,9 @@ class TestDeterminism:
         cfg2.flow = replace(cfg2.flow, E=0.1)
         rec = run_scenario(cfg2, restart_from=str(tmp_path / "checkpoint.npz"))
         assert len(rec.series) == 2
-        assert [f.E for f in rec.final_state.fields] == [0.1]
+        fields = rec.final_state.fields
+        assert len(fields) == 1 and fields[0].flow is cfg2.flow
+        assert fields[0].flow.E == 0.1
         cfg2.drops = cfg2.drops * 2
         with pytest.raises(ValueError, match="drops"):
             load_checkpoint(str(tmp_path / "checkpoint.npz"), cfg2)
@@ -220,14 +235,15 @@ def test_series_contains_conservation_columns(tmp_path):
 
 def test_clean_drop_carries_zero_rho_at_the_flow_pe():
     # a clean drop is the rho = 0 case of the surfactant equations: it
-    # takes the flow's Pe like any drop, and every step keeps rho at 0
+    # refers to the run's flow like any drop, and every step keeps rho at 0
     cfg = preset("pair_surfactant", n=64)
     cfg.drops[1] = replace(cfg.drops[1], rho0=0.0)
     cfg = replace(cfg, run=replace(cfg.run, t_end=0.01))
     rec = run_scenario(cfg)
     clean = rec.final_state.fields[1]
     assert len(rec.series) > 1 and rec.final_state.t == pytest.approx(0.01)
-    assert clean.Pe == cfg.flow.Pe == 10.0
+    assert all(f.flow is cfg.flow for f in rec.final_state.fields)
+    assert cfg.flow.Pe == 10.0
     assert np.array_equal(clean.rho, np.zeros(64))
     assert np.any(rec.final_state.fields[0].rho != 1.0)
 

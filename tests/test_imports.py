@@ -95,13 +95,19 @@ def test_package_loads_no_scipy(tmp_path):
     assert run_fresh(code, tmp_path).split() == []
 
 
-# the config that the CI's NumPy-only install also runs: an ellipse, so
-# that the run puts a drop on equal arclength
-RUN_CONFIG = ("from drops2d.harness import DropSpec, RunSpec, ScenarioConfig\n"
+# the config that the CI's NumPy-only install also runs: an ellipse and a
+# custom drop, so that the run puts drops on equal arclength and reloads
+# complex points from its JSON
+RUN_CONFIG = ("import numpy as np\n"
+              "from drops2d.harness import DropSpec, RunSpec, ScenarioConfig\n"
               "from drops2d.stokes import FlowConfig\n"
+              "t = np.arange(32) * np.pi / 16\n"
               "cfg = ScenarioConfig(\n"
               "    drops=[DropSpec(shape='ellipse', axes=(1.2, 1 / 1.2),\n"
-              "                    rho0=0.5, n=32)],\n"
+              "                    rho0=0.5, n=32),\n"
+              "           DropSpec(shape='custom', rho0=0.5, n=32,\n"
+              "                    points=list(3 + 0.5 * np.cos(t)\n"
+              "                                - 0.4j * np.sin(t)))],\n"
               "    flow=FlowConfig(Q=0.1, Pe=10.0),\n"
               "    run=RunSpec(t_end=6e-3, fixed_dt=2e-3))\n"
               "open('run.json', 'w').write(cfg.to_json())\n")

@@ -5,20 +5,20 @@ from scipy.optimize import brentq
 
 from drops2d.geometry import Interface, modified_tangential_velocity
 from drops2d.spectral import equal_arclength_nodes, fourier_interp
-from drops2d.steady_oracle import (SteadyMap, b_from_q, steady_q,
-                                   steady_solution)
+from drops2d.steady_oracle import b_from_q, steady_q, steady_solution
 from drops2d.stokes import FlowConfig, interface_velocity
 from drops2d.surfactant import SurfactantField, rhs_explicit, surface_tension
 
 
 class TestSteadyMap:
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SteadyMap(a=-1.0, b=0.5)
-        SteadyMap.from_b(0.3)
+        # b >= 0; the map's A0 = sqrt(1 + b^2) follows from b
+        with pytest.raises(ValueError, match="b >= 0"):
+            steady_solution(-0.3, E=0.5)
+        steady_solution(0.3, E=0.5)
 
     def test_degenerate_circle(self):
-        sol = steady_solution(SteadyMap.from_b(0.0), E=0.5)
+        sol = steady_solution(0.0, E=0.5)
         assert sol["D"] == pytest.approx(0.0, abs=1e-14)
         assert sol["Q"] == pytest.approx(0.0, abs=1e-14)
         assert np.abs(sol["rho"] - 1.0).max() < 1e-13
@@ -27,7 +27,7 @@ class TestSteadyMap:
 
 class TestSteadySolution:
     def test_deformation_value(self):
-        sol = steady_solution(SteadyMap.from_b(0.3), E=0.5)
+        sol = steady_solution(0.3, E=0.5)
         assert sol["D"] == pytest.approx(0.3 / np.sqrt(1.09), abs=1e-12)
 
     def test_q_by_independent_quadrature(self):
@@ -41,23 +41,23 @@ class TestSteadySolution:
 
     def test_mass_is_two_pi(self):
         for b, E in ((0.1, 0.5), (0.3, 0.5), (0.25, 0.9)):
-            sol = steady_solution(SteadyMap.from_b(b), E=E, M=512)
+            sol = steady_solution(b, E=E, M=512)
             mass = np.sum(sol["rho"] * np.abs(sol["z_nu"])) * 2 * np.pi / 512
             assert mass == pytest.approx(2 * np.pi, abs=1e-12)
 
     def test_area_is_pi(self):
         for b in (0.1, 0.3, 0.5):
-            sol = steady_solution(SteadyMap.from_b(b), E=0.5, M=512)
+            sol = steady_solution(b, E=0.5, M=512)
             z, z_nu = sol["z"], sol["z_nu"]
             area = 0.5 * np.sum(np.imag(np.conj(z) * z_nu)) * 2 * np.pi / 512
             assert abs(abs(area) - np.pi) < 1e-12
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
-            steady_solution(SteadyMap.from_b(1.5), E=0.05)
+            steady_solution(1.5, E=0.05)
 
     def test_d_increasing_in_b(self):
-        D = [steady_solution(SteadyMap.from_b(b), 0.5, M=128)["D"]
+        D = [steady_solution(b, 0.5, M=128)["D"]
              for b in np.linspace(0.0, 0.6, 13)]
         assert np.all(np.diff(D) > 0)
 
@@ -89,7 +89,7 @@ def test_b_from_q_rejects_q_off_the_branch(Q):
 def test_known_regime_values():
     # Q = 0.14 at E = 0.5 sits near deformation 0.29
     b = b_from_q(0.14, 0.5)
-    sol = steady_solution(SteadyMap.from_b(b), E=0.5)
+    sol = steady_solution(b, E=0.5)
     assert 0.28 < sol["D"] < 0.30
 
 
@@ -104,12 +104,12 @@ class TestSolverConvention:
 
     @staticmethod
     def solve(Q):
-        sol = steady_solution(SteadyMap.from_b(b_from_q(0.14, 0.5)), E=0.5)
+        sol = steady_solution(b_from_q(0.14, 0.5), E=0.5)
         z, rho = oracle_on_uniform_alpha(sol, 128)
         iface = Interface(z, lam=0.0)
-        field = SurfactantField(rho, E=0.5)
-        u, _, _ = interface_velocity([iface], [surface_tension(field)],
-                                     FlowConfig(Q=Q, E=0.5))
+        flow = FlowConfig(Q=Q, E=0.5)
+        field = SurfactantField(rho, flow)
+        u, _, _ = interface_velocity([iface], [surface_tension(field)], flow)
         decomp = modified_tangential_velocity(iface, u[0])
         return u[0], decomp.u_n, rhs_explicit(iface, field, decomp)
 

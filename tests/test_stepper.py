@@ -13,13 +13,10 @@ from drops2d.stokes import FlowConfig
 from drops2d.surfactant import SurfactantField
 
 
-def make_state(n=64, rho0=None, Pe=np.inf, E=0.5, lam=0.0, radius=1.0):
-    c = circle(n, radius=radius, lam=lam)
-    if rho0 is None:
-        fields = [SurfactantField(rho=np.zeros(n), E=E)]
-    else:
-        fields = [SurfactantField(rho=rho0 * np.ones(n), E=E, Pe=Pe)]
-    return CoupledState(ifaces=[c], fields=fields)
+def make_state(n=64, rho0=None, flow=FlowConfig()):
+    rho = np.zeros(n) if rho0 is None else rho0 * np.ones(n)
+    return CoupledState(ifaces=[circle(n)],
+                        fields=[SurfactantField(rho, flow)])
 
 
 class TestController:
@@ -104,8 +101,8 @@ class TestEquilibrium:
 
 class TestCoupledRun:
     def test_area_and_mass_conservation(self):
-        state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.2)
         cfg = FlowConfig(Q=0.05, E=0.2, Pe=10.0)
+        state = make_state(n=96, rho0=1.0, flow=cfg)
         ctrl = StepController(tol=1e-7, dt=1e-3)
         area0 = state.areas()[0]
         mass0 = state.masses()[0]
@@ -115,16 +112,16 @@ class TestCoupledRun:
         assert abs(out.masses()[0] - mass0) / mass0 < 5e-7
 
     def test_spacing_stays_equidistant(self):
-        state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.3)
         cfg = FlowConfig(Q=0.08, E=0.3, Pe=10.0)
+        state = make_state(n=96, rho0=1.0, flow=cfg)
         ctrl = StepController(tol=1e-7, dt=1e-3)
         out, _ = advance_to(state, cfg, ctrl, t_end=0.2)
         zp = np.abs(out.ifaces[0].z_alpha())
         assert np.abs(zp - zp.mean()).max() / zp.mean() < 1e-3
 
     def test_rejected_steps_shrink_dt(self):
-        state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.5)
         cfg = FlowConfig(Q=0.3, E=0.5, Pe=10.0)
+        state = make_state(n=96, rho0=1.0, flow=cfg)
         ctrl = StepController(tol=1e-10, dt=5e-2)
         cand, info = step(state, cfg, ctrl)
         assert not info.accepted
@@ -134,8 +131,8 @@ class TestCoupledRun:
     def test_rejected_clipped_step_is_retaken_smaller(self):
         # the first attempt is clipped to land on t_end and rejected; the
         # retake must use the shrunk step, not the same clipped one again
-        state = make_state(n=96, rho0=1.0, Pe=10.0, E=0.5)
         cfg = FlowConfig(Q=0.3, E=0.5, Pe=10.0)
+        state = make_state(n=96, rho0=1.0, flow=cfg)
         ctrl = StepController(tol=1e-10, dt=0.1, dt_max=0.1)
         out, _ = advance_to(state, cfg, ctrl, t_end=5e-4)
         assert out.t == 5e-4
@@ -168,7 +165,8 @@ def test_negative_concentration_raises_with_state(monkeypatch):
     # a diffusion term that drives drop 1 below zero at the full stage
     # must stop the step, not be clipped away
     drops = [circle(32, radius=0.5, center=c) for c in (-1.0, 1.0)]
-    fields = [SurfactantField(rho=r * np.ones(32), Pe=10.0) for r in (1.0, 0.5)]
+    fields = [SurfactantField(rho=r * np.ones(32), flow=FlowConfig(Pe=10.0))
+              for r in (1.0, 0.5)]
     state = CoupledState(ifaces=drops, fields=fields, t=0.25)
 
     def fake_apply(f, s_alpha):
@@ -190,7 +188,8 @@ def test_step_rejects_nodes_off_equal_arclength():
     t = uniform_alpha(64)
     raw = Interface(z=2.0 + 0.63 * np.cos(t) - 0.5j * np.sin(t))
     drops = [circle(64, radius=0.5, center=-1.0), raw]
-    fields = [SurfactantField(rho=np.ones(64), Pe=10.0) for _ in drops]
+    fields = [SurfactantField(rho=np.ones(64), flow=FlowConfig(Pe=10.0))
+              for _ in drops]
     state = CoupledState(ifaces=drops, fields=fields, t=0.25)
     with pytest.raises(SpacingDriftError) as err:
         step(state, FlowConfig(Pe=10.0), StepController(dt=1e-3))
@@ -226,9 +225,9 @@ def test_one_step_conserves_mass_to_third_order(b, aspect, turn, Q, Pe, amps,
     iface = to_equal_arclength(Interface(z=z))
     rho = 1 + sum(a * np.cos(k * t + s)
                   for k, (a, s) in enumerate(zip(amps, shifts), 1))
-    state = CoupledState(ifaces=[iface],
-                         fields=[SurfactantField(rho=rho, E=0.5, Pe=Pe)])
     cfg = FlowConfig(Q=Q, E=0.5, Pe=Pe)
+    state = CoupledState(ifaces=[iface],
+                         fields=[SurfactantField(rho=rho, flow=cfg)])
     m0 = state.masses()[0]
     change = []
     for dt in (1e-2, 5e-3, 2.5e-3):
