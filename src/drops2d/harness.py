@@ -338,7 +338,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
 
     The checkpoint holds positions, concentrations, t and the controller;
     lambda comes from cfg.drops and every field refers to cfg.flow.  The
-    drops must pass check_drops and stepper.check_spacing.
+    drops must keep cfg's N and pass check_drops and stepper.check_spacing.
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
@@ -347,6 +347,10 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
                          f"config has {len(cfg.drops)}")
     ifaces = [Interface(z=data[f"z_{k}"], lam=d.lam)
               for k, d in enumerate(cfg.drops)]
+    for k, (iface, d) in enumerate(zip(ifaces, cfg.drops)):
+        if iface.n != d.n:
+            raise ValueError(f"drop {k}: checkpoint has N {iface.n}, "
+                             f"config has N {d.n}")
     check_drops(ifaces)
     fields = [SurfactantField(data[f"rho_{k}"], cfg.flow)
               for k in range(len(cfg.drops))]

@@ -39,9 +39,10 @@ is exactly 1, and every step keeps rho exactly 0.
 A ConformalPairState is immutable: its arrays are read-only and a step
 builds new states with dataclasses.replace.  So the map is evaluated on
 the grid once per state (ConformalPairState.geometry, cached), however
-many of the functions below read it.  The flow solve works on Fourier
-modes: every column of its system is a two-mode sequence or a shift of
-the spectrum of one grid function, and only five grid functions are
+many of the functions below read it, and so is the diffusion matrix
+(ConformalPairState.diffusion).  The flow solve works on Fourier modes:
+every column of its system is a two-mode sequence or a shift of the
+spectrum of one grid function, and only five grid functions are
 transformed (see solve_flow).
 """
 
@@ -52,13 +53,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import (KRASNY_TOL, equal_arclength_parameter, modes,
-                       spectral_derivative, uniform_alpha)
+from .spectral import (KRASNY_TOL, derivative_matrix,
+                       equal_arclength_parameter, modes, spectral_derivative,
+                       uniform_alpha)
 from .stepper import StepController
-from .stokes import gmres_solve
 
 FLOW_RESIDUAL_TOL = 1e-9
-IMPLICIT_TOL = 1e-12   # relative GMRES residual of the diffusion solve
 DT0 = 1e-3        # first attempted step of evolve_pair
 DT_MAX = 5e-3     # largest step of evolve_pair
 
@@ -91,6 +91,9 @@ class ConformalPairState:
     def __post_init__(self):
         if not (0 < self.phi < 1):
             raise ValueError("phi must lie in (0, 1)")
+        if self.Pe is None or not self.Pe > 0:    # as stokes.FlowConfig
+            raise ValueError("Pe must be positive (np.inf allowed), "
+                             f"not {self.Pe}")
         a_pos = np.array(self.a_pos, dtype=float)
         a_pos[0] = self.b / (2 * np.sqrt(self.phi))
         object.__setattr__(self, "a_pos", _read_only(a_pos))
@@ -140,6 +143,14 @@ class ConformalPairState:
         zz_inv = -self.b / (1 / zeta - sq) ** 2 + _ev(_flip(da), m) * zeta
         zzz = 2 * self.b / (zeta - sq) ** 3 + _ev(dda, m) / zeta**2
         return tuple(_read_only(v) for v in (z, zz, zz_inv, zzz))
+
+    @cached_property
+    def diffusion(self) -> np.ndarray:
+        """Surface diffusion L = diag(1/(|z_nu| Pe)) D diag(1/|z_nu|) D, D the
+        Fourier derivative matrix: L rho = d_nu(rho_nu/|z_nu|)/(|z_nu| Pe)."""
+        sp = np.abs(1j * self.zeta * self.geometry[1])
+        D = derivative_matrix(self.n_grid)
+        return _read_only((D / sp) @ D / (sp * self.Pe)[:, None])
 
 
 @dataclass
@@ -361,28 +372,10 @@ def surfactant_rhs(state: ConformalPairState, zt, u):
 
 def surfactant_implicit_solve(state: ConformalPairState, rhs,
                               dt_coeff: float) -> np.ndarray:
-    """Solve (I - dt_coeff * L) rho = rhs, L the surface diffusion operator.
-
-    L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|) is non-diagonal through
-    |z_nu|; GMRES may take as many iterations as the grid has points.
-    """
+    """Solve (I - dt_coeff * state.diffusion) rho = rhs by one dense LU."""
     if not np.isfinite(state.Pe):
         return np.asarray(rhs, dtype=float).copy()
-    L = _diffusion(state)
-    return gmres_solve(lambda x: x - dt_coeff * L(x),
-                       np.asarray(rhs, dtype=float), IMPLICIT_TOL,
-                       max_iter=state.n_grid)[0]
-
-
-def _diffusion(state: ConformalPairState):
-    """Surface diffusion L rho = (1/(|z_nu| Pe)) d_nu(rho_nu/|z_nu|)."""
-    _, zz, _, _ = state.geometry
-    sp = np.abs(1j * state.zeta * zz)
-
-    def L(r):
-        r_nu = spectral_derivative(r)
-        return spectral_derivative(r_nu / sp) / (sp * state.Pe)
-    return L
+    return np.linalg.solve(np.eye(len(rhs)) - dt_coeff * state.diffusion, rhs)
 
 
 def surfactant_mass_pair(state: ConformalPairState) -> float:
@@ -427,7 +420,8 @@ def step_midpoint(state: ConformalPairState, Q: float, dt: float):
                                  [state.phi + dt * g1]])
     scale = max(1.0, np.abs(params_mid).max())
     r_map = np.abs(params_mid - params_eul).max() / scale
-    fI2 = _diffusion(half)(half.rho) if np.isfinite(state.Pe) else 0.0
+    # half has half_map's geometry, and so its diffusion matrix
+    fI2 = half_map.diffusion @ half.rho if np.isfinite(state.Pe) else 0.0
     new = replace(_apply_update(state, dt * f2, dt * g2), t=state.t + dt,
                   rho=_krasny_real(state.rho + dt * fe2 + dt * fI2))
     mass0 = surfactant_mass_pair(state)

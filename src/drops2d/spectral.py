@@ -13,8 +13,8 @@ inverse (equal_arclength_nodes), the only cumulative-arclength code.
 The uniform-grid transforms (spectral_derivative, resample, krasny_filter)
 act along axis 0, so that one call transforms the k fields of an (N, k)
 stack, each bit for bit as a call on it alone.  modes(n), the derivative
-multipliers, panel_grid and both transfer matrices are cached per size on
-first use (functools.cache), read-only.
+multipliers, the derivative matrix, panel_grid and both transfer
+matrices are cached per size on first use (functools.cache), read-only.
 """
 
 from __future__ import annotations
@@ -91,6 +91,14 @@ def spectral_derivatives(f, orders) -> tuple:
 def spectral_derivative(f, order: int = 1) -> np.ndarray:
     """d^order f / d alpha^order via the discrete Fourier transform."""
     return spectral_derivatives(f, (order,))[0]
+
+
+@cache
+def derivative_matrix(n: int) -> np.ndarray:
+    """The real n x n matrix D with D @ f = spectral_derivative(f), built from
+    its first column: D is circulant, D[i, j] = D[(i - j) mod n, 0]."""
+    k = np.arange(n)
+    return _read_only(spectral_derivative(k == 0)[np.subtract.outer(k, k) % n])
 
 
 def resample(f, new_n: int) -> np.ndarray:

@@ -48,8 +48,7 @@ from .spectral import (DIFF16, PANEL_ORDER, gl_geometry, panel_grid,
                        uniform_to_gl)
 
 DEFAULT_TOL = 1e-12
-# GMRES cycle length; a solve of n unknowns (2N for the density) allocates
-# one basis of (min(KRYLOV_DIM, n, max_iter) + 1) x n floats
+# most iterations of a GMRES solve, which runs one cycle without restart
 KRYLOV_DIM = 200
 
 
@@ -101,75 +100,67 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def gmres_solve(matvec, b, tol: float, max_iter: int = None):
-    """Restarted GMRES (Saad & Schultz 1986) on matvec(x) = b from x = 0,
-    in cycles of at most KRYLOV_DIM iterations and max_iter in all
-    (default: one cycle).
+def gmres_solve(matvec, b, tol: float):
+    """GMRES (Saad & Schultz 1986) on matvec(x) = b from x = 0: one cycle
+    of at most KRYLOV_DIM iterations, without restart.
 
-    A cycle builds its Arnoldi basis by classical Gram-Schmidt applied
+    The cycle builds its Arnoldi basis by classical Gram-Schmidt applied
     twice, two matrix-vector products on the basis per pass, and reduces
     the Hessenberg columns by Givens rotations as they come.  It ends when
-    the residual estimate reaches tol |b|_2, at its length, or when
-    h[j+1, j] = 0 (the solution lies in the basis).  The true residual
-    b - A x is then formed once: it is both the final check and the start
-    of the next cycle, so a one-cycle solve costs iterations + 1 matvecs.
+    the residual estimate reaches tol |b|_2, at KRYLOV_DIM iterations, or
+    when h[j+1, j] = 0 (the solution lies in the basis).  The true
+    residual b - A x is then formed once, so a solve costs iterations + 1
+    matvecs.
 
     Returns (x, max-norm residual, iteration count).  SolverError is
     raised unless the estimate reaches tol |b|_2 and the max-norm residual
     is within that bound too; non-finite data fail so too.
     """
-    n = b.size
-    x = np.zeros(n)
+    x = np.zeros(b.size)
     if not b.any():
         return x, 0.0, 0
-    bound = tol * float(np.linalg.norm(b))
-    budget = max_iter or KRYLOV_DIM
-    V = np.empty((min(KRYLOV_DIM, n, budget) + 1, n))
-    r, done = b, 0
-    while True:
-        beta = float(np.linalg.norm(r))
-        V[0] = r / beta
-        # g: the rotated right-hand side, whose last entry is the residual
-        # estimate; cols[j]: column j of the triangular factor R
-        g, cols, rots = [beta], [], []
-        k, m = 0, min(len(V) - 1, budget - done)
-        while k < m and not abs(g[k]) <= bound:
-            w = matvec(V[k])
-            Vk = V[:k + 1]
-            h = Vk @ w
-            w = w - h @ Vk
-            h2 = Vk @ w
-            w -= h2 @ Vk
-            col = (h + h2).tolist()
-            h_next = float(np.linalg.norm(w))
-            for i, (c, s) in enumerate(rots):
-                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                      c * col[i + 1] - s * col[i])
-            mag = math.hypot(col[k], h_next)
-            c, s = col[k] / mag, h_next / mag
-            col[k] = mag
-            rots.append((c, s))
-            cols.append(col)
-            g.append(-s * g[k])
-            g[k] *= c
-            k += 1
-            if h_next == 0.0:       # happy breakdown: g[k] = 0
-                break
-            V[k] = w / h_next
-        y = g[:k]
-        for j in reversed(range(k)):
-            y[j] /= cols[j][j]
-            for i in range(j):
-                y[i] -= cols[j][i] * y[j]
-        x += np.array(y) @ V[:k]
-        done += k
-        r = b - matvec(x)
-        res = float(np.abs(r).max())
-        if abs(g[k]) <= bound and res <= bound:
-            return x, res, done
-        if done >= budget:
-            raise SolverError(f"GMRES residual {res:.2e} after {done} "
-                              "iterations", residuals=[res], iterations=done)
+    beta = float(np.linalg.norm(b))
+    bound = tol * beta
+    V = np.empty((min(KRYLOV_DIM, b.size) + 1, b.size))
+    V[0] = b / beta
+    # g: the rotated right-hand side, whose last entry is the residual
+    # estimate; cols[j]: column j of the triangular factor R
+    g, cols, rots, k = [beta], [], [], 0
+    while k < len(V) - 1 and not abs(g[k]) <= bound:
+        w = matvec(V[k])
+        Vk = V[:k + 1]
+        h = Vk @ w
+        w = w - h @ Vk
+        h2 = Vk @ w
+        w -= h2 @ Vk
+        col = (h + h2).tolist()
+        h_next = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rots):
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  c * col[i + 1] - s * col[i])
+        mag = math.hypot(col[k], h_next)
+        c, s = col[k] / mag, h_next / mag
+        col[k] = mag
+        rots.append((c, s))
+        cols.append(col)
+        g.append(-s * g[k])
+        g[k] *= c
+        k += 1
+        if h_next == 0.0:       # happy breakdown: g[k] = 0
+            break
+        V[k] = w / h_next
+    y = g[:k]
+    for j in reversed(range(k)):
+        y[j] /= cols[j][j]
+        for i in range(j):
+            y[i] -= cols[j][i] * y[j]
+    x += np.array(y) @ V[:k]
+    r = b - matvec(x)
+    res = float(np.abs(r).max())
+    if abs(g[k]) <= bound and res <= bound:
+        return x, res, k
+    raise SolverError(f"GMRES residual {res:.2e} after {k} iterations",
+                      residuals=[res], iterations=k)
 
 
 @dataclass

@@ -389,3 +389,13 @@ def test_run_stops_before_recording_crossed_drops(tmp_path, monkeypatch):
     assert counter == len(rec.series) == 4
     assert rec.series[-1]["t"] == rec.snapshots[-1]["t"] == state.t
     assert state.t == pytest.approx(0.12)
+
+
+def test_restart_rejects_checkpoint_at_other_n(tmp_path):
+    cfg = tiny_config(fixed_dt=2e-3)
+    cfg.run.t_end, cfg.run.checkpoint_every = 4e-3, 1
+    run_scenario(cfg, out_dir=str(tmp_path))
+    with pytest.raises(ValueError,
+                       match="drop 0: checkpoint has N 64, config has N 128"):
+        run_scenario(tiny_config(fixed_dt=2e-3, n=128),
+                     restart_from=str(tmp_path / "checkpoint.npz"))

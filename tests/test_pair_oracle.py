@@ -6,15 +6,17 @@ import pytest
 from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
-from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, IMPLICIT_TOL,
-                                 PairFlowField, PairOracleError, _diffusion,
-                                 _real_root, bubble_area, evolve_pair,
+from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, PairFlowField,
+                                 PairOracleError, _real_root,
+                                 bubble_area, evolve_pair,
                                  interface_velocity, mapping_rhs, min_gap,
                                  pair_from_circles, physical_frame, solve_b,
                                  solve_flow, step_midpoint,
                                  surfactant_implicit_solve,
                                  surfactant_mass_pair, surfactant_rhs,
                                  surfactant_sigma, zhat_deriv_at)
+from drops2d.spectral import spectral_derivative
+from drops2d.stokes import FlowConfig
 
 
 def test_initial_circles_geometry():
@@ -34,7 +36,7 @@ def test_surfactant_center_matches_quoted_value():
 
 def test_state_is_immutable():
     st = pair_from_circles(16, phi=0.35, rho0=1.0)
-    for arr in (st.a_pos, st.rho, st.zeta, st.nu, *st.geometry):
+    for arr in (st.a_pos, st.rho, st.zeta, st.nu, *st.geometry, st.diffusion):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(FrozenInstanceError):
@@ -218,14 +220,44 @@ class TestSurfactant:
         m1 = surfactant_mass_pair(out)
         assert abs(m1 - m0) / m0 < 1e-8
 
-    def test_stiff_diffusion_solve_restarts(self):
-        # nv = 192 (the CLI default), Pe = 1, half step 2.5e-3: GMRES takes
-        # 445 iterations, more than one cycle of stokes.KRYLOV_DIM
+    def test_stiff_diffusion_solve(self):
+        # nv = 192 (the CLI default), Pe = 1, half step 2.5e-3: a stiff
+        # system, c |L|_inf = 8.3e3
         st = pair_from_circles(192, phi=0.35, rho0=1.0, E=0.5, Pe=1.0)
         rhs = st.rho + 0.01 * np.cos(3 * st.nu)
         rho = surfactant_implicit_solve(st, rhs, 2.5e-3)
-        resid = rho - 2.5e-3 * _diffusion(st)(rho) - rhs
-        assert np.abs(resid).max() <= IMPLICIT_TOL * np.linalg.norm(rhs)
+        resid = rho - 2.5e-3 * diffusion_by_fft(st, rho) - rhs
+        assert np.abs(resid).max() <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_small_pe_diffusion_solve(self):
+        # Pe = 0.1, c |L|_inf = 8.3e4.  The residual of a direct solve
+        # scales with c |L|: it measured 0.093 eps c |L|_inf |rhs|_2
+        # (1.7e-12 |rhs|_2)
+        st = pair_from_circles(192, phi=0.35, rho0=1.0, E=0.5, Pe=0.1)
+        rhs = st.rho + 0.01 * np.cos(3 * st.nu)
+        c = 2.5e-3
+        rho = surfactant_implicit_solve(st, rhs, c)
+        resid = rho - c * diffusion_by_fft(st, rho) - rhs
+        c_norm = c * np.linalg.norm(st.diffusion, np.inf)
+        assert np.abs(resid).max() <= (0.5 * np.finfo(float).eps * c_norm
+                                       * np.linalg.norm(rhs))
+
+
+def diffusion_by_fft(st, r):
+    """L r = (1/(|z_nu| Pe)) d_nu(r_nu/|z_nu|) by two FFT derivatives: a
+    reference for the matrix st.diffusion."""
+    _, zz, _, _ = st.geometry
+    sp = np.abs(1j * st.zeta * zz)
+    return spectral_derivative(spectral_derivative(r) / sp) / (sp * st.Pe)
+
+
+@pytest.mark.parametrize("Pe", [np.nan, 0.0, -1.0])
+def test_state_rejects_pe_as_flow_config_does(Pe):
+    with pytest.raises(ValueError) as want:
+        FlowConfig(Pe=Pe)
+    with pytest.raises(ValueError) as got:
+        pair_from_circles(16, phi=0.35, rho0=1.0, Pe=Pe)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")

@@ -319,3 +319,28 @@ def test_adaptive_error_follows_tol_through_run_scenario():
         z, rho = final(tol)
         assert 0.12 <= np.abs(z - z_ref).max() / tol <= 0.24, tol
         assert 0.27 <= np.abs(rho - rho_ref).max() / tol <= 0.53, tol
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_viscous_ellipse_relaxes_at_linear_rate(lam):
+    # a clean ellipse with axes (1.001, 1/1.001) at rest relaxes as
+    # D(t) = D(0) exp(-t/(1 + lam)) at linear order.  To t = 1 at tol 1e-9
+    # (332 and 144 accepted steps, about 1 s and 0.4 s) the largest
+    # relative deviation over the snapshots measured 9.0e-7 at lam 1 and
+    # 4.4e-7 at lam 4; the bound is twice the larger
+    from drops2d.geometry import deformation_number
+    from drops2d.harness import (DropSpec, RunSpec, ScenarioConfig,
+                                 run_scenario)
+
+    cfg = ScenarioConfig(
+        name="relax", flow=FlowConfig(),
+        drops=[DropSpec(shape="ellipse", axes=(1.001, 1 / 1.001), lam=lam,
+                        n=64)],
+        run=RunSpec(t_end=1.0, tol=1e-9, output_every=20))
+    snaps = run_scenario(cfg).snapshots
+    t = np.array([s["t"] for s in snaps])
+    D = np.array([deformation_number(Interface(s["drops"][0]["x"]
+                                               + 1j * s["drops"][0]["y"]))
+                  for s in snaps])
+    assert t[-1] == pytest.approx(1.0, abs=1e-14) and len(t) > 5
+    assert np.abs(D / D[0] * np.exp(t / (1 + lam)) - 1).max() <= 2e-6

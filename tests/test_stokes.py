@@ -130,17 +130,13 @@ class TestGmresSolve:
         assert np.abs(x - want).max() < 1e-10 * np.abs(want).max()
         assert res == np.abs(A @ x - b).max()
 
-    def test_restarts_over_several_cycles(self, monkeypatch):
+    def test_failed_solve_says_how_far_it_got(self, monkeypatch):
+        # one cycle of four iterations falls short of the bound
         monkeypatch.setattr(stokes, "KRYLOV_DIM", 4)
         A, b = dominant_system()
-        x, res, iterations = gmres_solve(lambda v: A @ v, b, 1e-12,
-                                         max_iter=60)
-        assert iterations > 4
-        assert res <= 1e-12 * np.linalg.norm(b)
-        # a budget of two cycles falls short and says how far it got
-        with pytest.raises(SolverError, match="after 8 iterations") as exc:
-            gmres_solve(lambda v: A @ v, b, 1e-12, max_iter=8)
-        assert exc.value.iterations == 8
+        with pytest.raises(SolverError, match="after 4 iterations") as exc:
+            gmres_solve(lambda v: A @ v, b, 1e-12)
+        assert exc.value.iterations == 4
         assert exc.value.residuals[0] > 1e-12 * np.linalg.norm(b)
 
     def test_one_cycle_costs_one_matvec_beyond_its_iterations(self):
