@@ -39,8 +39,11 @@ def _write_curve(path, header, nu, alphaV, z, rho):
 
 def _cmd_oracle(args):
     from .harness import PAIR_CLEAN_PHI0, preset
+    from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
+                              physical_frame)
+    from .steady_oracle import b_from_q, steady_solution
+    from .stepper import StepController
 
-    os.makedirs(args.out_dir, exist_ok=True)
     # an unset option takes its value from the preset the oracle checks
     cfg = preset({"steady": "steady_single", "pair": "pair_clean"}[args.kind])
     unset = {"Q": cfg.flow.Q, "E": cfg.flow.E}
@@ -50,24 +53,29 @@ def _cmd_oracle(args):
     for name, value in unset.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    # the oracle's input first: a value it refuses exits with status 2
+    # before --out-dir is created
+    try:
+        if args.kind == "steady":
+            b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
+            sol = steady_solution(b, E=args.E, M=args.points)
+        else:
+            st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
+                                   E=args.E, Pe=args.Pe)
+            StepController(tol=args.tol)    # evolve_pair's check of tol
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, f"{args.kind}_oracle.csv")
     if args.kind == "steady":
-        from .steady_oracle import b_from_q, steady_solution
-        b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
-        sol = steady_solution(b, E=args.E, M=args.points)
-        path = os.path.join(args.out_dir, "steady_oracle.csv")
         # Q is the FlowConfig Q that holds this steady state
         _write_curve(path, f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
                      f"E = {args.E}, b = {b:.17g}",
                      sol["nu"], sol["alphaV"], sol["z"], sol["rho"])
         print(f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f} -> {path}")
         return 0
-    from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
-                              physical_frame)
-    st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
-                           E=args.E, Pe=args.Pe)
     out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end, tol=args.tol)
     z, rho, aV = physical_frame(out)
-    path = os.path.join(args.out_dir, "pair_oracle.csv")
     _write_curve(path, f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
                  f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
                  f"Q = {args.Q:.17g}", out.nu, aV, z, rho)
@@ -173,6 +181,8 @@ def main(argv=None):
     p_pair.add_argument("--nv", type=int, default=192)
     p_pair.add_argument("--t-end", dest="t_end", type=float, default=None)
     p_pair.add_argument("--tol", type=float, default=1e-7)
+    for p in (p_steady, p_pair):
+        p.set_defaults(usage_error=p.error)
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("dir_a")

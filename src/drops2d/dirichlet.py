@@ -74,7 +74,7 @@ def solve_dirichlet(n_panels: int, boundary_velocity) -> DirichletSolution:
     grid, z, zp, zpp, z_edges = star_contour(n_panels)
     w = grid.weights
     n = z.shape[0]
-    Cw, M2w, _ = layer_matrices(z, zp, zpp, w)
+    Cw, M2w = layer_matrices(z, zp, zpp, w)
     # Im C with its smooth diagonal limit
     M1w = Cw.imag.copy()
     M1w[np.arange(n), np.arange(n)] = w * np.imag(zpp / (2 * zp))
@@ -107,7 +107,7 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu = sol.mu
     C, M2 = (near_layer_matrices(sol, mu, t) if corrected else
-             layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t)[:2])
+             layer_matrices(sol.z, sol.zp, sol.zpp, sol.w, targets=t))
     # Im C on [Re mu, Im mu]: Im C @ mu would cast it to a complex copy
     ImCmu = C.imag @ np.column_stack([mu.real, mu.imag]) @ [1, 1j]
     return (-1j / np.pi) * ImCmu + (1j / np.pi) * (M2 @ np.conj(mu))
@@ -116,14 +116,15 @@ def evaluate_velocity(sol: DirichletSolution, targets, corrected: bool = True):
 def estimate_field(sol: DirichletSolution, targets):
     """Summed per-panel remainder estimates at each target.
 
-    One batched preimage and estimate pass covers every pair of
-    neareval.candidates, within ESTIMATE_RADIUS panel lengths: wider than
-    the reach of the correction cull, so that the terms the sum leaves out
-    stay below 1e-20.
+    One batched preimage and estimate pass covers every pair that
+    neareval.cull keeps within ESTIMATE_RADIUS panel lengths: wider than
+    the reach of the correction, so that the terms the sum leaves out stay
+    below 1e-20.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
     mu_inf = np.abs(sol.mu).reshape(-1, PANEL_ORDER).max(axis=1)
-    ti, ip = neareval.candidates(sol.panels, t)
+    ti, ip = neareval.cull(sol.panels, t,
+                           neareval.ESTIMATE_RADIUS * sol.panels.length)
     pk = sol.panels[ip]
     est = neareval.estimate_error(pk, neareval.locate_preimage(pk, t[ti]),
                                   mu_inf[ip])

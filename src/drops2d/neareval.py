@@ -12,15 +12,15 @@ are generated by forward recursion.  A separate contour-integral remainder
 estimate predicts the plain Gauss-Legendre error for each point-panel pair
 and decides when the special rule is needed.
 
-Two distance culls choose the pairs that get a preimage and an estimate.
-cull, for the pairs that may be corrected (stokes.DirectKernels and
-stokes.near_layer_matrices), keeps a pair when the target lies within
-the panel's reach: the distance beyond which the estimate, set by the
-Bernstein ellipse of the preimage, cannot come near the activation
-threshold.  The reach follows each panel's shape, about 0.9 panel
-lengths on a well-resolved one.  candidates, for the summed estimates of
-dirichlet.estimate_field, keeps a pair within a fixed ESTIMATE_RADIUS
-panel lengths, wider, so that the terms that sum drops stay below 1e-20.
+One distance cull, cull, chooses the pairs that get a preimage and an
+estimate: the targets within a radius of a panel's nearest node.  The
+pairs that may be corrected (stokes.DirectKernels and
+stokes.near_layer_matrices) lie within the panel's reach, beyond which
+the estimate, set by the Bernstein ellipse of the preimage, cannot come
+near the activation threshold; it follows the panel's shape, about 0.9
+panel lengths on a well-resolved one.  dirichlet.estimate_field sums the
+pairs within ESTIMATE_RADIUS panel lengths, wider, so that the terms the
+sums leave out stay below 1e-20.
 
 Panels come as one stacked PanelData, built in one vectorised
 prepare_panel pass, with a leading panel axis on every field.  Indexing
@@ -98,30 +98,20 @@ def _rows(obj, sel):
     return type(obj)(*(getattr(obj, f.name)[sel] for f in fields(obj)))
 
 
-def candidates(panels, targets):
-    """(target, panel) pairs of a 1-D array of targets whose nearest panel
-    node lies within ESTIMATE_RADIUS panel lengths, target-major.
+def cull(panels, targets, radius):
+    """(target, panel) pairs of a 1-D array of targets whose nearest node
+    of panel g lies within radius[g], target-major, as np.nonzero gives.
 
-    These are the pairs of dirichlet.estimate_field's sums, wider than the
-    reach of cull so that the terms the sums leave out stay below 1e-20.
+    Node distances are formed only where the chord midpoint lies within
+    radius + extent (prepare_panel): a target beyond is beyond radius of
+    every node.  That bound is widened by 1e-12 relative against rounding.
     """
-    d = panels.z_nodes[None, :, :] - targets[:, None, None]
-    dist2 = (d.real ** 2 + d.imag ** 2).min(axis=2)
-    return np.nonzero(np.sqrt(dist2) <= ESTIMATE_RADIUS * panels.length)
-
-
-def cull(panels, dist2):
-    """(target, panel) index pairs that may need the special rule.
-
-    dist2[i, g] is the squared distance from target i to the nearest node
-    of panel g (stokes.layer_matrices returns it with the kernels).  A pair
-    is a candidate when that distance is within the panel's reach, beyond
-    which the remainder estimate stays far below ACTIVATION_THRESHOLD (see
-    prepare_panel); overwrite_near_blocks estimates only these pairs, for
-    stokes.DirectKernels and near_layer_matrices.  Returns two index
-    arrays, target-major, as np.nonzero does.
-    """
-    return np.nonzero(dist2 <= panels.reach ** 2)
+    gap = panels.mid - targets[:, None]
+    bound = (radius + panels.extent) ** 2 * (1 + 1e-12)
+    ti, ip = np.nonzero(gap.real ** 2 + gap.imag ** 2 <= bound)
+    d = panels.z_nodes[ip] - targets[ti, None]
+    near = (d.real ** 2 + d.imag ** 2).min(axis=1) <= radius[ip] ** 2
+    return ti[near], ip[near]
 
 
 @dataclass
@@ -149,7 +139,8 @@ class PanelData:
     # signed zero, and the value is that of the 15-term series
     eta_p: np.ndarray
     length: np.ndarray           # physical panel length (approx)
-    reach: np.ndarray            # physical radius of cull (prepare_panel)
+    reach: np.ndarray            # cull radius of the correction (prepare_panel)
+    extent: np.ndarray           # largest distance of a node from mid
 
     __getitem__ = _rows
 
@@ -218,7 +209,8 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
                      nodes_t=nodes_t, eta=eta, eta_p=eta_p,
                      length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1),
-                     reach=reach / np.abs(scale))
+                     reach=reach / np.abs(scale),
+                     extent=np.abs(z_nodes - mid[:, None]).max(axis=1))
 
 
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:

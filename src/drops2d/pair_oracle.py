@@ -95,6 +95,8 @@ class ConformalPairState:
             raise ValueError("Pe must be positive (np.inf allowed), "
                              f"not {self.Pe}")
         a_pos = np.array(self.a_pos, dtype=float)
+        if a_pos.size < 2:
+            raise ValueError(f"nv must be at least 1, not {a_pos.size - 1}")
         a_pos[0] = self.b / (2 * np.sqrt(self.phi))
         object.__setattr__(self, "a_pos", _read_only(a_pos))
         object.__setattr__(self, "rho",
@@ -435,8 +437,13 @@ def pair_from_circles(nv: int, phi: float, rho0: float = 0.0, E: float = 0.5,
     """Initial state: two unit circles carrying uniform rho0 (0: clean).
 
     Centers sit at +-(1+phi)/(2 sqrt(phi)) in the computational frame and
-    the radius is exactly b/(1-phi) = 1 with b = 1 - phi.
+    the radius is exactly b/(1-phi) = 1 with b = 1 - phi.  nv < 1 and
+    rho0 < 0 raise ValueError, as rho0 < 0 does in harness.build_state.
     """
+    if nv < 1:      # here too: np.full below fails first at a negative nv
+        raise ValueError(f"nv must be at least 1, not {nv}")
+    if not rho0 >= 0:
+        raise ValueError(f"rho0 must be non-negative, not {rho0}")
     return ConformalPairState(b=1.0 - phi, phi=phi, a_pos=np.zeros(nv + 1),
                               rho=np.full(4 * nv + 1, float(rho0)), E=E, Pe=Pe)
 

@@ -60,8 +60,8 @@ class StepController:
     _unclipped: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tolerance must be positive, not {self.tol}")
         self.dt = min(max(self.dt, self.dt_min), self.dt_max)
 
     def update(self, r: float, t: float) -> float:

@@ -32,14 +32,13 @@ assembled.  Near-singular blocks are handled one way for every target
 set: the special quadrature rows of the neareval module overwrite the
 plain entries of the weighted kernels C and M2, for the cross-interface
 pairs of the nodes (DirectKernels) and for targets off the interfaces
-(near_layer_matrices).
+(near_layer_matrices).  neareval.cull alone chooses those pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -221,14 +220,12 @@ def sigma_to_gl(ifaces, sigma_uniform) -> np.ndarray:
 def layer_matrices(z, zp, zpp, w, targets=None):
     """Weighted dense kernels of the layer potential on the nodes z.
 
-    Returns (C, M2, dist2), one row per target t_i (the nodes themselves
-    when targets is None), with, for t_i != z_j,
+    Returns (C, M2), one row per target t_i (the nodes themselves when
+    targets is None), with, for t_i != z_j,
 
         C_ij  = w_j z'_j/(z_j - t_i)
-        M2_ij = w_j Im{z'_j conj(z_j - t_i)}/conj(z_j - t_i)^2,
+        M2_ij = w_j Im{z'_j conj(z_j - t_i)}/conj(z_j - t_i)^2.
 
-    and dist2[i, g] the squared distance from t_i to the nearest node of
-    panel g (nodes 16g:16g+16), the input of neareval.cull.
     On the nodes, C has a zero diagonal (the sums that use it subtract the
     singularity) and M2 carries its smooth diagonal limit from z''.
     Off-grid targets must not coincide with a node (ValueError).
@@ -240,10 +237,7 @@ def layer_matrices(z, zp, zpp, w, targets=None):
     C = np.empty_like(dz)
     sq = np.square(dz.view(float), out=C.view(float))
     d2 = sq[:, ::2] + sq[:, 1::2]
-    # node by node: a min over the trailing axis of a panel is 4x slower
-    dist2 = reduce(np.minimum, np.moveaxis(
-        d2.reshape(t.size, z.size // PANEL_ORDER, PANEL_ORDER), 2, 0))
-    if targets is not None and np.any(dist2 == 0):
+    if targets is not None and not d2.all():
         raise ValueError("target coincides with a quadrature node")
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(zp * w, dz, out=C)
@@ -254,7 +248,7 @@ def layer_matrices(z, zp, zpp, w, targets=None):
         idx = np.arange(z.shape[0])
         C[idx, idx] = 0.0
         M2[idx, idx] = np.imag(zpp * np.conj(zp)) / (2 * np.conj(zp) ** 2) * w
-    return C, M2, dist2
+    return C, M2
 
 
 def near_layer_matrices(geom, mu, targets):
@@ -263,14 +257,13 @@ def near_layer_matrices(geom, mu, targets):
     geom carries the nodes z, zp, zpp, w and their stacked panels (a
     Discretization or a dirichlet.DirichletSolution), and mu the density
     at the nodes, whose max-norm on each panel enters the estimates.
-    Every candidate pair of the targets that the estimate flags gets its
-    special rows (neareval.overwrite_near_blocks).
+    Every pair within its panel's reach (neareval.cull) that the estimate
+    flags gets its special rows (neareval.overwrite_near_blocks).
     """
     t = np.atleast_1d(np.asarray(targets, dtype=complex))
-    C, M2, dist2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
-                                  targets=t)
+    C, M2 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w, targets=t)
     mu_inf = np.abs(mu).reshape(-1, PANEL_ORDER).max(axis=1)
-    ti, ip = neareval.cull(geom.panels, dist2)
+    ti, ip = neareval.cull(geom.panels, t, geom.panels.reach)
     neareval.overwrite_near_blocks(C, M2, geom.panels, t, ti, ip, mu_inf[ip])
     return C, M2
 
@@ -281,19 +274,30 @@ class DirectKernels:
     CAU is the weighted Cauchy matrix of layer_matrices and Uc = i M2/pi
     the antilinear part of u; evaluate_velocity_on_interface applies the
     C-linear part from CAU.  Before Uc is formed,
-    neareval.overwrite_near_blocks runs on the cross-drop candidate pairs
-    of disc.panels, with unit density norm: each flagged pair (i, g) has
+    neareval.overwrite_near_blocks runs on the pairs of the nodes of each
+    drop and the panels of the others within reach (neareval.cull; a lone
+    drop has none), with unit density norm: each flagged pair (i, g) has
     its special rows written over row i, columns 16g:16g+16, of CAU and
     M2, as for targets off the interfaces (see near_layer_matrices).
     pairs holds one (i, g) row per corrected pair.
     """
 
     def __init__(self, disc: Discretization):
-        self.CAU, M2, dist2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
-        i, ip = neareval.cull(disc.panels, dist2)
-        cross = disc.drop_of[i] != disc.drop_of[PANEL_ORDER * ip]
+        self.CAU, M2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        ti = ip = np.zeros(0, dtype=np.intp)
+        if len(disc.n_panels) > 1:
+            # drop by drop, so the pairs come target-major over all nodes
+            panel_drop = disc.drop_of[::PANEL_ORDER]
+            found = []
+            for k in range(len(disc.n_panels)):
+                on = np.flatnonzero(disc.drop_of == k)
+                other = np.flatnonzero(panel_drop != k)
+                t, g = neareval.cull(disc.panels[other], disc.z[on],
+                                     disc.panels.reach[other])
+                found.append((on[t], other[g]))
+            ti, ip = map(np.concatenate, zip(*found))
         self.pairs = np.column_stack(neareval.overwrite_near_blocks(
-            self.CAU, M2, disc.panels, disc.z, i[cross], ip[cross], 1.0))
+            self.CAU, M2, disc.panels, disc.z, ti, ip, 1.0))
         self.Uc = np.multiply(M2, 1j / np.pi, out=M2)
 
 

@@ -83,6 +83,28 @@ def test_oracle_rejects_options_it_does_not_read(argv, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["pair", "--nv", "16", "--Pe", "0"],
+    ["pair", "--nv", "16", "--phi", "2"],
+    ["pair", "--nv", "0"],
+    ["pair", "--nv", "-1"],
+    ["pair", "--nv", "16", "--rho0", "-1"],
+    ["pair", "--nv", "16", "--tol", "0"],
+    ["pair", "--nv", "16", "--tol", "nan"],
+    ["steady", "--b", "-1"],
+    ["steady", "--points", "8"],
+    ["steady", "--Q", "5"],
+], ids=lambda argv: " ".join(argv))
+def test_oracle_refuses_bad_values_before_writing(argv, tmp_path, capsys):
+    # each ended in a traceback (exit 1) after creating --out-dir
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", *argv, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert f"drops2d oracle {argv[0]}: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_from_config_file(tmp_path):
     cfg = ScenarioConfig(
         name="tiny", drops=[DropSpec(shape="circle", rho0=1.0, n=32)],

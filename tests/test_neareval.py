@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from drops2d import neareval
 from drops2d.neareval import (ACTIVATION_THRESHOLD, ESTIMATE_RADIUS,
                               NEWTON_MAXITER, PanelData,
-                              _residue_correction, candidates,
-                              estimate_error, kernel_rows, locate_preimage,
+                              _residue_correction, cull, estimate_error,
+                              kernel_rows, locate_preimage,
                               needs_correction, overwrite_near_blocks,
                               prepare_panel, recursion_pq)
 from drops2d.spectral import GL_NODES, GL_WEIGHTS
@@ -283,39 +283,55 @@ class TestCandidates:
         # points in and around the star, two nodes and a chord midpoint
         box = 3 * (rng.random(300) - 0.5) + 3j * (rng.random(300) - 0.5)
         targets = np.concatenate([box, panels[3].z_nodes[:2], [panels[7].mid]])
-        ti, pi = candidates(panels, targets)
+        ti, pi = cull(panels, targets, ESTIMATE_RADIUS * panels.length)
         want = brute_force_pairs(panels, targets,
                                  ESTIMATE_RADIUS * panels.length)
         check_pairs(ti, pi, want)
         assert len(want) > len(targets)
 
     def test_cull_of_assembly_off_grid(self):
-        # the distances that layer_matrices returns with the kernels
+        # the pairs of near_layer_matrices
         from drops2d.dirichlet import GoursatReference, solve_dirichlet
 
         sol = solve_dirichlet(50, GoursatReference().velocity)
         rng = np.random.default_rng(50)
         box = 3 * (rng.random(300) - 0.5) + 3j * (rng.random(300) - 0.5)
         targets = np.concatenate([box, [sol.panels[7].mid]])
-        _, _, dist2 = layer_matrices(sol.z, sol.zp, sol.zpp, sol.w,
-                                     targets=targets)
         want = brute_force_pairs(sol.panels, targets, sol.panels.reach)
-        check_pairs(*neareval.cull(sol.panels, dist2), want)
+        check_pairs(*cull(sol.panels, targets, sol.panels.reach), want)
         assert (len(targets) - 1, 7) in want
-        # within the pairs of candidates, on the well-resolved star
+        # within the pairs of estimate_field, on the well-resolved star
         wide = brute_force_pairs(sol.panels, targets,
                                  ESTIMATE_RADIUS * sol.panels.length)
         assert len(want) > len(targets) / 2 and want < wide
 
     def test_cull_of_assembly_on_nodes(self):
         disc = pair_clean_disc(0.6)
-        _, _, dist2 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
-        ti, pi = neareval.cull(disc.panels, dist2)
+        ti, pi = cull(disc.panels, disc.z, disc.panels.reach)
         want = brute_force_pairs(disc.panels, disc.z, disc.panels.reach)
         check_pairs(ti, pi, want)
         assert len(want) > disc.n
         # cross-drop pairs are among them
         assert any(disc.drop_of[k] != disc.drop_of[16 * g] for k, g in want)
+
+    @pytest.mark.parametrize("radius", ["reach", "estimate"])
+    def test_pinched_drop(self, radius):
+        # reach up to 15 panel lengths on the tips; pairs whose chord
+        # midpoint lies beyond the radius are kept by the extent margin of
+        # cull's pre-test
+        panels = pinched_disc().panels
+        r = (panels.reach if radius == "reach"
+             else ESTIMATE_RADIUS * panels.length)
+        rng = np.random.default_rng(15)
+        g, k = rng.integers(0, len(panels), 400), rng.integers(0, 16, 400)
+        tang = panels.zp_nodes[g, k] / np.abs(panels.zp_nodes[g, k])
+        targets = np.concatenate([
+            panels.z_nodes[g, k]
+            + 1j * tang * rng.uniform(-16, 16, g.size) * panels.length[g],
+            panels.z_nodes.ravel()])
+        want = brute_force_pairs(panels, targets, r)
+        check_pairs(*cull(panels, targets, r), want)
+        assert any(abs(targets[t] - panels.mid[p]) > r[p] for t, p in want)
 
 
 def beyond_reach(panels, targets, mu_inf, keep=None):
@@ -456,8 +472,8 @@ class TestNearCorrect:
         return dK1, dK2, dI, hits
 
     def check(self, geom, mu, targets):
-        C0, M20, _ = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
-                                    targets=targets)
+        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                 targets=targets)
         C, M2 = near_layer_matrices(geom, mu, targets)
         dI = (C - C0) @ mu
         dK1 = (C - C0).real @ mu
@@ -472,9 +488,10 @@ class TestNearCorrect:
     @staticmethod
     def check_plain_outside_blocks(geom, mu, targets, C, M2):
         """Only the flagged blocks differ from layer_matrices, bitwise."""
-        C0, M20, _ = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
-                                    targets=targets)
-        ti, ip = candidates(geom.panels, targets)
+        C0, M20 = layer_matrices(geom.z, geom.zp, geom.zpp, geom.w,
+                                 targets=targets)
+        ti, ip = cull(geom.panels, targets,
+                      ESTIMATE_RADIUS * geom.panels.length)
         mu_inf = np.abs(mu).reshape(-1, 16).max(axis=1)[ip]
         C1, M21 = C0.copy(), M20.copy()
         ti, ip = overwrite_near_blocks(C1, M21, geom.panels, targets, ti, ip,
@@ -512,7 +529,7 @@ class TestNearCorrect:
 
         disc = pair_clean_disc(0.6)
         kern = DirectKernels(disc)
-        C0, _, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C0, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         i, g = kern.pairs.T
         assert i.size > 0
         assert np.all(disc.drop_of[i] != disc.drop_of[16 * g])
@@ -520,6 +537,20 @@ class TestNearCorrect:
         block[i[:, None], 16 * g[:, None] + np.arange(16)] = True
         assert np.array_equal(kern.CAU[~block], C0[~block])
         assert np.all(kern.CAU[block] != C0[block])
+
+    def test_lone_drop_culls_nothing(self):
+        # the pinched drop has many pairs within reach of its own panels;
+        # DirectKernels culls only the nodes of each drop against the
+        # panels of the others
+        from drops2d.stokes import DirectKernels
+
+        disc = pinched_disc()
+        assert len(cull(disc.panels, disc.z, disc.panels.reach)[0]) > disc.n
+        with mock.patch.object(neareval, "cull", wraps=cull) as spy:
+            assert DirectKernels(disc).pairs.shape == (0, 2)
+            assert spy.call_count == 0
+            DirectKernels(pair_clean_disc(0.6))
+            assert spy.call_count == 2
 
 
 def stack(*sets):
@@ -628,8 +659,8 @@ class TestBatchInvariance:
         gap = rng.uniform(-0.03, 0.1, n_pair)
         near_pair = (rng.choice([1j * c, -1j * c], n_pair)
                      + (1 + gap) * np.exp(1j * th))
-        ts, ps = candidates(star, near_star)
-        tq, pq = candidates(pair, near_pair)
+        ts, ps = cull(star, near_star, ESTIMATE_RADIUS * star.length)
+        tq, pq = cull(pair, near_pair, ESTIMATE_RADIUS * pair.length)
         flat = len(panels) - 1
         special = [FEW, CAP, FAR, at_preimage(star, 0.3),
                    at_preimage(star, 0.3 + 0.01j), (0.5 + 0.3j, flat),
@@ -667,7 +698,7 @@ class TestBatchInvariance:
         th = rng.uniform(0, 2 * np.pi, 5000)
         near = ((1 + 0.3 * np.cos(3 * th) - rng.uniform(-0.05, 0.3, th.size))
                 * np.exp(1j * th))
-        ti, ip = candidates(star, near)
+        ti, ip = cull(star, near, ESTIMATE_RADIUS * star.length)
         z0 = near[ti]
         assert z0.size > 16_384
         big = locate_preimage(star[ip], z0)
@@ -704,7 +735,7 @@ class TestBatchInvariance:
         assert frame.xi0.shape == (0,)
         assert estimate_error(pk, frame, 1.0).shape == (0,)
         assert needs_correction(pk, np.zeros(0, dtype=complex), 1.0) is None
-        C0, M20, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         C, M2 = C0.copy(), M20.copy()
         ti, ip = overwrite_near_blocks(C, M2, disc.panels, disc.z, none,
                                        none, 1.0)
@@ -713,8 +744,8 @@ class TestBatchInvariance:
         # a far target has candidates neither
         far = np.array([5.0 + 0j])
         C, M2 = near_layer_matrices(disc, np.ones(disc.n), far)
-        C0, M20, _ = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
-                                    targets=far)
+        C0, M20 = layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                 targets=far)
         assert np.array_equal(C, C0) and np.array_equal(M2, M20)
 
 
@@ -815,18 +846,24 @@ def reference_estimate(panel, xi0, newton_ok, mu_inf):
 
 
 @lru_cache(maxsize=None)
-def equivalence_panels():
-    """Panels of the 25-panel star, of an equal-arclength pinched ellipse
-    (N 256, neck half-width 0.3) and of the phi = 0.6 pair at 2x256."""
+def pinched_disc():
+    """Discretization of an equal-arclength pinched ellipse (N 256, neck
+    half-width 0.3), under-resolved at its tips."""
     from drops2d.geometry import Interface, to_equal_arclength
     from drops2d.spectral import uniform_alpha
     from drops2d.stokes import discretize
 
-    star, pair, _ = batch_geometries()
     t = uniform_alpha(256)
     z = np.cos(t) - 1j * np.sin(t) * (0.3 + 0.7 * np.cos(t) ** 2)
-    pinched = discretize([to_equal_arclength(Interface(z=z))]).panels
-    return {"star": star, "pinched": pinched, "pair": pair}
+    return discretize([to_equal_arclength(Interface(z=z))])
+
+
+@lru_cache(maxsize=None)
+def equivalence_panels():
+    """Panels of the 25-panel star, of the pinched drop and of the
+    phi = 0.6 pair at 2x256."""
+    star, pair, _ = batch_geometries()
+    return {"star": star, "pinched": pinched_disc().panels, "pair": pair}
 
 
 class TestStackedSweep:

@@ -6,8 +6,8 @@ import pytest
 from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
-from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, PairFlowField,
-                                 PairOracleError, _real_root,
+from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, ConformalPairState,
+                                 PairFlowField, PairOracleError, _real_root,
                                  bubble_area, evolve_pair,
                                  interface_velocity, mapping_rhs, min_gap,
                                  pair_from_circles, physical_frame, solve_b,
@@ -258,6 +258,26 @@ def test_state_rejects_pe_as_flow_config_does(Pe):
     with pytest.raises(ValueError) as got:
         pair_from_circles(16, phi=0.35, rho0=1.0, Pe=Pe)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("nv", [0, -1])
+def test_pair_from_circles_refuses_nv_below_one(nv):
+    # nv 0 ran on a 1-point grid; nv -1 failed building an array
+    with pytest.raises(ValueError, match=f"nv must be at least 1, not {nv}"):
+        pair_from_circles(nv, phi=0.35)
+
+
+def test_state_refuses_nv_below_one():
+    with pytest.raises(ValueError, match="nv must be at least 1, not 0"):
+        ConformalPairState(b=0.65, phi=0.35, a_pos=np.zeros(1),
+                           rho=np.zeros(1))
+
+
+@pytest.mark.parametrize("rho0", [-1.0, np.nan])
+def test_pair_from_circles_refuses_negative_rho0(rho0):
+    # -1 failed mid-run with PairOracleError
+    with pytest.raises(ValueError, match="rho0 must be non-negative"):
+        pair_from_circles(16, phi=0.35, rho0=rho0)
 
 
 @pytest.fixture(scope="module")

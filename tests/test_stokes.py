@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drops2d import stokes
+from drops2d import neareval, stokes
 from drops2d.geometry import Interface, circle, to_equal_arclength
 from drops2d.spectral import uniform_alpha
 from drops2d.stokes import (DirectKernels, FlowConfig, SolverError, discretize,
@@ -313,25 +313,27 @@ class TestLayerMatrices:
             assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
 
     def test_on_grid(self, disc):
-        C, M2, _ = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
+        C, M2 = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w)
         self.assert_entries((C, M2), self.textbook(disc, disc.z))
 
     def test_off_grid(self, disc):
         # near a node, between the drops, inside each and far away
         targets = np.array([disc.z[5] + 1e-3j, 0.05 + 0.1j, -1.0, 1.1 + 0.2j,
                             4.0 - 3.0j])
-        C, M2, _ = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
-                                         targets=targets)
+        C, M2 = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                      targets=targets)
         self.assert_entries((C, M2), self.textbook(disc, targets))
         with pytest.raises(ValueError):
             stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
                                   targets=[0.5, disc.z[7]])
 
     def test_empty_target_set(self, disc):
-        C, M2, dist2 = stokes.layer_matrices(disc.z, disc.zp, disc.zpp,
-                                             disc.w, targets=np.zeros(0))
+        C, M2 = stokes.layer_matrices(disc.z, disc.zp, disc.zpp, disc.w,
+                                      targets=np.zeros(0))
         assert C.shape == M2.shape == (0, disc.n)
-        assert dist2.shape == (0, len(disc.panels))
+        ti, ip = neareval.cull(disc.panels, np.zeros(0, dtype=complex),
+                               disc.panels.reach)
+        assert ti.shape == ip.shape == (0,)
 
     def test_assembly_memory(self):
         # one assembly allocates two complex N x N arrays (C and M2) and
