@@ -41,7 +41,7 @@ def _cmd_oracle(args):
     from .harness import PAIR_CLEAN_PHI0, preset
     from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
                               physical_frame)
-    from .steady_oracle import b_from_q, steady_solution
+    from .steady_oracle import NoSteadyState, b_from_q, steady_solution
     from .stepper import StepController
 
     # an unset option takes its value from the preset the oracle checks
@@ -63,6 +63,10 @@ def _cmd_oracle(args):
             st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
                                    E=args.E, Pe=args.Pe)
             StepController(tol=args.tol)    # evolve_pair's check of tol
+    except NoSteadyState as exc:
+        # the oracle's capillary number is twice the Q of the command line
+        args.usage_error(f"no steady state at Q={args.Q} "
+                         f"(max Q ~ {exc.q_max / 2:.4f})")
     except ValueError as exc:
         args.usage_error(str(exc))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -50,8 +50,9 @@ class Interface:
         if n % PANEL_ORDER != 0:
             raise ValueError(f"N={n} is not divisible by {PANEL_ORDER}")
         object.__setattr__(self, "z", vals)
-        if self.lam < 0:
-            raise ValueError("viscosity ratio must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("viscosity ratio must be finite and "
+                             f"nonnegative, not {self.lam}")
 
     @property
     def n(self) -> int:

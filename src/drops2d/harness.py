@@ -124,11 +124,14 @@ class RunRecord:
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
     """Initial state of cfg; drops must pass check_drops, lie on equal
-    arclength (stepper.check_spacing) and have rho0 >= 0.  Every field
-    refers to cfg.flow; a clean drop carries rho = 0."""
+    arclength (stepper.check_spacing) and have finite rho0, lam and
+    radius >= 0.  Every field refers to cfg.flow; a clean drop carries
+    rho = 0."""
     for k, d in enumerate(cfg.drops):
-        if d.rho0 < 0:
-            raise ValueError(f"drop {k}: negative rho0 {d.rho0}")
+        for name in ("rho0", "lam", "radius"):
+            if not 0 <= getattr(d, name) < np.inf:
+                raise ValueError(f"drop {k}: {name} must be finite and "
+                                 f"non-negative, not {getattr(d, name)}")
     ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
     check_drops(ifaces)
     fields = [SurfactantField(np.full(d.n, d.rho0), cfg.flow)
@@ -155,10 +158,12 @@ def _interface(k: int, d: DropSpec) -> Interface:
 
 
 def check_drops(ifaces):
-    """Raise ValueError, naming the drop, unless every drop is clockwise
-    and free of self-crossings and every pair of drops is disjoint: no
-    crossing, neither inside the other."""
+    """Raise ValueError, naming the drop, unless every drop has finite
+    nodes, is clockwise and free of self-crossings and every pair of drops
+    is disjoint: no crossing, neither inside the other."""
     for k, ifc in enumerate(ifaces):
+        if not np.isfinite(ifc.z).all():
+            raise ValueError(f"drop {k} has non-finite nodes")
         if ifc.signed_area() >= 0:
             raise ValueError(f"drop {k} is not clockwise")
     fault = _crossing(ifaces) or next(

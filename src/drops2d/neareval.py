@@ -33,14 +33,15 @@ takes one moment recursion and one batched Vandermonde solve for all of
 its pairs.  The path-deformation residues of p_0 are built in
 correction_rows, only for the pairs it builds rows for.
 
-On a few hundred pairs the cost of evaluating a series is its count of
-NumPy operations, not its length.  Newton in locate_preimage therefore
-runs in the power basis, on monomial coefficients of [eta'; eta] taken
-once per pair, each step one Horner pass over both.  Acceptance stays on
-the Legendre series: one stacked Clenshaw sweep (one npleg.legval call)
-leaves eta, eta' and conj(eta') at xi0 and eta at conj(xi0) in the frame;
-the residual check reads eta there, and estimate_error reads all four
-instead of evaluating any series itself.
+The panel map eta has one basis.  prepare_panel fits it in Legendre
+polynomials and converts the fit once into monomial coefficients of eta'
+and eta (PanelData.power).  On a few hundred pairs a series costs its
+count of NumPy operations, not its length, so each evaluation of a
+batch is one Horner pass over power: every Newton step and the frame's
+four series values, which the residual check and estimate_error read.
+A preimage is accepted on the evaluation of eta that Newton converged
+on.  The rim points of the reach are one product with their monomial
+Vandermonde.
 
 There is one correction mechanism: overwrite_near_blocks writes the
 special rows of the flagged pairs over the plain entries of the weighted
@@ -58,10 +59,9 @@ from numpy.polynomial import legendre as npleg
 
 from .spectral import GL_NODES, PANEL_ORDER
 
-# Legendre-Vandermonde on the reference nodes; orthogonality makes the
-# panel-parametrization fit eta backward-stable out to moderate |xi|.
-_LEGV = npleg.legvander(GL_NODES, PANEL_ORDER - 1)
-_LEGV_INV = np.linalg.inv(_LEGV)
+# inverse Legendre-Vandermonde on the reference nodes; orthogonality makes
+# the panel-parametrization fit eta backward-stable out to moderate |xi|
+_LEGV_INV = np.linalg.inv(npleg.legvander(GL_NODES, PANEL_ORDER - 1))
 # power-basis coefficients of the Legendre polynomials, P_j on column j,
 # from the explicit sum: integer numerators over 2^j, so every entry is exact
 _LEG2POW = np.zeros((PANEL_ORDER, PANEL_ORDER))
@@ -80,10 +80,10 @@ ACTIVATION_THRESHOLD = 1e-13
 # miss estimates up to 1.8e-12
 REACH_RHO = 3.5
 # 32 points of E_rho's boundary (the Joukowski image of the circle of
-# radius rho), their Legendre-Vandermonde, and for each the node nearest
+# radius rho), their monomial Vandermonde, and for each the node nearest
 # its real part, clipped to the panel
 _RIM = np.cos(2 * np.pi * np.arange(32) / 32 - 1j * np.log(REACH_RHO))
-_RIM_LEGV = npleg.legvander(_RIM, PANEL_ORDER - 1)
+_RIM_POW = np.vander(_RIM, PANEL_ORDER, increasing=True)
 _RIM_NODE = np.abs(np.clip(_RIM.real, -1, 1)[:, None] - GL_NODES).argmin(1)
 # the cull of estimate_field's summed estimates, in panel lengths: at 1.0
 # the terms it would drop reach 2.3e-18 on the 25-panel star
@@ -96,6 +96,15 @@ NEWTON_TOL = 1e-13
 def _rows(obj, sel):
     """obj with every field indexed by sel along their shared leading axis."""
     return type(obj)(*(getattr(obj, f.name)[sel] for f in fields(obj)))
+
+
+def _horner(coef, x):
+    """sum_k coef[k] x^k by Horner's rule, coefficient axis first;
+    elementwise, so a value does not depend on the rest of its batch."""
+    val = coef[-1]
+    for row in coef[-2::-1]:
+        val = val * x + row
+    return val
 
 
 def cull(panels, targets, radius):
@@ -123,7 +132,9 @@ class PanelData:
     panel's endpoints at -1 and +1.  Indexing acts on all fields at once:
     panels[ip], ip a 1-D index array, holds one row per entry of ip and is
     what the stages take; panels[k] is panel k without the panel axis, for
-    reading its fields.  len and iteration run over the panels.
+    reading its fields.  len and iteration run over the panels.  power is
+    the one basis of the panel map: (PANEL_ORDER, 2) monomial coefficients
+    of eta' and eta per panel, lowest degree first.
     """
 
     z_nodes: np.ndarray          # physical node positions
@@ -132,12 +143,7 @@ class PanelData:
     scale: np.ndarray            # affine scale: t = scale*(z - mid)
     mid: np.ndarray
     nodes_t: np.ndarray          # transformed node positions
-    eta: np.ndarray              # poly coefficients, eta(GL_NODES) = nodes_t
-    # derivative coefficients of eta with a zero top coefficient, so that
-    # eta and eta' stack into one array for one legval sweep; Clenshaw's
-    # constants follow the degree, so the zero adds one step that adds a
-    # signed zero, and the value is that of the 15-term series
-    eta_p: np.ndarray
+    power: np.ndarray            # eta' and eta, eta(GL_NODES) = nodes_t
     length: np.ndarray           # physical panel length (approx)
     reach: np.ndarray            # cull radius of the correction (prepare_panel)
     extent: np.ndarray           # largest distance of a node from mid
@@ -162,8 +168,8 @@ class PanelLocalFrame:
     Each field holds one entry per pair along the batch's 1-D pair axis.
     pair numbers the pairs in the batch that locate_preimage solved; take
     keeps those numbers.  series holds, per pair, the four series values
-    that the residual check and estimate_error read, from one Clenshaw
-    sweep.  The frame carries no residue of p_0: correction_rows builds
+    that the residual check and estimate_error read, from one Horner
+    pass.  The frame carries no residue of p_0: correction_rows builds
     it for the pairs it corrects.
     """
 
@@ -190,24 +196,28 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     scale = 2.0 / (zb - za)
     nodes_t = scale[:, None] * (z_nodes - mid[:, None])
     # degree-15 parametrization of each transformed panel: eta(xi) with
-    # eta(GL_NODES[k]) = nodes_t[k], stored as Legendre coefficients;
+    # eta(GL_NODES[k]) = nodes_t[k], fitted in Legendre coefficients;
     # noise-level coefficients are zeroed so evaluation stays stable a
     # couple of panel lengths out; one matrix-vector product per panel
     # keeps each panel's coefficients independent of the stack
     eta = (_LEGV_INV @ nodes_t[:, :, None])[:, :, 0]
     eta[np.abs(eta) < 1e-14 * np.abs(eta).max(axis=-1, keepdims=True)] = 0.0
-    # eta' padded with a zero top coefficient to eta's length
+    # eta' (with a zero top coefficient) and eta go to monomials by one
+    # real matrix product per panel
     eta_p = np.zeros_like(eta)
     eta_p[:, :-1] = npleg.legder(eta, axis=-1)
+    power = (_LEG2POW @ np.stack((eta_p, eta), -1).view(float)).view(complex)
     # reach: the largest distance from a point of eta(boundary of E_rho) to
     # its _RIM_NODE node (at most 2% above the nearest-node distance); a
-    # target farther from every node has its preimage outside E_rho.  Its
-    # rounding may vary with the stack size, which moves only pairs whose
-    # estimates lie far below the threshold
-    reach = np.abs(eta @ _RIM_LEGV.T - nodes_t[:, _RIM_NODE]).max(axis=1)
+    # target farther from every node has its preimage outside E_rho.  One
+    # matrix product costs a tenth of a Horner pass here; its rounding may
+    # vary with the stack size, which moves only pairs whose estimates lie
+    # far below the threshold
+    rim = power[:, :, 1] @ _RIM_POW.T
+    reach = np.abs(rim - nodes_t[:, _RIM_NODE]).max(axis=1)
     return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
-                     nodes_t=nodes_t, eta=eta, eta_p=eta_p,
+                     nodes_t=nodes_t, power=power,
                      length=np.sum(np.abs(zp_nodes) * w_alpha, axis=-1),
                      reach=reach / np.abs(scale),
                      extent=np.abs(z_nodes - mid[:, None]).max(axis=1))
@@ -216,34 +226,24 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
 
-    panel holds one row per target z0.  Newton runs in the power basis:
-    one real matrix-vector product per pair (by _LEG2POW) takes the
-    Legendre coefficients of eta' and eta to monomial ones, and each step
-    evaluates [eta'; eta] at [xi; xi] of the live pairs by Horner's rule,
-    in fewer NumPy operations than a Clenshaw sweep.  Each pair stops when eta'
-    vanishes at its iterate, when its Newton step falls below 1e-14
-    relative to max(1, |xi|), or after NEWTON_MAXITER steps.  Acceptance
-    stays on the Legendre series: one Clenshaw sweep (npleg.legval) fills
-    the frame's series values at xi0 for every pair, and its preimage is
-    accepted (newton_ok) when the residual |eta(xi0) - z0t| is within
-    NEWTON_TOL relative to max(1, |z0t|) and |xi0| < 10.
+    panel holds one row per target z0.  Each Newton step evaluates
+    [eta'; eta] at [xi; xi] of the live pairs by one _horner pass over
+    panel.power.  Each pair stops when eta' vanishes at its iterate, when
+    its Newton step falls below 1e-14 relative to max(1, |xi|), or after
+    NEWTON_MAXITER steps.  One more pass fills the frame's series values
+    at xi0 for every pair, and its preimage is accepted (newton_ok) when
+    the residual |eta(xi0) - z0t| is within NEWTON_TOL relative to
+    max(1, |z0t|) and |xi0| < 10.
     """
     zt = panel.transform(z0)
     xi = zt.copy()
-    # (PANEL_ORDER, 2, m): monomial coefficients of eta' then eta, per pair
-    legendre = np.stack((panel.eta_p, panel.eta), axis=-1)
-    power = np.ascontiguousarray(np.moveaxis(
-        (_LEG2POW @ legendre.view(float)).view(complex), 0, -1))
+    # (PANEL_ORDER, 2, m): eta' then eta, per pair
+    power = np.moveaxis(panel.power, 0, -1)
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
         x = xi[live]
-        xx, coef = (np.concatenate((x, x)),
-                    power[:, :, live].reshape(PANEL_ORDER, -1))
-        # Horner's rule: elementwise, so a pair's value does not depend on
-        # the others in the batch
-        both = coef[-1]
-        for row in coef[-2::-1]:
-            both = both * xx + row
+        both = _horner(power[:, :, live].reshape(PANEL_ORDER, -1),
+                       np.concatenate((x, x)))
         dp, val = both[:live.size], both[live.size:]
         moving = dp != 0
         live, dp = live[moving], dp[moving]
@@ -253,10 +253,10 @@ def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
                       < 1e-14 * np.maximum(1.0, np.abs(xi[live])))]
         if live.size == 0:
             break
-    series = npleg.legval(
-        np.concatenate((xi, xi, xi, np.conj(xi))),
-        np.concatenate((panel.eta, panel.eta_p, np.conj(panel.eta_p),
-                        panel.eta)).T, tensor=False).reshape(4, -1).T
+    eta_p, eta = power[:, 0], power[:, 1]
+    series = _horner(
+        np.concatenate((eta, eta_p, np.conj(eta_p), eta), axis=1),
+        np.concatenate((xi, xi, xi, np.conj(xi)))).reshape(4, -1).T
     resid = np.abs(series[:, 0] - zt)
     ok = ((resid <= NEWTON_TOL * np.maximum(1.0, np.abs(zt)))
           & (np.abs(xi) < 10.0))

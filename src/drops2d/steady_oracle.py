@@ -75,8 +75,18 @@ def steady_solution(b: float, E: float, M: int = 256) -> dict:
             "A": A, "alphaV": alphaV, "length": L}
 
 
+class NoSteadyState(ValueError):
+    """Q lies off the stable branch, whose largest capillary number is
+    q_max."""
+
+    def __init__(self, Q, q_max):
+        super().__init__(f"no steady state at Q={Q} (max Q ~ {q_max:.4f})")
+        self.q_max = q_max
+
+
 def b_from_q(Q: float, E: float) -> float:
-    """Invert Q(b) on the lower (stable) branch by bisection."""
+    """Invert Q(b) on the lower (stable) branch by bisection
+    (NoSteadyState when Q lies off it)."""
     if Q == 0.0:
         return 0.0
     bs = np.linspace(1e-6, B_MAX, 400)
@@ -84,7 +94,7 @@ def b_from_q(Q: float, E: float) -> float:
     peak = int(np.argmax(qs))
     lo, hi = 1e-9, bs[peak]
     if not steady_q(lo, E) <= Q <= qs[peak]:
-        raise ValueError(f"no steady state at Q={Q} (max Q ~ {qs[peak]:.4f})")
+        raise NoSteadyState(Q, qs[peak])
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if steady_q(mid, E) < Q:

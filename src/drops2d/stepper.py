@@ -62,6 +62,13 @@ class StepController:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, not {self.tol}")
+        for name in ("dt", "dt_min", "dt_max"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"not {getattr(self, name)}")
+        if self.dt_min > self.dt_max:
+            raise ValueError(f"dt_min {self.dt_min} exceeds dt_max "
+                             f"{self.dt_max}")
         self.dt = min(max(self.dt, self.dt_min), self.dt_max)
 
     def update(self, r: float, t: float) -> float:

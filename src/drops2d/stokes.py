@@ -77,9 +77,10 @@ class FlowConfig:
     eos: str = "linear"
 
     def __post_init__(self):
-        for v, name in ((self.Q, "Q"), (self.B, "B"), (self.G, "G")):
+        for v, name in ((self.Q, "Q"), (self.B, "B"), (self.G, "G"),
+                        (self.E, "E")):
             if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} must be finite, not {v}")
         if self.eos not in ("linear", "langmuir"):
             raise ValueError("eos must be 'linear' or 'langmuir'")
         if self.Pe is None or not self.Pe > 0:

@@ -105,6 +105,19 @@ def test_oracle_refuses_bad_values_before_writing(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_steady_reports_q_of_the_command_line(tmp_path, capsys):
+    # the oracle's capillary number is twice the Q of the command line; the
+    # error used to read "no steady state at Q=10.0 (max Q ~ 0.2593)"
+    q_max = max(steady_oracle.steady_q(b, 0.5)
+                for b in np.linspace(1e-6, steady_oracle.B_MAX, 400))
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "steady", "--Q", "5", "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert (f"error: no steady state at Q=5.0 (max Q ~ {q_max / 2:.4f})"
+            in capsys.readouterr().err)
+    assert 0.1296 <= q_max / 2 <= 0.1297
+
+
 def test_run_from_config_file(tmp_path):
     cfg = ScenarioConfig(
         name="tiny", drops=[DropSpec(shape="circle", rho0=1.0, n=32)],

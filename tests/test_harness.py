@@ -312,14 +312,59 @@ T = uniform_alpha(256)
     (replace(custom_drop(np.exp(-1j * T)), phase=0.3),
      "drop 1: phase applies to circles only"),
     (DropSpec(center=-3.2, radius=0.3, n=32), "drops 0 and 1 are nested"),
-    (DropSpec(center=3.0, n=32, rho0=-0.1), "drop 1: negative rho0"),
+    (DropSpec(center=3.0, n=32, rho0=-0.1),
+     "drop 1: rho0 must be finite and non-negative, not -0.1"),
+    # each NaN below used to pass and fail at the first density solve as
+    # "GMRES residual nan"; an infinite radius passed build_state too
+    (DropSpec(center=3.0, n=32, rho0=np.nan),
+     "drop 1: rho0 must be finite and non-negative, not nan"),
+    (DropSpec(center=3.0, n=32, rho0=np.inf), "drop 1: rho0 must be finite"),
+    (DropSpec(center=3.0, n=32, lam=np.nan),
+     "drop 1: lam must be finite and non-negative, not nan"),
+    (DropSpec(center=3.0, n=32, radius=np.nan),
+     "drop 1: radius must be finite and non-negative, not nan"),
+    (DropSpec(center=3.0, n=32, radius=np.inf),
+     "drop 1: radius must be finite and non-negative, not inf"),
+    (DropSpec(center=complex(np.nan, 0), n=32),
+     "drop 1 has non-finite nodes"),
 ], ids=["counterclockwise", "self_crossing", "ellipse_phase", "custom_phase",
-        "nested", "negative_rho0"])
+        "nested", "negative_rho0", "nan_rho0", "inf_rho0", "nan_lam",
+        "nan_radius", "inf_radius", "nan_center"])
 def test_build_state_rejects_bad_drop(drop, message):
     cfg = ScenarioConfig(name="bad", drops=[DropSpec(center=-3.0, n=64), drop],
                          flow=FlowConfig(), run=RunSpec())
     with pytest.raises(ValueError, match=message):
         build_state(cfg)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_flow_refuses_non_finite_e(value):
+    # a NaN E used to reach the first density solve of a run
+    with pytest.raises(ValueError, match=f"E must be finite, not {value}"):
+        replace(tiny_config().flow, E=value)
+
+
+def test_interface_refuses_nan_viscosity_ratio():
+    with pytest.raises(ValueError, match="viscosity ratio .* not nan"):
+        Interface(z=np.exp(-1j * uniform_alpha(32)), lam=np.nan)
+
+
+@pytest.mark.parametrize("run, name", [
+    # fixed_dt -1e-3 stepped backwards for ever; 0 ended in "GMRES
+    # residual nan"
+    (RunSpec(fixed_dt=-1e-3), "dt"),
+    (RunSpec(fixed_dt=0.0), "dt"),
+    (RunSpec(fixed_dt=np.nan), "dt"),
+    (RunSpec(dt0=np.nan), "dt"),
+    (RunSpec(dt0=-1e-3), "dt"),
+    (RunSpec(dt_max=0.0), "dt_max"),
+    (RunSpec(dt_max=np.nan), "dt_max"),
+], ids=["fixed_dt_negative", "fixed_dt_zero", "fixed_dt_nan", "dt0_nan",
+        "dt0_negative", "dt_max_zero", "dt_max_nan"])
+def test_controller_refuses_bad_steps(run, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                                         "positive"):
+        harness._controller(run)
 
 
 def test_build_state_rejects_unresolved_ellipse():
