@@ -29,16 +29,8 @@ def _cmd_run(args):
     return 0
 
 
-def _write_curve(path, header, nu, alphaV, z, rho):
-    """Oracle CSV: the header line, then nu, alphaV, x, y, rho per point."""
-    with open(path, "w") as fh:
-        fh.write(header + "\nnu,alphaV,x,y,rho\n")
-        for row in zip(nu, alphaV, z.real, z.imag, rho):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
 def _cmd_oracle(args):
-    from .harness import PAIR_CLEAN_PHI0, preset
+    from .harness import PAIR_CLEAN_PHI0, preset, write_csv
     from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
                               physical_frame)
     from .steady_oracle import NoSteadyState, b_from_q, steady_solution
@@ -73,17 +65,20 @@ def _cmd_oracle(args):
     path = os.path.join(args.out_dir, f"{args.kind}_oracle.csv")
     if args.kind == "steady":
         # Q is the FlowConfig Q that holds this steady state
-        _write_curve(path, f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
-                     f"E = {args.E}, b = {b:.17g}",
-                     sol["nu"], sol["alphaV"], sol["z"], sol["rho"])
-        print(f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f} -> {path}")
-        return 0
-    out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end, tol=args.tol)
-    z, rho, aV = physical_frame(out)
-    _write_curve(path, f"# t = {out.t:.17g}, phi = {out.phi:.17g}, "
-                 f"b = {out.b:.17g}, min_gap = {min_gap(out):.17g}, "
-                 f"Q = {args.Q:.17g}", out.nu, aV, z, rho)
-    print(f"pair oracle: t={out.t:.4f} min_gap={min_gap(out):.5f} -> {path}")
+        nu, aV, z, rho = sol["nu"], sol["alphaV"], sol["z"], sol["rho"]
+        head = (f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
+                f"E = {args.E}, b = {b:.17g}")
+        done = f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f}"
+    else:
+        out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
+                             tol=args.tol)
+        nu, (z, rho, aV) = out.nu, physical_frame(out)
+        head = (f"# t = {out.t:.17g}, phi = {out.phi:.17g}, b = {out.b:.17g}, "
+                f"min_gap = {min_gap(out):.17g}, Q = {args.Q:.17g}")
+        done = f"pair oracle: t={out.t:.4f} min_gap={min_gap(out):.5f}"
+    write_csv(path, head + "\nnu,alphaV,x,y,rho",
+              [nu, aV, z.real, z.imag, rho])
+    print(f"{done} -> {path}")
     return 0
 
 
@@ -118,18 +113,17 @@ def _cmd_compare(args):
 def _cmd_estimate_study(args):
     from .dirichlet import (GoursatReference, estimate_field,
                             evaluate_velocity, inside_star, solve_dirichlet)
+    from .harness import write_csv
 
     ref = GoursatReference()
     os.makedirs(args.out_dir, exist_ok=True)
+    xs = np.linspace(0.0, 1.35, args.grid)
+    X, Y = np.meshgrid(xs, xs)
+    pts = (X + 1j * Y).ravel()
+    mask = inside_star(pts, margin=1e-6)
     for n_panels in args.panels:
         sol = solve_dirichlet(n_panels, ref.velocity)
-        xs = np.linspace(0.0, 1.35, args.grid)
-        ys = np.linspace(0.0, 1.35, args.grid)
-        X, Y = np.meshgrid(xs, ys)
-        pts = (X + 1j * Y).ravel()
-        mask = inside_star(pts, margin=1e-6)
-        err = np.full(pts.shape, np.nan)
-        est = np.full(pts.shape, np.nan)
+        err, est = np.full((2, pts.size), np.nan)
         # one grid row at a time: the kernels are targets x nodes matrices
         for row in np.split(np.arange(pts.size), args.grid):
             sel = row[mask[row]]
@@ -137,10 +131,8 @@ def _cmd_estimate_study(args):
             err[sel] = np.abs(u_plain - ref.velocity(pts[sel]))
             est[sel] = estimate_field(sol, pts[sel])
         path = os.path.join(args.out_dir, f"estimate_grid_{n_panels}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,y,measured_error,estimate\n")
-            for p, e1, e2 in zip(pts, err, est):
-                fh.write(f"{p.real:.17g},{p.imag:.17g},{e1:.17g},{e2:.17g}\n")
+        write_csv(path, "x,y,measured_error,estimate",
+                  [pts.real, pts.imag, err, est])
         print(f"{n_panels} panels -> {path}")
     return 0
 

@@ -1,18 +1,32 @@
 """Scenario configuration, run driving, data output and oracle comparison.
 
 Configs are JSON key-trees of ScenarioConfig: a list of DropSpec, a
-stokes.FlowConfig and a RunSpec, whose fields are the keys.  Outputs are
-columnar CSV time series plus one snapshot file per output tick and a
-manifest carrying the config and its hash.  Runs are deterministic:
-rerunning a config byte-reproduces the outputs, and a restart from a
-checkpoint reproduces the remaining snapshots.
+stokes.FlowConfig and a RunSpec, whose fields are the keys.  Runs are
+deterministic: rerunning a config byte-reproduces the outputs, and a
+restart from a checkpoint reproduces the remaining snapshots.
 
 Drops are checked where they enter the program: build_state and
-load_checkpoint run check_drops, which requires each drop to be
-clockwise and free of self-crossings and each pair to be disjoint, and
-stepper.check_spacing, which requires each drop on equal arclength.
-After every accepted step, run_scenario runs its crossing part before
-the step reaches the series, a snapshot or a checkpoint.
+load_checkpoint run check_drops (each drop clockwise and free of
+self-crossings, each pair disjoint), stepper.check_spacing (equal
+arclength) and stepper.check_tension (positive surface tension).  After
+every accepted step, run_scenario runs its crossing part before the
+step reaches the series, a snapshot or a checkpoint.
+
+Output files.  write_csv writes every CSV of the package: header lines,
+then rows of comma-separated %.17g values, which round-trip every float64.
+- series.csv: t,dt,r,r_z,r_rho,accepted,un_max,iterations, area_k and
+  mass_k per drop k, min_dist; one row per accepted step (accepted is
+  always 1): the time after it, its size, its local error max(r_z, r_rho)
+  of position and mass, max |u.n| at its start, the GMRES iterations of
+  its second Stokes solve, areas, masses, the least distance of two drops.
+- snapshot_NNNNNN.csv: a "# t = <t>" line, then drop,alpha,x,y,rho,sigma
+  per node of each drop in turn (read_snapshot reads it back): the start,
+  one every output_every accepted steps, and the end.
+- steady_oracle.csv ("# Q = <Q>, D = <D>, E = <E>, b = <b>") and
+  pair_oracle.csv, the upper bubble ("# t = <t>, phi = <phi>, b = <b>,
+  min_gap = <gap>, Q = <Q>"), then nu,alphaV,x,y,rho per point of the
+  map; alphaV is the simulation's alpha.
+- estimate_grid_<panels>.csv: x,y,measured_error,estimate per grid point.
 """
 
 from __future__ import annotations
@@ -29,9 +43,11 @@ from .geometry import (Interface, circle, ellipse, interfaces_cross,
                        min_distance, self_intersects, to_equal_arclength)
 from .spectral import fourier_interp, resample
 from .stepper import (STOKES_TOL, CoupledState, StepController, advance_to,
-                      check_spacing)
+                      check_spacing, check_tension)
 from .stokes import FlowConfig
 from .surfactant import SurfactantField, surface_tension
+
+SNAPSHOT_COLUMNS = ("alpha", "x", "y", "rho", "sigma")
 
 
 @dataclass
@@ -76,12 +92,8 @@ class ScenarioConfig:
             if isinstance(o, np.ndarray):
                 return o.tolist()
             raise TypeError(type(o))
-        payload = {
-            "name": self.name,
-            "drops": [asdict(d) for d in self.drops],
-            "flow": asdict(self.flow),
-            "run": asdict(self.run),
-        }
+        payload = {"name": self.name, "drops": [asdict(d) for d in self.drops],
+                   "flow": asdict(self.flow), "run": asdict(self.run)}
         return json.dumps(payload, default=enc, indent=2, sort_keys=True)
 
     @classmethod
@@ -94,15 +106,10 @@ class ScenarioConfig:
             if isinstance(v, list):
                 return [dec(x) for x in v]
             return v
-        drops = []
-        for d in raw["drops"]:
-            d = {k: dec(v) for k, v in d.items()}
-            if d.get("axes"):
-                d["axes"] = tuple(d["axes"])
-            drops.append(DropSpec(**d))
-        flow = FlowConfig(**raw["flow"])
-        run = RunSpec(**raw["run"])
-        return cls(drops=drops, flow=flow, run=run, name=raw.get("name", "scenario"))
+        drops = [DropSpec(**{k: tuple(v) if k == "axes" and v else dec(v)
+                             for k, v in d.items()}) for d in raw["drops"]]
+        return cls(drops=drops, flow=FlowConfig(**raw["flow"]),
+                   run=RunSpec(**raw["run"]), name=raw.get("name", "scenario"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -124,9 +131,9 @@ class RunRecord:
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
     """Initial state of cfg; drops must pass check_drops, lie on equal
-    arclength (stepper.check_spacing) and have finite rho0, lam and
-    radius >= 0.  Every field refers to cfg.flow; a clean drop carries
-    rho = 0."""
+    arclength (stepper.check_spacing), have a positive surface tension
+    (stepper.check_tension) and finite rho0, lam and radius >= 0.  Every
+    field refers to cfg.flow; a clean drop carries rho = 0."""
     for k, d in enumerate(cfg.drops):
         for name in ("rho0", "lam", "radius"):
             if not 0 <= getattr(d, name) < np.inf:
@@ -138,6 +145,7 @@ def build_state(cfg: ScenarioConfig) -> CoupledState:
               for d in cfg.drops]
     state = CoupledState(ifaces=ifaces, fields=fields)
     check_spacing(state)
+    check_tension(state)
     return state
 
 
@@ -151,9 +159,17 @@ def _interface(k: int, d: DropSpec) -> Interface:
         raise ValueError(f"drop {k}: phase applies to circles only, "
                          f"not to {d.shape} drops")
     if d.shape == "ellipse":
+        if not np.isfinite(d.axes).all():
+            raise ValueError(f"drop {k}: axes must be finite, not {d.axes}")
         return ellipse(d.n, d.axes[0], d.axes[1], center=d.center, lam=d.lam)
-    z = np.asarray([complex(p[0], p[1]) if not np.iscomplexobj(p) else p
-                    for p in d.points])
+    try:
+        z = np.asarray([complex(p[0], p[1]) if not np.iscomplexobj(p) else p
+                        for p in d.points], dtype=complex)
+    except (TypeError, IndexError):
+        z = np.array([])
+    if not (z.size and np.isfinite(z).all()):
+        raise ValueError(f"drop {k}: custom points must be finite complex "
+                         "samples or (x, y) pairs")
     return to_equal_arclength(Interface(z=resample(z, d.n), lam=d.lam))
 
 
@@ -193,22 +209,11 @@ def _encloses(iface: Interface, pt: complex) -> bool:
 
 
 def _snapshot(state: CoupledState):
-    rows = []
-    for ifc, f in zip(state.ifaces, state.fields):
-        sig = surface_tension(f)
-        rows.append({
-            "alpha": ifc.alpha.copy(),
-            "x": ifc.z.real.copy(),
-            "y": ifc.z.imag.copy(),
-            "rho": f.rho.copy(),
-            "sigma": np.asarray(sig, dtype=float),
-        })
-    return {"t": state.t, "drops": rows}
-
-
-def _min_dist_all(state: CoupledState):
-    return min((min_distance(a, b) for a, b in combinations(state.ifaces, 2)),
-               default=np.inf)
+    return {"t": state.t, "drops": [
+        dict(zip(SNAPSHOT_COLUMNS, (ifc.alpha.copy(), ifc.z.real.copy(),
+                                    ifc.z.imag.copy(), f.rho.copy(),
+                                    surface_tension(f))))
+        for ifc, f in zip(state.ifaces, state.fields)]}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
@@ -219,9 +224,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
     if restart_from is not None:
         state, ctrl, counter = load_checkpoint(restart_from, cfg)
     else:
-        state = build_state(cfg)
-        ctrl = _controller(cfg.run)
-        counter = 0
+        state, ctrl, counter = build_state(cfg), _controller(cfg.run), 0
     rec = RunRecord(config=cfg)
     rec.snapshots.append(_snapshot(state))
     count = [counter]
@@ -236,7 +239,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
             "r_rho": info.r_rho, "accepted": 1, "un_max": info.un_max,
             "iterations": info.iterations,
             "areas": s.areas(), "masses": s.masses(),
-            "min_dist": _min_dist_all(s),
+            "min_dist": min((min_distance(a, b) for a, b in
+                             combinations(s.ifaces, 2)), default=np.inf),
         })
         if cfg.run.output_every and count[0] % cfg.run.output_every == 0:
             rec.snapshots.append(_snapshot(s))
@@ -258,40 +262,36 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = None,
     return rec
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def write_csv(path: str, header: str, columns):
+    """Write equal-length columns as CSV rows under the header lines, each
+    value as %.17g; no columns of length zero leave the header alone."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
+SERIES_KEYS = ("t", "dt", "r", "r_z", "r_rho", "accepted", "un_max",
+               "iterations")
 
 
 def write_outputs(rec: RunRecord, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     nd = len(rec.config.drops)
-    with open(os.path.join(out_dir, "series.csv"), "w") as fh:
-        head = ["t", "dt", "r", "r_z", "r_rho", "accepted", "un_max",
-                "iterations"]
-        head += [f"area_{k}" for k in range(nd)]
-        head += [f"mass_{k}" for k in range(nd)]
-        head += ["min_dist"]
-        fh.write(",".join(head) + "\n")
-        for row in rec.series:
-            vals = [_fmt(row[k]) for k in ("t", "dt", "r", "r_z", "r_rho")]
-            vals.append(str(row["accepted"]))
-            vals.append(_fmt(row["un_max"]))
-            vals.append(str(row["iterations"]))
-            vals += [_fmt(a) for a in row["areas"]]
-            vals += [_fmt(m) for m in row["masses"]]
-            vals.append(_fmt(row["min_dist"]))
-            fh.write(",".join(vals) + "\n")
+    head = [*SERIES_KEYS, *(f"{name}_{k}" for name in ("area", "mass")
+                            for k in range(nd)), "min_dist"]
+    table = np.array([[*(row[key] for key in SERIES_KEYS), *row["areas"],
+                       *row["masses"], row["min_dist"]]
+                      for row in rec.series], dtype=float)
+    write_csv(os.path.join(out_dir, "series.csv"), ",".join(head),
+              table.reshape(-1, len(head)).T)
+    names = "drop," + ",".join(SNAPSHOT_COLUMNS)
     for i, snap in enumerate(rec.snapshots):
-        path = os.path.join(out_dir, f"snapshot_{i:06d}.csv")
-        with open(path, "w") as fh:
-            fh.write(f"# t = {_fmt(snap['t'])}\n")
-            fh.write("drop,alpha,x,y,rho,sigma\n")
-            for k, d in enumerate(snap["drops"]):
-                for j in range(d["alpha"].shape[0]):
-                    fh.write(",".join([str(k), _fmt(d["alpha"][j]),
-                                       _fmt(d["x"][j]), _fmt(d["y"][j]),
-                                       _fmt(d["rho"][j]), _fmt(d["sigma"][j])])
-                             + "\n")
+        drops = snap["drops"]
+        write_csv(os.path.join(out_dir, f"snapshot_{i:06d}.csv"),
+                  f"# t = {snap['t']:.17g}\n{names}",
+                  [np.concatenate([np.full(d["x"].size, k)
+                                   for k, d in enumerate(drops)])]
+                  + [np.concatenate([d[key] for d in drops])
+                     for key in SNAPSHOT_COLUMNS])
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(json.dumps({"config_hash": rec.config.config_hash(),
                              "snapshots": len(rec.snapshots),
@@ -306,12 +306,9 @@ def read_snapshot(path: str) -> dict:
     with open(path) as fh:
         t = float(fh.readline().split("=")[1])
     data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-    drops = []
-    for k in np.unique(data[:, 0]).astype(int):
-        rows = data[data[:, 0] == k]
-        drops.append({key: rows[:, c].copy() for c, key in
-                      enumerate(("alpha", "x", "y", "rho", "sigma"), 1)})
-    return {"t": t, "drops": drops}
+    return {"t": t, "drops": [
+        dict(zip(SNAPSHOT_COLUMNS, data[data[:, 0] == k, 1:].T.copy()))
+        for k in np.unique(data[:, 0])]}
 
 
 def _controller(run: RunSpec, dt: float = None) -> StepController:
@@ -343,7 +340,8 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
 
     The checkpoint holds positions, concentrations, t and the controller;
     lambda comes from cfg.drops and every field refers to cfg.flow.  The
-    drops must keep cfg's N and pass check_drops and stepper.check_spacing.
+    drops must keep cfg's N and pass check_drops, stepper.check_spacing
+    and stepper.check_tension.
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
@@ -361,6 +359,7 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
               for k in range(len(cfg.drops))]
     state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
     check_spacing(state)
+    check_tension(state)
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
     return state, ctrl, meta["counter"]
@@ -406,39 +405,30 @@ def _pair_center(phi0: float) -> float:
 PRESETS = ("steady_single", "pair_clean", "pair_surfactant")
 
 
+def _pair(name, n, phi0, rho0, Pe, t_end):
+    """The two unit bubbles on +-i c whose conformal map has phi0."""
+    c = _pair_center(phi0)
+    drops = [DropSpec(shape="circle", center=s * 1j * c, radius=1.0,
+                      lam=0.0, rho0=rho0, n=n or 576, phase=s * np.pi / 2)
+             for s in (1, -1)]
+    return ScenarioConfig(
+        name=name, drops=drops, flow=FlowConfig(Q=0.5, E=0.5, Pe=Pe),
+        run=RunSpec(t_end=t_end, tol=1e-6, dt0=1e-3, dt_max=0.02,
+                    output_every=100))
+
+
 def preset(name: str, n: int = None) -> ScenarioConfig:
     """The validation configuration named name, one of PRESETS."""
     if name == "steady_single":
-        n = n or 128
         return ScenarioConfig(
             name=name,
             drops=[DropSpec(shape="circle", center=0.0, radius=1.0,
-                            lam=0.0, rho0=1.0, n=n)],
+                            lam=0.0, rho0=1.0, n=n or 128)],
             flow=FlowConfig(Q=0.07, E=0.5, Pe=np.inf, eos="linear"),
             run=RunSpec(t_end=200.0, steady=True, tol=1e-6, dt0=1e-3,
                         dt_max=0.1, output_every=200))
     if name == "pair_clean":
-        n = n or 576
-        c = _pair_center(PAIR_CLEAN_PHI0)
-        drops = [DropSpec(shape="circle", center=1j * c, radius=1.0,
-                          lam=0.0, rho0=0.0, n=n, phase=np.pi / 2),
-                 DropSpec(shape="circle", center=-1j * c, radius=1.0,
-                          lam=0.0, rho0=0.0, n=n, phase=-np.pi / 2)]
-        return ScenarioConfig(
-            name=name, drops=drops,
-            flow=FlowConfig(Q=0.5, E=0.5, Pe=np.inf),
-            run=RunSpec(t_end=1.5, tol=1e-6, dt0=1e-3, dt_max=0.02,
-                        output_every=100))
+        return _pair(name, n, PAIR_CLEAN_PHI0, 0.0, np.inf, 1.5)
     if name == "pair_surfactant":
-        n = n or 576
-        c = _pair_center(PAIR_SURF_PHI0)
-        drops = [DropSpec(shape="circle", center=1j * c, radius=1.0,
-                          lam=0.0, rho0=1.0, n=n, phase=np.pi / 2),
-                 DropSpec(shape="circle", center=-1j * c, radius=1.0,
-                          lam=0.0, rho0=1.0, n=n, phase=-np.pi / 2)]
-        return ScenarioConfig(
-            name=name, drops=drops,
-            flow=FlowConfig(Q=0.5, E=0.5, Pe=10.0, eos="linear"),
-            run=RunSpec(t_end=1.0, tol=1e-6, dt0=1e-3, dt_max=0.02,
-                        output_every=100))
+        return _pair(name, n, PAIR_SURF_PHI0, 1.0, 10.0, 1.0)
     raise ValueError(f"unknown preset {name}")

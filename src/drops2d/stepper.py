@@ -151,6 +151,24 @@ def check_spacing(state):
             raise SpacingDriftError(state.t, k, drift)
 
 
+class NonPositiveTensionError(ValueError):
+    """Drop `drop` reached surface tension `sigma_min` <= 0 at time t."""
+
+    def __init__(self, t: float, drop: int, sigma_min: float):
+        super().__init__(f"drop {drop}: surface tension {sigma_min:.3e} "
+                         f"<= 0 at t={t:.6g}")
+        self.t, self.drop, self.sigma_min = t, drop, sigma_min
+
+
+def check_tension(state):
+    """surface_tension of each drop of state, which must be positive."""
+    sigmas = [surface_tension(f) for f in state.fields]
+    for k, sig in enumerate(sigmas):
+        if sig.min() <= 0:
+            raise NonPositiveTensionError(state.t, k, float(sig.min()))
+    return sigmas
+
+
 def _filtered_field(f, rho, t, drop):
     """f carrying krasny_filter(rho), which must be nonnegative."""
     rho = krasny_filter(rho)
@@ -183,7 +201,7 @@ def local_errors(z_mid, z_euler, mass_before, mass_after):
 
 
 def _stage_eval(state: CoupledState, cfg: FlowConfig, tol):
-    sigmas = [surface_tension(f) for f in state.fields]
+    sigmas = check_tension(state)
     u_list, sol, _ = interface_velocity(state.ifaces, sigmas, cfg, tol=tol)
     decomps = [modified_tangential_velocity(i, u)
                for i, u in zip(state.ifaces, u_list)]
@@ -199,8 +217,9 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
     """One coupled midpoint/IMEX2 attempt of size ctrl.dt, judged by ctrl.
 
     Returns (candidate_state, info).  The drops must enter on
-    equal-arclength nodes (SpacingDriftError otherwise).  The material
-    parameters come from each field's flow; cfg gives the far field.
+    equal-arclength nodes (SpacingDriftError otherwise); a stage or the
+    candidate with rho < 0 or sigma <= 0 raises.  The material parameters
+    come from each field's flow; cfg gives the far field.
     """
     dt = ctrl.dt
 
@@ -235,6 +254,7 @@ def step(state: CoupledState, cfg: FlowConfig, ctrl: StepController,
 
     mass_before = state.masses()
     cand = CoupledState(ifaces=new_ifaces, fields=new_fields, t=state.t + dt)
+    check_tension(cand)
     r_z, r_rho = local_errors(z_new, z_eul, mass_before, cand.masses())
     r = max(r_z, r_rho)
     accepted = ctrl.judge(r, state.t)

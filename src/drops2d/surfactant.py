@@ -49,14 +49,11 @@ class SurfactantField:
 
 
 def surface_tension(f: SurfactantField) -> np.ndarray:
-    """sigma(rho): 1 - E rho (linear) or 1 + E log(1 - rho) (langmuir)."""
+    """sigma(rho): 1 - E rho (linear) or 1 + E log(1 - rho) (langmuir);
+    stepper.check_tension requires it positive."""
     if f.flow.eos == "linear":
-        sig = 1.0 - f.flow.E * f.rho
-    else:
-        sig = 1.0 + f.flow.E * np.log(1.0 - f.rho)
-    if np.any(sig <= 0):
-        raise ValueError("surface tension dropped to zero or below")
-    return sig
+        return 1.0 - f.flow.E * f.rho
+    return 1.0 + f.flow.E * np.log(1.0 - f.rho)
 
 
 def rhs_explicit(iface: Interface, f: SurfactantField,

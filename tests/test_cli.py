@@ -135,3 +135,24 @@ def test_run_from_config_file(tmp_path):
                                             .read_text())
     assert head["steps"] == 3 and head["snapshots"] == 4
     assert head["config_hash"] == cfg.config_hash()
+
+
+def test_run_preset_with_checkpoints(tmp_path, monkeypatch):
+    # --preset and --checkpoint-every, on a tiny stand-in for the preset
+    from drops2d import harness
+
+    def tiny(name, n=None):
+        return ScenarioConfig(
+            name=name, drops=[DropSpec(shape="circle", rho0=1.0, n=32)],
+            flow=FlowConfig(Q=0.05, E=0.3),
+            run=RunSpec(t_end=6e-3, fixed_dt=2e-3, output_every=0))
+
+    monkeypatch.setattr(harness, "preset", tiny)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", "steady_single", "--checkpoint-every",
+                 "1", "--out-dir", str(out_dir)]) == 0
+    assert len(lines(out_dir / "series.csv")) == 1 + 3
+    cfg = tiny("steady_single")
+    state, _, counter = harness.load_checkpoint(
+        str(out_dir / "checkpoint.npz"), cfg)
+    assert counter == 3 and state.t == pytest.approx(6e-3)

@@ -52,6 +52,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("nope")
 
+    @pytest.mark.parametrize("name, n, digest", [
+        ("steady_single", None, "4b580240ed8d31b9"),
+        ("steady_single", 64, "b52a9551b434cae8"),
+        ("pair_clean", None, "f04f238d5ca95cd7"),
+        ("pair_clean", 64, "faaf61c92aa52da6"),
+        ("pair_surfactant", None, "efd5aa680122abb0"),
+        ("pair_surfactant", 64, "c4574f5b3c5f233f")])
+    def test_config_pinned(self, name, n, digest):
+        # the validation configurations: a change to any field changes
+        # the hash that every manifest of their runs carries
+        assert preset(name, n).config_hash() == digest
+
 
 class TestConfigRoundTrip:
     def test_json(self):
@@ -84,6 +96,23 @@ class TestConfigRoundTrip:
         raw[section][key] = 1e-8
         with pytest.raises(TypeError, match=key):
             ScenarioConfig.from_json(json.dumps(raw))
+
+    def test_numpy_values_round_trip(self):
+        # NumPy scalars and arrays go through the encoder's .item() and
+        # .tolist() branches
+        cfg = tiny_config()
+        t = uniform_alpha(32)
+        cfg.drops = [replace(cfg.drops[0], n=np.int64(32),
+                             radius=np.float32(0.9)),
+                     DropSpec(shape="custom", n=32,
+                              points=3.0 + 0.5 * np.exp(-1j * t))]
+        text = cfg.to_json()
+        cfg2 = ScenarioConfig.from_json(text)
+        assert cfg2.to_json() == text
+        assert cfg2.config_hash() == cfg.config_hash()
+        assert type(cfg2.drops[0].n) is int and cfg2.drops[0].n == 32
+        assert cfg2.drops[0].radius == float(np.float32(0.9))
+        assert np.array_equal(cfg2.drops[1].points, cfg.drops[1].points)
 
     def test_infinite_pe_round_trip(self):
         cfg = preset("steady_single")
@@ -233,6 +262,25 @@ def test_series_contains_conservation_columns(tmp_path):
     assert np.abs(areas / areas[0] - 1).max() < 1e-8
 
 
+def test_write_csv_prints_every_value_as_17_digits(tmp_path):
+    # %.17g round-trips every float64, keeps the sign of zero, prints an
+    # integer as its digits, and no rows leave the header lines alone
+    vals = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                     np.finfo(float).max, 1 / 3, 17.0, -2.0])
+    path = tmp_path / "a.csv"
+    harness.write_csv(path, "# t = 0\na,b,n", [vals, vals[::-1], range(10)])
+    text = path.read_text()
+    assert text == "# t = 0\na,b,n\n" + "".join(
+        f"{a:.17g},{b:.17g},{k}\n" for k, (a, b) in
+        enumerate(zip(vals, vals[::-1])))
+    assert text.splitlines()[2] == "0.10000000000000001,-2,0"
+    back = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.array_equal(back[:, 0], vals, equal_nan=True)
+    assert np.signbit(back[1, 0])
+    harness.write_csv(path, "a,b", [[], []])
+    assert path.read_text() == "a,b\n"
+
+
 def test_clean_drop_carries_zero_rho_at_the_flow_pe():
     # a clean drop is the rho = 0 case of the surfactant equations: it
     # refers to the run's flow like any drop, and every step keeps rho at 0
@@ -327,9 +375,33 @@ T = uniform_alpha(256)
      "drop 1: radius must be finite and non-negative, not inf"),
     (DropSpec(center=complex(np.nan, 0), n=32),
      "drop 1 has non-finite nodes"),
+    (DropSpec(shape="blob", center=3.0, n=32), "drop 1: unknown shape blob"),
+    # non-finite axes used to stop in equal_arclength_nodes ("Newton step
+    # nan"), naming no drop; custom points that are None or plain reals
+    # raised a TypeError
+    (DropSpec(shape="ellipse", center=3.0, axes=(np.nan, 0.5), n=32),
+     r"drop 1: axes must be finite, not \(nan, 0.5\)"),
+    (DropSpec(shape="ellipse", center=3.0, axes=(0.5, np.inf), n=32),
+     r"drop 1: axes must be finite, not \(0.5, inf\)"),
+    (DropSpec(shape="custom", n=32), "drop 1: custom points must be finite"),
+    (DropSpec(shape="custom", n=32, points=[3.0, 3.5, 4.0, 3.5]),
+     "drop 1: custom points must be finite"),
+    (DropSpec(shape="custom", n=32, points=[]),
+     "drop 1: custom points must be finite"),
+    (DropSpec(shape="custom", n=32,
+              points=[complex(np.nan, 0)] + list(3.0 + 0.5 * np.exp(-1j * T))),
+     "drop 1: custom points must be finite"),
+    # sigma = 1 - E rho0 with the default E 0.5: these used to pass and
+    # fail at the first solve
+    (DropSpec(center=3.0, n=32, rho0=2.5),
+     r"drop 1: surface tension -2\.500e-01 <= 0 at t=0"),
+    (DropSpec(center=3.0, n=32, rho0=2.0), "drop 1: surface tension 0"),
 ], ids=["counterclockwise", "self_crossing", "ellipse_phase", "custom_phase",
         "nested", "negative_rho0", "nan_rho0", "inf_rho0", "nan_lam",
-        "nan_radius", "inf_radius", "nan_center"])
+        "nan_radius", "inf_radius", "nan_center", "unknown_shape",
+        "nan_axes", "inf_axes", "custom_points_none", "custom_points_reals",
+        "custom_points_empty", "custom_points_nan", "tension_negative",
+        "tension_zero"])
 def test_build_state_rejects_bad_drop(drop, message):
     cfg = ScenarioConfig(name="bad", drops=[DropSpec(center=-3.0, n=64), drop],
                          flow=FlowConfig(), run=RunSpec())

@@ -7,8 +7,8 @@ from drops2d import stepper
 from drops2d.geometry import Interface, circle, to_equal_arclength
 from drops2d.spectral import uniform_alpha
 from drops2d.stepper import (CoupledState, NegativeConcentrationError,
-                             SpacingDriftError, StepController, advance_to,
-                             local_errors, step)
+                             NonPositiveTensionError, SpacingDriftError,
+                             StepController, advance_to, local_errors, step)
 from drops2d.stokes import FlowConfig
 from drops2d.surfactant import SurfactantField
 
@@ -191,6 +191,28 @@ def test_negative_concentration_raises_with_state(monkeypatch):
     assert err.value.drop == 1
     assert err.value.t == pytest.approx(0.251)
     assert err.value.rho_min == pytest.approx(0.5 - 1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dt, t", [(0.05, 0.275), (0.02, 0.27)],
+                         ids=["half_step", "candidate"])
+def test_step_names_drop_whose_tension_drops_to_zero(dt, t):
+    # drop 1 starts at sigma = 1 - 0.5 * 1.98 = 0.01, and the extensional
+    # flow sweeps its surfactant to the poles: a step of 0.05 takes rho
+    # past 2 at the half step, one of 0.02 only in the candidate.  A plain
+    # ValueError without t, drop or value used to come out of
+    # surface_tension, and a candidate with sigma < 0 was accepted.
+    flow = FlowConfig(Q=0.5)
+    state = CoupledState(
+        ifaces=[circle(32, center=-3.0), circle(32, center=3.0)],
+        fields=[SurfactantField(np.zeros(32), flow),
+                SurfactantField(np.full(32, 1.98), flow)], t=0.25)
+    with pytest.raises(NonPositiveTensionError) as err:
+        step(state, flow, StepController(tol=np.inf, dt=dt, dt_min=dt,
+                                         dt_max=dt))
+    assert isinstance(err.value, ValueError)
+    assert err.value.drop == 1 and err.value.t == pytest.approx(t)
+    assert -0.03 < err.value.sigma_min <= 0
+    assert str(err.value).startswith("drop 1: surface tension -")
 
 
 def test_step_rejects_nodes_off_equal_arclength():
