@@ -151,7 +151,11 @@ def main(argv=None):
     g.add_argument("--preset", help="named preset", choices=PRESETS)
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--checkpoint-every", type=int, default=0)
-    p_run.add_argument("--restart-from", default=None)
+    p_run.add_argument("--restart-from", default=None,
+                       help="checkpoint.npz to continue from; it must hold "
+                            "the config's number of drops at the config's "
+                            "N, and lambda, E, Pe and eos come from the "
+                            "config")
     p_run.set_defaults(func=_cmd_run)
 
     p_or = sub.add_parser("oracle", help="generate oracle data")

@@ -5,12 +5,16 @@ stokes.FlowConfig and a RunSpec, whose fields are the keys.  Runs are
 deterministic: rerunning a config byte-reproduces the outputs, and a
 restart from a checkpoint reproduces the remaining snapshots.
 
-Drops are checked where they enter the program: build_state and
-load_checkpoint run check_drops (each drop clockwise and free of
-self-crossings, each pair disjoint), stepper.check_spacing (equal
-arclength) and stepper.check_tension (positive surface tension).  After
-every accepted step, run_scenario runs its crossing part before the
-step reaches the series, a snapshot or a checkpoint.
+A state enters a run only through _admit, which build_state (from a
+config) and load_checkpoint (from a file) call on the interfaces and rho
+samples they build.  It refuses a non-finite t and, naming the drop, an
+interface whose N is not its drop's and a rho sample that is not finite
+or is negative; then it runs check_drops (each drop clockwise and free
+of self-crossings, each pair disjoint), refers every field to cfg.flow,
+and runs stepper.check_spacing (equal arclength) and
+stepper.check_tension (positive surface tension).  After every accepted
+step, run_scenario runs the crossing part of check_drops before the step
+reaches the series, a snapshot or a checkpoint.
 
 Output files.  write_csv writes every CSV of the package: header lines,
 then rows of comma-separated %.17g values, which round-trip every float64.
@@ -130,20 +134,40 @@ class RunRecord:
 
 
 def build_state(cfg: ScenarioConfig) -> CoupledState:
-    """Initial state of cfg; drops must pass check_drops, lie on equal
-    arclength (stepper.check_spacing), have a positive surface tension
-    (stepper.check_tension) and finite rho0, lam and radius >= 0.  Every
-    field refers to cfg.flow; a clean drop carries rho = 0."""
+    """Initial state of cfg, admitted by _admit at t = 0; rho0, lam and
+    radius must be finite and >= 0.  A clean drop carries rho = 0."""
     for k, d in enumerate(cfg.drops):
         for name in ("rho0", "lam", "radius"):
             if not 0 <= getattr(d, name) < np.inf:
                 raise ValueError(f"drop {k}: {name} must be finite and "
                                  f"non-negative, not {getattr(d, name)}")
-    ifaces = [_interface(k, d) for k, d in enumerate(cfg.drops)]
+    return _admit(cfg, [_interface(k, d) for k, d in enumerate(cfg.drops)],
+                  [np.full(d.n, d.rho0) for d in cfg.drops])
+
+
+def _admit(cfg: ScenarioConfig, ifaces, rhos, t=0.0) -> CoupledState:
+    """The state of cfg at time t with these interfaces and rho samples,
+    one per drop: the only way a state enters a run.
+
+    Raises ValueError unless t is finite and, naming the drop, unless
+    each interface has its drop's N and every rho sample is finite and
+    >= 0; then runs check_drops, refers every field to cfg.flow, and runs
+    stepper.check_spacing and stepper.check_tension.
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, not {t}")
+    for k, (ifc, rho, d) in enumerate(zip(ifaces, rhos, cfg.drops)):
+        # build_state makes every interface at N; only a checkpoint can differ
+        if ifc.n != d.n:
+            raise ValueError(f"drop {k}: checkpoint has N {ifc.n}, "
+                             f"config has N {d.n}")
+        bad = rho[~((0 <= rho) & (rho < np.inf))]
+        if bad.size:
+            raise ValueError(f"drop {k}: rho must be finite and "
+                             f"non-negative, not {bad[0]}")
     check_drops(ifaces)
-    fields = [SurfactantField(np.full(d.n, d.rho0), cfg.flow)
-              for d in cfg.drops]
-    state = CoupledState(ifaces=ifaces, fields=fields)
+    state = CoupledState(ifaces=ifaces, t=t, fields=[
+        SurfactantField(rho, cfg.flow) for rho in rhos])
     check_spacing(state)
     check_tension(state)
     return state
@@ -152,6 +176,9 @@ def build_state(cfg: ScenarioConfig) -> CoupledState:
 def _interface(k: int, d: DropSpec) -> Interface:
     """Equal-arclength interface of drop k from its spec."""
     if d.shape == "circle":
+        if d.radius == 0:
+            raise ValueError(f"drop {k}: radius must be positive, "
+                             f"not {d.radius}")
         return circle(d.n, d.radius, d.center, d.lam, d.phase)
     if d.shape not in ("ellipse", "custom"):
         raise ValueError(f"drop {k}: unknown shape {d.shape}")
@@ -161,6 +188,8 @@ def _interface(k: int, d: DropSpec) -> Interface:
     if d.shape == "ellipse":
         if not np.isfinite(d.axes).all():
             raise ValueError(f"drop {k}: axes must be finite, not {d.axes}")
+        if min(d.axes) <= 0:
+            raise ValueError(f"drop {k}: axes must be positive, not {d.axes}")
         return ellipse(d.n, d.axes[0], d.axes[1], center=d.center, lam=d.lam)
     try:
         z = np.asarray([complex(p[0], p[1]) if not np.iscomplexobj(p) else p
@@ -339,27 +368,18 @@ def load_checkpoint(path: str, cfg: ScenarioConfig):
     """State and controller saved by save_checkpoint.
 
     The checkpoint holds positions, concentrations, t and the controller;
-    lambda comes from cfg.drops and every field refers to cfg.flow.  The
-    drops must keep cfg's N and pass check_drops, stepper.check_spacing
-    and stepper.check_tension.
+    lambda comes from cfg.drops and every field refers to cfg.flow.  It
+    must hold cfg's number of drops; _admit admits its state.
     """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     if meta["n_drops"] != len(cfg.drops):
         raise ValueError(f"checkpoint has {meta['n_drops']} drops, "
                          f"config has {len(cfg.drops)}")
-    ifaces = [Interface(z=data[f"z_{k}"], lam=d.lam)
-              for k, d in enumerate(cfg.drops)]
-    for k, (iface, d) in enumerate(zip(ifaces, cfg.drops)):
-        if iface.n != d.n:
-            raise ValueError(f"drop {k}: checkpoint has N {iface.n}, "
-                             f"config has N {d.n}")
-    check_drops(ifaces)
-    fields = [SurfactantField(data[f"rho_{k}"], cfg.flow)
-              for k in range(len(cfg.drops))]
-    state = CoupledState(ifaces=ifaces, fields=fields, t=meta["t"])
-    check_spacing(state)
-    check_tension(state)
+    state = _admit(cfg, [Interface(z=data[f"z_{k}"], lam=d.lam)
+                         for k, d in enumerate(cfg.drops)],
+                   [data[f"rho_{k}"] for k in range(len(cfg.drops))],
+                   meta["t"])
     ctrl = _controller(cfg.run, dt=meta["dt"])
     ctrl.retake_count = meta["retakes"]
     return state, ctrl, meta["counter"]

@@ -33,15 +33,16 @@ takes one moment recursion and one batched Vandermonde solve for all of
 its pairs.  The path-deformation residues of p_0 are built in
 correction_rows, only for the pairs it builds rows for.
 
-The panel map eta has one basis.  prepare_panel fits it in Legendre
-polynomials and converts the fit once into monomial coefficients of eta'
-and eta (PanelData.power).  On a few hundred pairs a series costs its
-count of NumPy operations, not its length, so each evaluation of a
-batch is one Horner pass over power: every Newton step and the frame's
-four series values, which the residual check and estimate_error read.
-A preimage is accepted on the evaluation of eta that Newton converged
-on.  The rim points of the reach are one product with their monomial
-Vandermonde.
+The panel map eta is one polynomial.  prepare_panel fits it in Legendre
+polynomials and converts the fit once into monomial coefficients
+(PanelData.power); locate_preimage, the only reader of eta', forms it
+from them by the power rule once per call.  On a few hundred pairs a
+series costs its count of NumPy operations, not its length, so each
+evaluation of a batch is one Horner pass: every Newton step and the
+frame's four series values, which the residual check and estimate_error
+read.  A preimage is accepted on the evaluation of eta that Newton
+converged on.  The rim points of the reach are one product of power with
+their monomial Vandermonde.
 
 There is one correction mechanism: overwrite_near_blocks writes the
 special rows of the flagged pairs over the plain entries of the weighted
@@ -133,8 +134,9 @@ class PanelData:
     panels[ip], ip a 1-D index array, holds one row per entry of ip and is
     what the stages take; panels[k] is panel k without the panel axis, for
     reading its fields.  len and iteration run over the panels.  power is
-    the one basis of the panel map: (PANEL_ORDER, 2) monomial coefficients
-    of eta' and eta per panel, lowest degree first.
+    the one polynomial of the panel map: PANEL_ORDER monomial coefficients
+    of eta per panel, lowest degree first; locate_preimage forms eta'
+    from them.
     """
 
     z_nodes: np.ndarray          # physical node positions
@@ -143,7 +145,7 @@ class PanelData:
     scale: np.ndarray            # affine scale: t = scale*(z - mid)
     mid: np.ndarray
     nodes_t: np.ndarray          # transformed node positions
-    power: np.ndarray            # eta' and eta, eta(GL_NODES) = nodes_t
+    power: np.ndarray            # eta, eta(GL_NODES) = nodes_t
     length: np.ndarray           # physical panel length (approx)
     reach: np.ndarray            # cull radius of the correction (prepare_panel)
     extent: np.ndarray           # largest distance of a node from mid
@@ -202,18 +204,15 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
     # keeps each panel's coefficients independent of the stack
     eta = (_LEGV_INV @ nodes_t[:, :, None])[:, :, 0]
     eta[np.abs(eta) < 1e-14 * np.abs(eta).max(axis=-1, keepdims=True)] = 0.0
-    # eta' (with a zero top coefficient) and eta go to monomials by one
-    # real matrix product per panel
-    eta_p = np.zeros_like(eta)
-    eta_p[:, :-1] = npleg.legder(eta, axis=-1)
-    power = (_LEG2POW @ np.stack((eta_p, eta), -1).view(float)).view(complex)
+    # to monomials by one real matrix product per panel
+    power = (_LEG2POW @ eta[:, :, None].view(float)).view(complex)[:, :, 0]
     # reach: the largest distance from a point of eta(boundary of E_rho) to
     # its _RIM_NODE node (at most 2% above the nearest-node distance); a
     # target farther from every node has its preimage outside E_rho.  One
     # matrix product costs a tenth of a Horner pass here; its rounding may
     # vary with the stack size, which moves only pairs whose estimates lie
     # far below the threshold
-    rim = power[:, :, 1] @ _RIM_POW.T
+    rim = power @ _RIM_POW.T
     reach = np.abs(rim - nodes_t[:, _RIM_NODE]).max(axis=1)
     return PanelData(z_nodes=z_nodes, zp_nodes=np.asarray(zp_nodes),
                      w_alpha=np.asarray(w_alpha), scale=scale, mid=mid,
@@ -226,19 +225,23 @@ def prepare_panel(z_nodes, zp_nodes, w_alpha, za, zb) -> PanelData:
 def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
     """Solve eta(xi0) = z0 (transformed) by Newton from the affine guess.
 
-    panel holds one row per target z0.  Each Newton step evaluates
-    [eta'; eta] at [xi; xi] of the live pairs by one _horner pass over
-    panel.power.  Each pair stops when eta' vanishes at its iterate, when
-    its Newton step falls below 1e-14 relative to max(1, |xi|), or after
-    NEWTON_MAXITER steps.  One more pass fills the frame's series values
-    at xi0 for every pair, and its preimage is accepted (newton_ok) when
-    the residual |eta(xi0) - z0t| is within NEWTON_TOL relative to
-    max(1, |z0t|) and |xi0| < 10.
+    panel holds one row per target z0.  eta' is formed from panel.power
+    before the loop, and each Newton step evaluates [eta'; eta] at
+    [xi; xi] of the live pairs by one _horner pass.  Each pair stops when
+    eta' vanishes at its iterate, when its Newton step falls below 1e-14
+    relative to max(1, |xi|), or after NEWTON_MAXITER steps.  One more
+    pass fills the frame's series values at xi0 for every pair, and its
+    preimage is accepted (newton_ok) when the residual |eta(xi0) - z0t|
+    is within NEWTON_TOL relative to max(1, |z0t|) and |xi0| < 10.
     """
     zt = panel.transform(z0)
     xi = zt.copy()
-    # (PANEL_ORDER, 2, m): eta' then eta, per pair
-    power = np.moveaxis(panel.power, 0, -1)
+    # (PANEL_ORDER, 2, m): eta' then eta, per pair; eta' by the power rule
+    # p'_k = (k + 1) p_{k+1} with a zero top coefficient, so one pass sums both
+    power = np.zeros((PANEL_ORDER, 2, zt.size), dtype=complex)
+    eta_p, eta = power[:, 0], power[:, 1]
+    eta[:] = panel.power.T
+    eta_p[:-1] = np.arange(1.0, PANEL_ORDER)[:, None] * eta[1:]
     live = np.arange(zt.size)
     for _ in range(NEWTON_MAXITER):
         x = xi[live]
@@ -253,7 +256,6 @@ def locate_preimage(panel: PanelData, z0) -> PanelLocalFrame:
                       < 1e-14 * np.maximum(1.0, np.abs(xi[live])))]
         if live.size == 0:
             break
-    eta_p, eta = power[:, 0], power[:, 1]
     series = _horner(
         np.concatenate((eta, eta_p, np.conj(eta_p), eta), axis=1),
         np.concatenate((xi, xi, xi, np.conj(xi)))).reshape(4, -1).T

@@ -40,6 +40,14 @@ def test_circle_helper_is_valid():
     assert abs(c.length() - 2 * np.pi) < 1e-12
 
 
+def test_zero_tangent_has_no_normal_or_curvature():
+    # a constant z has z' = 0 at every node
+    point = Interface(z=np.full(32, 1.0 + 0j))
+    for fn in (normals, curvature):
+        with pytest.raises(ValueError, match="degenerate curve: zero tangent"):
+            fn(point)
+
+
 class TestNormals:
     def test_unit_circle(self):
         c = circle(64)

@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 from dataclasses import replace
 
@@ -113,6 +114,12 @@ class TestConfigRoundTrip:
         assert type(cfg2.drops[0].n) is int and cfg2.drops[0].n == 32
         assert cfg2.drops[0].radius == float(np.float32(0.9))
         assert np.array_equal(cfg2.drops[1].points, cfg.drops[1].points)
+
+    def test_value_without_encoding_refused(self):
+        cfg = tiny_config()
+        cfg.drops[0] = replace(cfg.drops[0], points=[object()])
+        with pytest.raises(TypeError, match="object"):
+            cfg.to_json()
 
     def test_infinite_pe_round_trip(self):
         cfg = preset("steady_single")
@@ -246,6 +253,22 @@ class TestCompare:
         for rep in diff["drops"].values():
             assert 1e-6 < rep["e_z_max"] < 1e-2
 
+    def test_cli_compare_refuses_unmatched_directories(self, tmp_path):
+        from drops2d.cli import main
+
+        for name, t in (("a", 0.0), ("b", 0.5)):
+            (tmp_path / name).mkdir()
+            harness.write_csv(str(tmp_path / name / "snapshot_000000.csv"),
+                              f"# t = {t}\ndrop,alpha,x,y,rho,sigma",
+                              [[0], [0.0], [1.0], [0.0], [0.0], [1.0]])
+        (tmp_path / "empty").mkdir()
+        a, b, empty = (str(tmp_path / name) for name in ("a", "b", "empty"))
+        with pytest.raises(SystemExit, match=f"no snapshots in {empty}"):
+            main(["compare", a, empty])
+        with pytest.raises(SystemExit,
+                           match="snapshot times differ: 0.0 vs 0.5"):
+            main(["compare", a, b])
+
 
 def test_series_contains_conservation_columns(tmp_path):
     cfg = tiny_config(fixed_dt=2e-3)
@@ -373,6 +396,16 @@ T = uniform_alpha(256)
      "drop 1: radius must be finite and non-negative, not nan"),
     (DropSpec(center=3.0, n=32, radius=np.inf),
      "drop 1: radius must be finite and non-negative, not inf"),
+    # a zero radius or axis, or a negative axis, used to be refused as a
+    # drop that is not clockwise or crosses itself
+    (DropSpec(center=3.0, n=32, radius=0.0),
+     "drop 1: radius must be positive, not 0.0"),
+    (DropSpec(shape="ellipse", center=3.0, axes=(0.0, 1.0), n=32),
+     r"drop 1: axes must be positive, not \(0.0, 1.0\)"),
+    (DropSpec(shape="ellipse", center=3.0, axes=(1.0, 0.0), n=32),
+     r"drop 1: axes must be positive, not \(1.0, 0.0\)"),
+    (DropSpec(shape="ellipse", center=3.0, axes=(-1.0, 1.0), n=32),
+     r"drop 1: axes must be positive, not \(-1.0, 1.0\)"),
     (DropSpec(center=complex(np.nan, 0), n=32),
      "drop 1 has non-finite nodes"),
     (DropSpec(shape="blob", center=3.0, n=32), "drop 1: unknown shape blob"),
@@ -398,7 +431,8 @@ T = uniform_alpha(256)
     (DropSpec(center=3.0, n=32, rho0=2.0), "drop 1: surface tension 0"),
 ], ids=["counterclockwise", "self_crossing", "ellipse_phase", "custom_phase",
         "nested", "negative_rho0", "nan_rho0", "inf_rho0", "nan_lam",
-        "nan_radius", "inf_radius", "nan_center", "unknown_shape",
+        "nan_radius", "inf_radius", "zero_radius", "zero_first_axis",
+        "zero_second_axis", "negative_axis", "nan_center", "unknown_shape",
         "nan_axes", "inf_axes", "custom_points_none", "custom_points_reals",
         "custom_points_empty", "custom_points_nan", "tension_negative",
         "tension_zero"])
@@ -476,6 +510,32 @@ def test_load_checkpoint_rejects_reversed_drop(tmp_path):
     data = dict(np.load(path))
     np.savez(path, **{**data, "z_0": data["z_0"][::-1]})
     with pytest.raises(ValueError, match="drop 0 is not clockwise"):
+        load_checkpoint(path, cfg)
+
+
+def _meta(data, **meta):
+    return json.dumps({**json.loads(str(data["meta"])), **meta})
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a NaN rho used to pass and stop the restart at its first solve as
+    # "GMRES residual nan"; a negative one was refused naming no drop
+    (lambda d: {"rho_0": np.where(np.arange(64) == 5, np.nan, d["rho_0"])},
+     "drop 0: rho must be finite and non-negative, not nan"),
+    (lambda d: {"rho_0": np.where(np.arange(64) == 5, -0.25, d["rho_0"])},
+     "drop 0: rho must be finite and non-negative, not -0.25"),
+    # a NaN t used to pass, and the restart ended after 0 steps at t = nan
+    (lambda d: {"meta": _meta(d, t=np.nan)}, "t must be finite, not nan"),
+    (lambda d: {"meta": _meta(d, t=np.inf)}, "t must be finite, not inf"),
+], ids=["nan_rho", "negative_rho", "nan_t", "inf_t"])
+def test_load_checkpoint_rejects_bad_values(tmp_path, edit, message):
+    cfg = tiny_config(fixed_dt=2e-3)
+    cfg.run.t_end, cfg.run.checkpoint_every = 4e-3, 1
+    run_scenario(cfg, out_dir=str(tmp_path))
+    path = str(tmp_path / "checkpoint.npz")
+    data = dict(np.load(path))
+    np.savez(path, **{**data, **edit(data)})
+    with pytest.raises(ValueError, match=f"^{message}$"):
         load_checkpoint(path, cfg)
 
 

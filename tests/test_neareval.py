@@ -87,7 +87,7 @@ class TestPreimage:
         z0 = 0.98 * np.exp(1j * np.pi / 8)
         fr = locate_preimage(panel, one(z0))
         assert fr.newton_ok
-        eta_val = np.polynomial.polynomial.polyval(fr.xi0, panel.power[0, :, 1])
+        eta_val = np.polynomial.polynomial.polyval(fr.xi0, panel.power[0])
         assert abs(eta_val - panel.transform(z0)) < 1e-13
 
 
@@ -596,7 +596,7 @@ def at_preimage(star, xi):
     """
     panel = star[5]
     return (complex(panel.mid + np.polynomial.polynomial.polyval(
-        xi, panel.power[:, 1]) / panel.scale), 5)
+        xi, panel.power) / panel.scale), 5)
 
 
 class TestBatchInvariance:
@@ -757,6 +757,14 @@ def horner(coef, x):
     return val
 
 
+def derivative(eta):
+    """Monomial coefficients of eta' from those of eta, one series per
+    row, by p'_k = (k + 1) p_{k+1} with a zero top coefficient."""
+    eta_p = np.zeros_like(eta)
+    eta_p[:, :-1] = np.arange(1.0, 16) * eta[:, 1:]
+    return eta_p
+
+
 def reference_frame(panel, z0):
     """(xi0, newton_ok) of locate_preimage, one evaluation per series.
 
@@ -764,7 +772,8 @@ def reference_frame(panel, z0):
     eta are summed from panel.power by Horner's rule, each on its own, and
     so is eta for the residual.
     """
-    eta_p, eta = panel.power[:, :, 0], panel.power[:, :, 1]
+    eta = panel.power
+    eta_p = derivative(eta)
     zt = panel.transform(z0)
     xi = zt.copy()
     live = np.arange(zt.size)
@@ -842,7 +851,8 @@ def reference_estimate(panel, xi0, newton_ok, mu_inf):
     on_segment = (np.abs(xi0.imag) < 1e-14) & (np.abs(xi0.real) <= 1.0)
     k = np.flatnonzero(newton_ok & ~on_segment)
     xi, mu = xi0[k], mu[k]
-    eta_p, eta = panel.power[k, :, 0], panel.power[k, :, 1]
+    eta = panel.power[k]
+    eta_p = derivative(eta)
     s = np.sqrt(xi * xi - 1.0)
     s = np.where(np.abs(xi + s) < 1.0, -s, s)
     kn = 2.0 * np.pi / (xi + s) ** 33
@@ -890,7 +900,7 @@ class TestStackedSweep:
     @pytest.mark.parametrize("shape", ["star", "pinched", "pair"])
     def test_power_reproduces_the_nodes(self, shape):
         panels = equivalence_panels()[shape]
-        eta = horner(np.repeat(panels.power[:, :, 1], 16, axis=0),
+        eta = horner(np.repeat(panels.power, 16, axis=0),
                      np.tile(GL_NODES, len(panels))).reshape(-1, 16)
         assert np.all(np.abs(eta - panels.nodes_t) <= 1e-14)
 

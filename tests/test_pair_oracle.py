@@ -273,6 +273,12 @@ def test_state_refuses_nv_below_one():
                            rho=np.zeros(1))
 
 
+def test_state_refuses_rho_off_its_grid():
+    st = pair_from_circles(16, phi=0.35, rho0=1.0)
+    with pytest.raises(ValueError, match="rho must live on the 2\\*MV\\+1"):
+        replace(st, rho=st.rho[:-1])
+
+
 @pytest.mark.parametrize("rho0", [-1.0, np.nan])
 def test_pair_from_circles_refuses_negative_rho0(rho0):
     # -1 failed mid-run with PairOracleError

@@ -58,6 +58,10 @@ class TestResample:
         up = resample(f, 64)
         assert np.abs(up - np.cos(3 * uniform_alpha(64))).max() < 1e-13
 
+    def test_refuses_fewer_than_two_points(self):
+        with pytest.raises(ValueError, match="new_n must be at least 2"):
+            resample(np.ones(8), 1)
+
     def test_trapezoid_invariant(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(7)
@@ -235,6 +239,15 @@ def test_axis0_batch_equals_columns(n, dtype):
     both = spectral.spectral_derivatives(vals, (1, 2))
     assert np.array_equal(both[0], spectral_derivative(vals, 1))
     assert np.array_equal(both[1], spectral_derivative(vals, 2))
+
+
+@pytest.mark.parametrize("fn", [lambda v: spectral.uniform_to_gl(v, 4),
+                                spectral.antiderivative],
+                         ids=["uniform_to_gl", "antiderivative"])
+def test_complex_input_acts_on_real_and_imaginary_parts(fn):
+    vals = _stack(64, 1, complex, 7)[:, 0]
+    want = fn(vals.real) + 1j * fn(vals.imag)
+    assert np.abs(fn(vals) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_cached_multipliers_are_read_only():

@@ -64,6 +64,7 @@ class TestSteadySolution:
 
 def test_b_from_q_round_trip():
     for E in (0.5, 0.9):
+        assert b_from_q(0.0, E) == 0.0
         for b in (0.05, 0.2, 0.3):
             q = steady_q(b, E)
             assert b_from_q(q, E) == pytest.approx(b, abs=1e-10)

@@ -159,6 +159,13 @@ class TestGmresSolve:
         assert iterations == 1
         assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
 
+    def test_zero_right_hand_side_takes_no_iteration(self):
+        calls = []
+        x, res, iterations = gmres_solve(lambda v: calls.append(v) or v,
+                                         np.zeros(8), 1e-12)
+        assert np.array_equal(x, np.zeros(8)) and res == 0.0
+        assert iterations == 0 and calls == []
+
 
 class TestVelocity:
     def test_equilibrium_circle_velocity(self):

@@ -36,6 +36,12 @@ class TestSurfaceTension:
         with pytest.raises(ValueError):
             SurfactantField(rho=np.ones(64), flow=FlowConfig(eos="langmuir"))
 
+    def test_field_refuses_negative_rho(self):
+        rho = np.ones(64)
+        rho[5] = -1e-3
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SurfactantField(rho=rho)
+
     @pytest.mark.parametrize("params", [
         dict(Pe=-1.0), dict(Pe=0.0), dict(Pe=None), dict(Pe=-0.01),
         dict(E=1.5, eos="langmuir"), dict(eos="frumkin")])
