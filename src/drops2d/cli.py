@@ -33,7 +33,7 @@ def _cmd_oracle(args):
     from .harness import PAIR_CLEAN_PHI0, preset, write_csv
     from .pair_oracle import (evolve_pair, min_gap, pair_from_circles,
                               physical_frame)
-    from .steady_oracle import NoSteadyState, b_from_q, steady_solution
+    from .steady_oracle import b_from_q, steady_solution
     from .stepper import StepController
 
     # an unset option takes its value from the preset the oracle checks
@@ -49,26 +49,21 @@ def _cmd_oracle(args):
     # before --out-dir is created
     try:
         if args.kind == "steady":
-            b = args.b if args.b is not None else b_from_q(2 * args.Q, args.E)
+            b = args.b if args.b is not None else b_from_q(args.Q, args.E)
             sol = steady_solution(b, E=args.E, M=args.points)
         else:
             st = pair_from_circles(args.nv, phi=args.phi, rho0=args.rho0,
                                    E=args.E, Pe=args.Pe)
             StepController(tol=args.tol)    # evolve_pair's check of tol
-    except NoSteadyState as exc:
-        # the oracle's capillary number is twice the Q of the command line
-        args.usage_error(f"no steady state at Q={args.Q} "
-                         f"(max Q ~ {exc.q_max / 2:.4f})")
     except ValueError as exc:
         args.usage_error(str(exc))
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.kind}_oracle.csv")
     if args.kind == "steady":
-        # Q is the FlowConfig Q that holds this steady state
         nu, aV, z, rho = sol["nu"], sol["alphaV"], sol["z"], sol["rho"]
-        head = (f"# Q = {sol['Q'] / 2:.17g}, D = {sol['D']:.17g}, "
+        head = (f"# Q = {sol['Q']:.17g}, D = {sol['D']:.17g}, "
                 f"E = {args.E}, b = {b:.17g}")
-        done = f"steady oracle: Q={sol['Q'] / 2:.6f} D={sol['D']:.6f}"
+        done = f"steady oracle: Q={sol['Q']:.6f} D={sol['D']:.6f}"
     else:
         out, _ = evolve_pair(st, Q_phys=args.Q, t_end=args.t_end,
                              tol=args.tol)

@@ -8,10 +8,10 @@ restart from a checkpoint reproduces the remaining snapshots.
 A state enters a run only through _admit, which build_state (from a
 config) and load_checkpoint (from a file) call on the interfaces and rho
 samples they build.  It refuses a non-finite t and, naming the drop, an
-interface whose N is not its drop's and a rho sample that is not finite
-or is negative; then it runs check_drops (each drop clockwise and free
-of self-crossings, each pair disjoint), refers every field to cfg.flow,
-and runs stepper.check_spacing (equal arclength) and
+interface or a rho whose length is not its drop's N and a rho sample
+that is not finite or is negative; then it runs check_drops (each drop
+clockwise and free of self-crossings, each pair disjoint), refers every
+field to cfg.flow, and runs stepper.check_spacing (equal arclength) and
 stepper.check_tension (positive surface tension).  After every accepted
 step, run_scenario runs the crossing part of check_drops before the step
 reaches the series, a snapshot or a checkpoint.
@@ -150,9 +150,9 @@ def _admit(cfg: ScenarioConfig, ifaces, rhos, t=0.0) -> CoupledState:
     one per drop: the only way a state enters a run.
 
     Raises ValueError unless t is finite and, naming the drop, unless
-    each interface has its drop's N and every rho sample is finite and
-    >= 0; then runs check_drops, refers every field to cfg.flow, and runs
-    stepper.check_spacing and stepper.check_tension.
+    each interface and its rho have their drop's N and every rho sample
+    is finite and >= 0; then runs check_drops, refers every field to
+    cfg.flow, and runs stepper.check_spacing and stepper.check_tension.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, not {t}")
@@ -161,6 +161,9 @@ def _admit(cfg: ScenarioConfig, ifaces, rhos, t=0.0) -> CoupledState:
         if ifc.n != d.n:
             raise ValueError(f"drop {k}: checkpoint has N {ifc.n}, "
                              f"config has N {d.n}")
+        if len(rho) != d.n:
+            raise ValueError(f"drop {k}: checkpoint has {len(rho)} rho "
+                             f"samples, config has N {d.n}")
         bad = rho[~((0 <= rho) & (rho < np.inf))]
         if bad.size:
             raise ValueError(f"drop {k}: rho must be finite and "

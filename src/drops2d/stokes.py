@@ -63,10 +63,9 @@ class FlowConfig:
     FlowConfig, and only this class checks them.  Viscosity ratios are
     per drop and live on Interface.lam.
 
-    This Q is the one convention of the package.  The pair oracle runs
-    at the same rate (pair_oracle.evolve_pair's Q_phys = Q); the steady
-    oracle's capillary number is twice it (the steady state of
-    steady_oracle.b_from_q(2 Q, E) is a fixed point of this Q).
+    This Q is the one convention of the package, and both oracles take
+    it: pair_oracle.evolve_pair's Q_phys is this Q, and the steady state
+    of steady_oracle.b_from_q(Q, E) is a fixed point of this Q.
     """
 
     Q: float = 0.0

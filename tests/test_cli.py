@@ -56,7 +56,7 @@ def test_oracle_defaults_come_from_presets(monkeypatch, tmp_path):
     steady, set_steady, pair = calls
 
     flow = preset("steady_single").flow
-    assert steady == ((b_from_q(2 * flow.Q, flow.E),), {"E": flow.E, "M": 512})
+    assert steady == ((b_from_q(flow.Q, flow.E),), {"E": flow.E, "M": 512})
     assert set_steady == ((0.2,), {"E": 0.3, "M": 512})
 
     cfg = preset("pair_clean")
@@ -106,16 +106,29 @@ def test_oracle_refuses_bad_values_before_writing(argv, tmp_path, capsys):
 
 
 def test_oracle_steady_reports_q_of_the_command_line(tmp_path, capsys):
-    # the oracle's capillary number is twice the Q of the command line; the
-    # error used to read "no steady state at Q=10.0 (max Q ~ 0.2593)"
+    # the error once read "no steady state at Q=10.0 (max Q ~ 0.2593)",
+    # in Siegel's convention of twice the Q of the command line
     q_max = max(steady_oracle.steady_q(b, 0.5)
                 for b in np.linspace(1e-6, steady_oracle.B_MAX, 400))
     with pytest.raises(SystemExit) as err:
         main(["oracle", "steady", "--Q", "5", "--out-dir", str(tmp_path)])
     assert err.value.code == 2
-    assert (f"error: no steady state at Q=5.0 (max Q ~ {q_max / 2:.4f})"
+    assert (f"error: no steady state at Q=5.0 (max Q ~ {q_max:.4f})"
             in capsys.readouterr().err)
-    assert 0.1296 <= q_max / 2 <= 0.1297
+    assert 0.1296 <= q_max <= 0.1297
+
+
+def test_oracle_steady_refuses_q_past_positive_rho(tmp_path, capsys):
+    # at E 0.1 rho reaches 0 at Q 0.0540, before the branch's peak; Q 0.1
+    # used to pass b_from_q and be refused as "flow too strong"
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "steady", "--E", "0.1", "--Q", "0.1",
+              "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert ("error: no steady state at Q=0.1 (max Q ~ 0.0540)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_run_from_config_file(tmp_path):

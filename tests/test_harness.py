@@ -38,11 +38,11 @@ class TestPresets:
         assert preset("pair_surfactant", n=64).flow.Pe == 10.0
 
     def test_steady_single(self):
-        # the preset's Q holds the steady oracle state at oracle Q = 2Q
+        # the preset's Q holds the steady oracle state of that Q
         cfg = preset("steady_single")
         assert cfg.run.steady and not np.isfinite(cfg.flow.Pe)
         flow, n = cfg.flow, cfg.drops[0].n
-        sol = steady_solution(b_from_q(2 * flow.Q, flow.E), E=flow.E)
+        sol = steady_solution(b_from_q(flow.Q, flow.E), E=flow.E)
         z, rho = oracle_on_uniform_alpha(sol, n)
         iface = Interface(z, lam=cfg.drops[0].lam)
         field = SurfactantField(rho, flow)
@@ -527,7 +527,11 @@ def _meta(data, **meta):
     # a NaN t used to pass, and the restart ended after 0 steps at t = nan
     (lambda d: {"meta": _meta(d, t=np.nan)}, "t must be finite, not nan"),
     (lambda d: {"meta": _meta(d, t=np.inf)}, "t must be finite, not inf"),
-], ids=["nan_rho", "negative_rho", "nan_t", "inf_t"])
+    # a rho cut to 32 samples used to pass, and the restart stopped at its
+    # first step with "all input arrays must have the same shape"
+    (lambda d: {"rho_0": d["rho_0"][:32]},
+     "drop 0: checkpoint has 32 rho samples, config has N 64"),
+], ids=["nan_rho", "negative_rho", "nan_t", "inf_t", "short_rho"])
 def test_load_checkpoint_rejects_bad_values(tmp_path, edit, message):
     cfg = tiny_config(fixed_dt=2e-3)
     cfg.run.t_end, cfg.run.checkpoint_every = 4e-3, 1

@@ -3,11 +3,13 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from drops2d import pair_oracle
 from drops2d.harness import (PAIR_CLEAN_PHI0, PAIR_SURF_PHI0, _pair_center,
                              build_state, compare_to_oracle, preset,
                              run_scenario)
 from drops2d.pair_oracle import (FLOW_RESIDUAL_TOL, ConformalPairState,
-                                 PairFlowField, PairOracleError, _real_root,
+                                 PairFlowField, PairOracleError,
+                                 _apply_update, _real_root,
                                  bubble_area, evolve_pair,
                                  interface_velocity, mapping_rhs, min_gap,
                                  pair_from_circles, physical_frame, solve_b,
@@ -284,6 +286,27 @@ def test_pair_from_circles_refuses_negative_rho0(rho0):
     # -1 failed mid-run with PairOracleError
     with pytest.raises(ValueError, match="rho0 must be non-negative"):
         pair_from_circles(16, phi=0.35, rho0=rho0)
+
+
+def test_flow_solve_refuses_a_residual_above_its_tolerance(monkeypatch):
+    monkeypatch.setattr(pair_oracle, "FLOW_RESIDUAL_TOL", 0.0)
+    with pytest.raises(PairOracleError, match=r"^flow solve residual "
+                       r"\S+ exceeds 0e\+00 \(NV=16, phi=0\.3500\)$"):
+        solve_flow(pair_from_circles(16, phi=0.35), 0.5)
+
+
+def test_sigma_refuses_negative_concentration():
+    st = pair_from_circles(16, phi=0.35, rho0=1.0)
+    st = replace(st, rho=np.full_like(st.rho, -1e-9))
+    with pytest.raises(PairOracleError,
+                       match="^negative surfactant concentration$"):
+        surfactant_sigma(st)
+
+
+def test_update_refuses_phi_leaving_the_unit_interval():
+    st = pair_from_circles(16, phi=0.35)
+    with pytest.raises(PairOracleError, match=r"^phi left \(0,1\): 1\.1"):
+        _apply_update(st, np.zeros(st.nv), 0.75)
 
 
 @pytest.fixture(scope="module")

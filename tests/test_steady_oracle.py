@@ -5,7 +5,8 @@ from scipy.optimize import brentq
 
 from drops2d.geometry import Interface, modified_tangential_velocity
 from drops2d.spectral import equal_arclength_nodes, fourier_interp
-from drops2d.steady_oracle import b_from_q, steady_q, steady_solution
+from drops2d.steady_oracle import (NoSteadyState, b_from_q, steady_q,
+                                   steady_solution)
 from drops2d.stokes import FlowConfig, interface_velocity
 from drops2d.surfactant import SurfactantField, rhs_explicit, surface_tension
 
@@ -36,8 +37,8 @@ class TestSteadySolution:
         i1 = quad(lambda nu: np.sqrt(B(nu)), 0, 2 * np.pi, limit=200)[0]
         i2 = quad(B, 0, 2 * np.pi, limit=200)[0]
         A = (i1 - 2 * np.pi * E) / i2
-        want = A * b / np.sqrt(1 + b**2)
-        assert steady_q(b, E) == pytest.approx(want, abs=1e-12)
+        want = A * b / (2 * np.sqrt(1 + b**2))
+        assert steady_q(b, E) == pytest.approx(want, abs=5e-13)
 
     def test_mass_is_two_pi(self):
         for b, E in ((0.1, 0.5), (0.3, 0.5), (0.25, 0.9)):
@@ -70,8 +71,9 @@ def test_b_from_q_round_trip():
             assert b_from_q(q, E) == pytest.approx(b, abs=1e-10)
 
 
-@pytest.mark.parametrize("Q, E", [(0.14, 0.5), (0.1, 0.5), (0.05, 0.2),
-                                  (0.2, 0.1), (0.01, 0.9)])
+@pytest.mark.parametrize("Q, E", [(0.07, 0.5), (0.05, 0.5), (0.1, 0.5),
+                                  (0.025, 0.2), (0.05, 0.2), (0.05, 0.1),
+                                  (0.005, 0.9), (0.01, 0.9)])
 def test_b_from_q_matches_brentq(Q, E):
     # the bisection against scipy's root finder on the same bracket
     bs = np.linspace(1e-6, 2.0, 400)
@@ -80,16 +82,32 @@ def test_b_from_q_matches_brentq(Q, E):
     assert abs(b_from_q(Q, E) - ref) < 1e-14
 
 
-@pytest.mark.parametrize("Q", [-0.1, 0.3])
-def test_b_from_q_rejects_q_off_the_branch(Q):
-    # the branch at E = 0.5 holds 0 < Q <= 0.259
-    with pytest.raises(ValueError, match="no steady state"):
-        b_from_q(Q, 0.5)
+@pytest.mark.parametrize("Q, E", [(-0.1, 0.5), (0.3, 0.5), (0.1, 0.1)],
+                         ids=["-0.1", "0.3", "0.1-0.1"])
+def test_b_from_q_rejects_q_off_the_branch(Q, E):
+    # the branch at E = 0.5 holds 0 < Q <= 0.1297; at E = 0.1 rho reaches
+    # 0 at Q = 0.0540, before the branch's peak at Q = 0.1794
+    with pytest.raises(NoSteadyState, match="no steady state"):
+        b_from_q(Q, E)
+
+
+@pytest.mark.parametrize("E, q_end", [(0.1, 0.053996), (0.2, 0.114145)])
+def test_branch_ends_where_rho_reaches_zero(E, q_end):
+    # the stable branch rises to Q 0.1794 at E 0.1 and 0.1661 at E 0.2,
+    # but rho reaches 0 earlier; every Q b_from_q accepts has a state
+    with pytest.raises(NoSteadyState) as exc:
+        b_from_q(q_end + 1e-6, E)
+    q_max = exc.value.q_max
+    assert abs(q_max - q_end) < 1e-6
+    for Q in np.linspace(0.0, q_max, 41):
+        sol = steady_solution(b_from_q(Q, E), E=E)
+        assert sol["rho"].min() > 0
+        assert sol["Q"] == pytest.approx(Q, abs=1e-12)
 
 
 def test_known_regime_values():
-    # Q = 0.14 at E = 0.5 sits near deformation 0.29
-    b = b_from_q(0.14, 0.5)
+    # Q = 0.07 at E = 0.5 sits near deformation 0.29
+    b = b_from_q(0.07, 0.5)
     sol = steady_solution(b, E=0.5)
     assert 0.28 < sol["D"] < 0.30
 
@@ -101,11 +119,11 @@ def oracle_on_uniform_alpha(sol, n):
 
 
 class TestSolverConvention:
-    """One Stokes solve at the oracle state, with solver Q = oracle Q / 2."""
+    """One Stokes solve at the oracle state of Q = 0.07 and E = 0.5."""
 
     @staticmethod
     def solve(Q):
-        sol = steady_solution(b_from_q(0.14, 0.5), E=0.5)
+        sol = steady_solution(b_from_q(0.07, 0.5), E=0.5)
         z, rho = oracle_on_uniform_alpha(sol, 128)
         iface = Interface(z, lam=0.0)
         flow = FlowConfig(Q=Q, E=0.5)
@@ -114,13 +132,15 @@ class TestSolverConvention:
         decomp = modified_tangential_velocity(iface, u[0])
         return u[0], decomp.u_n, rhs_explicit(iface, field, decomp)
 
-    def test_half_oracle_q_is_a_fixed_point(self):
+    def test_oracle_q_is_a_fixed_point(self):
         u, _, drho = self.solve(0.07)
         assert np.abs(u).max() < 5e-9
         assert np.abs(drho).max() < 5e-8
 
-    def test_oracle_q_is_not_at_rest(self):
-        _, u_n, _ = self.solve(0.14)
+    def test_twice_oracle_q_is_not_at_rest(self):
+        # Siegel's capillary number of this state is 0.14; as a FlowConfig
+        # Q it overdrives the state
+        _, u_n, _ = self.solve(2 * 0.07)
         assert np.abs(u_n).max() > 0.1
 
 
@@ -132,7 +152,6 @@ def test_cli_steady_oracle_defaults_to_steady_preset_q(tmp_path):
     with open(tmp_path / "steady_oracle.csv") as fh:
         header = dict(item.strip("# \n").split(" = ")
                       for item in fh.readline().split(","))
-    # the header holds the FlowConfig Q; the curve is the oracle's at 2Q
     Q = preset("steady_single").flow.Q
     assert float(header["Q"]) == pytest.approx(Q, abs=1e-15)
-    assert float(header["b"]) == b_from_q(2 * Q, 0.5)
+    assert float(header["b"]) == b_from_q(Q, 0.5)
