@@ -16,7 +16,7 @@ import numpy as np
 
 from .spectral import (MIN_POINTS, PANEL_ORDER, antiderivative,
                        equal_arclength_nodes, fourier_interp, krasny_filter,
-                       resample, spectral_derivatives, trapezoid,
+                       read_only, resample, spectral_derivatives, trapezoid,
                        uniform_alpha)
 
 REFINE = 4                  # refined points per node in min_distance
@@ -64,10 +64,7 @@ class Interface:
 
     @cached_property
     def _derivatives(self):
-        out = spectral_derivatives(self.z, (1, 2))
-        for d in out:
-            d.flags.writeable = False
-        return out
+        return tuple(map(read_only, spectral_derivatives(self.z, (1, 2))))
 
     def z_alpha(self) -> np.ndarray:
         return self._derivatives[0]

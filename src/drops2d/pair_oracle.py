@@ -54,8 +54,8 @@ from functools import cached_property
 import numpy as np
 
 from .spectral import (KRASNY_TOL, derivative_matrix,
-                       equal_arclength_parameter, modes, spectral_derivative,
-                       uniform_alpha)
+                       equal_arclength_parameter, modes, read_only,
+                       spectral_derivative, uniform_alpha)
 from .stepper import StepController
 
 FLOW_RESIDUAL_TOL = 1e-9
@@ -91,16 +91,19 @@ class ConformalPairState:
     def __post_init__(self):
         if not (0 < self.phi < 1):
             raise ValueError("phi must lie in (0, 1)")
-        if self.Pe is None or not self.Pe > 0:    # as stokes.FlowConfig
+        # E and Pe as stokes.FlowConfig admits them
+        if not np.isfinite(self.E):
+            raise ValueError(f"E must be finite, not {self.E}")
+        if self.Pe is None or not self.Pe > 0:
             raise ValueError("Pe must be positive (np.inf allowed), "
                              f"not {self.Pe}")
         a_pos = np.array(self.a_pos, dtype=float)
         if a_pos.size < 2:
             raise ValueError(f"nv must be at least 1, not {a_pos.size - 1}")
         a_pos[0] = self.b / (2 * np.sqrt(self.phi))
-        object.__setattr__(self, "a_pos", _read_only(a_pos))
+        object.__setattr__(self, "a_pos", read_only(a_pos))
         object.__setattr__(self, "rho",
-                           _read_only(np.array(self.rho, dtype=float)))
+                           read_only(np.array(self.rho, dtype=float)))
         if self.rho.shape != (self.n_grid,):
             raise ValueError("rho must live on the 2*MV+1 point grid")
 
@@ -119,11 +122,11 @@ class ConformalPairState:
     @cached_property
     def zeta(self) -> np.ndarray:
         j = np.arange(self.n_grid)
-        return _read_only(np.exp(2j * np.pi * j / self.n_grid))
+        return read_only(np.exp(2j * np.pi * j / self.n_grid))
 
     @cached_property
     def nu(self) -> np.ndarray:
-        return _read_only(uniform_alpha(self.n_grid))
+        return read_only(uniform_alpha(self.n_grid))
 
     def spectrum(self) -> np.ndarray:
         """Full coefficient array a_n, n = -NV..NV, in FFT layout."""
@@ -144,7 +147,7 @@ class ConformalPairState:
         zz = -self.b / (zeta - sq) ** 2 + _ev(da, m) / zeta
         zz_inv = -self.b / (1 / zeta - sq) ** 2 + _ev(_flip(da), m) * zeta
         zzz = 2 * self.b / (zeta - sq) ** 3 + _ev(dda, m) / zeta**2
-        return tuple(_read_only(v) for v in (z, zz, zz_inv, zzz))
+        return tuple(read_only(v) for v in (z, zz, zz_inv, zzz))
 
     @cached_property
     def diffusion(self) -> np.ndarray:
@@ -152,7 +155,7 @@ class ConformalPairState:
         Fourier derivative matrix: L rho = d_nu(rho_nu/|z_nu|)/(|z_nu| Pe)."""
         sp = np.abs(1j * self.zeta * self.geometry[1])
         D = derivative_matrix(self.n_grid)
-        return _read_only((D / sp) @ D / (sp * self.Pe)[:, None])
+        return read_only((D / sp) @ D / (sp * self.Pe)[:, None])
 
 
 @dataclass
@@ -162,11 +165,6 @@ class PairFlowField:
     K: complex
     F: np.ndarray
     residual: float
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def _deck_odd(c0, c_pos, phi, m):

@@ -12,9 +12,14 @@ inverse (equal_arclength_nodes), the only cumulative-arclength code.
 
 The uniform-grid transforms (spectral_derivative, resample, krasny_filter)
 act along axis 0, so that one call transforms the k fields of an (N, k)
-stack, each bit for bit as a call on it alone.  modes(n), the derivative
-multipliers, the derivative matrix, panel_grid and both transfer
-matrices are cached per size on first use (functools.cache), read-only.
+stack, each bit for bit as a call on it alone.
+
+Two rules hold for the whole module.  A transform returns real output for
+real input and complex output for complex input.  Cached arrays are
+read-only: modes(n), the derivative multipliers, the derivative matrix,
+panel_grid and both transfer matrices, each cached per size on first use
+(functools.cache); read_only, which geometry and pair_oracle use too,
+makes them so.
 """
 
 from __future__ import annotations
@@ -58,15 +63,20 @@ def uniform_alpha(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _real_like(vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, or its real part when the input vals was real."""
+    return out.real if np.isrealobj(vals) else out
 
 
 @cache
 def modes(n: int) -> np.ndarray:
     """Signed Fourier mode numbers in FFT layout."""
-    return _read_only(np.fft.fftfreq(n, 1.0 / n).round().astype(int))
+    return read_only(np.fft.fftfreq(n, 1.0 / n).round().astype(int))
 
 
 @cache
@@ -76,7 +86,7 @@ def _derivative_factor(n: int, order: int, ndim: int) -> np.ndarray:
     fac = (1j * modes(n)) ** order
     if n % 2 == 0 and order % 2 == 1:
         fac[n // 2] = 0.0
-    return _read_only(fac).reshape((n,) + (1,) * (ndim - 1))
+    return read_only(fac).reshape((n,) + (1,) * (ndim - 1))
 
 
 def spectral_derivatives(f, orders) -> tuple:
@@ -85,7 +95,7 @@ def spectral_derivatives(f, orders) -> tuple:
     coef = np.fft.fft(vals, axis=0)
     out = (np.fft.ifft(coef * _derivative_factor(len(vals), k, vals.ndim),
                        axis=0) for k in orders)
-    return tuple(d.real if np.isrealobj(vals) else d for d in out)
+    return tuple(_real_like(vals, d) for d in out)
 
 
 def spectral_derivative(f, order: int = 1) -> np.ndarray:
@@ -98,7 +108,7 @@ def derivative_matrix(n: int) -> np.ndarray:
     """The real n x n matrix D with D @ f = spectral_derivative(f), built from
     its first column: D is circulant, D[i, j] = D[(i - j) mod n, 0]."""
     k = np.arange(n)
-    return _read_only(spectral_derivative(k == 0)[np.subtract.outer(k, k) % n])
+    return read_only(spectral_derivative(k == 0)[np.subtract.outer(k, k) % n])
 
 
 def resample(f, new_n: int) -> np.ndarray:
@@ -121,17 +131,13 @@ def resample(f, new_n: int) -> np.ndarray:
     if h > 0:
         out[-h:] = coef[-h:]
     if keep % 2 == 0:
-        # split the shared Nyquist mode symmetrically to keep real data real
-        nyq = coef[h] if n <= new_n else coef[-h]
+        # the shared Nyquist mode keeps real data real: padding splits it,
+        # truncation folds the +-h modes into it
         if n < new_n:
-            out[h] = 0.5 * nyq
-            out[-h] = 0.5 * nyq
-        elif n > new_n:
-            out[h] = coef[h] + coef[-h] if new_n % 2 == 0 else coef[h]
-    res = np.fft.ifft(out, axis=0) * new_n
-    if np.isrealobj(vals):
-        return res.real
-    return res
+            out[h] = out[-h] = 0.5 * coef[h]
+        else:
+            out[h] = coef[h] + coef[-h]
+    return _real_like(vals, np.fft.ifft(out, axis=0) * new_n)
 
 
 def krasny_filter(f) -> np.ndarray:
@@ -140,10 +146,7 @@ def krasny_filter(f) -> np.ndarray:
     n = vals.shape[0]
     coef = np.fft.fft(vals, axis=0) / n
     coef[np.abs(coef) < KRASNY_TOL] = 0.0
-    out = np.fft.ifft(coef, axis=0) * n
-    if np.isrealobj(vals):
-        return out.real
-    return out
+    return _real_like(vals, np.fft.ifft(coef, axis=0) * n)
 
 
 def fourier_matrix(n: int, targets) -> np.ndarray:
@@ -166,10 +169,8 @@ def fourier_interp(f, targets) -> np.ndarray:
     Direct Fourier-series evaluation through fourier_matrix, O(N * M).
     """
     vals = np.asarray(f)
-    out = fourier_matrix(vals.shape[0], targets) @ np.fft.fft(vals)
-    if np.isrealobj(vals):
-        return out.real
-    return out
+    return _real_like(vals, fourier_matrix(vals.shape[0], targets)
+                      @ np.fft.fft(vals))
 
 
 @cache
@@ -180,17 +181,14 @@ def uniform_to_gl_matrix(n: int, n_panels: int) -> np.ndarray:
     n_panels rows at the panel starts.
     """
     grid = panel_grid(n_panels)
-    return _read_only(fourier_matrix(n, np.concatenate([grid.alpha,
-                                                        grid.endpoints[:-1]])))
+    return read_only(fourier_matrix(n, np.concatenate([grid.alpha,
+                                                       grid.endpoints[:-1]])))
 
 
 def uniform_to_gl(values, n_panels: int) -> np.ndarray:
     vals = np.asarray(values)
-    out = (uniform_to_gl_matrix(vals.shape[0], n_panels)[:PANEL_ORDER * n_panels]
-           @ np.fft.fft(vals))
-    if np.isrealobj(vals):
-        return out.real
-    return out
+    return _real_like(vals, uniform_to_gl_matrix(vals.shape[0], n_panels)
+                      [:PANEL_ORDER * n_panels] @ np.fft.fft(vals))
 
 
 def gl_geometry(z, n_panels: int):
@@ -228,10 +226,7 @@ def antiderivative(f) -> np.ndarray:
     out[nz] = coef[nz] / (1j * k[nz])
     if n % 2 == 0:
         out[n // 2] = 0.0
-    res = np.fft.ifft(out)
-    if np.isrealobj(vals):
-        return res.real
-    return res
+    return _real_like(vals, np.fft.ifft(out))
 
 
 def equal_arclength_parameter(speed):
@@ -285,8 +280,8 @@ def panel_grid(n_panels: int) -> PanelGrid:
     h = edges[1] - edges[0]
     alpha = (edges[:-1, None] + (GL_NODES[None, :] + 1.0) * h / 2.0).ravel()
     weights = np.tile(GL_WEIGHTS * h / 2.0, n_panels)
-    return PanelGrid(alpha=_read_only(alpha), weights=_read_only(weights),
-                     endpoints=_read_only(edges))
+    return PanelGrid(alpha=read_only(alpha), weights=read_only(weights),
+                     endpoints=read_only(edges))
 
 
 @cache
@@ -317,7 +312,7 @@ def panel_to_uniform_matrix(n_panels: int, n_out: int) -> np.ndarray:
         fine = np.zeros((n_fine, PANEL_ORDER))
         fine[sel] = c
         blocks.append(resample(fine, n_out))
-    return _read_only(np.concatenate(blocks, axis=1))
+    return read_only(np.concatenate(blocks, axis=1))
 
 
 def panel_interp_to_uniform(g, n_panels: int, n_out: int) -> np.ndarray:

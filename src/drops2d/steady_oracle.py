@@ -31,7 +31,14 @@ def _B_profile(b: float, nu: np.ndarray) -> np.ndarray:
     return 1.0 + 2.0 * b * b - 2.0 * np.sqrt(1.0 + b * b) * b * np.cos(2.0 * nu)
 
 
+def _check_E(E: float):
+    """The formulas here hold for a finite E > 0 only."""
+    if not 0 < E < np.inf:
+        raise ValueError(f"the steady oracle needs a finite E > 0, not {E}")
+
+
 def _A_coefficient(b: float, E: float) -> float:
+    _check_E(E)
     nu = uniform_alpha(QUAD_POINTS)
     B = _B_profile(b, nu)
     return (trapezoid(np.sqrt(B)) - 2.0 * np.pi * E) / trapezoid(B)
@@ -105,6 +112,7 @@ def b_from_q(Q: float, E: float) -> float:
     The branch rises from b = 0 to its peak Q or ends earlier, where rho
     first reaches 0 (at E 0.1 and 0.2, not at E 0.5 or 0.9).
     """
+    _check_E(E)
     if Q == 0.0:
         return 0.0
     bs = np.linspace(1e-6, B_MAX, 400)

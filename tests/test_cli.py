@@ -91,7 +91,13 @@ def test_oracle_rejects_options_it_does_not_read(argv, tmp_path):
     ["pair", "--nv", "16", "--rho0", "-1"],
     ["pair", "--nv", "16", "--tol", "0"],
     ["pair", "--nv", "16", "--tol", "nan"],
+    ["pair", "--nv", "16", "--t-end", "1e-3", "--E", "nan"],
+    ["pair", "--nv", "16", "--E", "inf", "--rho0", "0"],
     ["steady", "--b", "-1"],
+    ["steady", "--E", "0", "--b", "0.2"],
+    ["steady", "--E", "-0.5", "--b", "0.2"],
+    ["steady", "--E", "nan", "--b", "0.2"],
+    ["steady", "--E", "0"],
     ["steady", "--points", "8"],
     ["steady", "--Q", "5"],
 ], ids=lambda argv: " ".join(argv))

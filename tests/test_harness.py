@@ -247,11 +247,36 @@ class TestCompare:
         assert same["window"] == [2 * np.pi / 3, 4 * np.pi / 3]
         assert sorted(same["drops"]) == ["0", "1"]
         for rep in same["drops"].values():
-            assert rep["e_z_max"] < 1e-13 and rep["e_rho_max"] == 0.0
+            assert rep["e_z_max"] == 0.0 and rep["e_rho_max"] == 0.0
         main(["compare", a, c, "--window", "0", str(2 * np.pi)])
         diff = json.loads(capsys.readouterr().out)
         for rep in diff["drops"].values():
             assert 1e-6 < rep["e_z_max"] < 1e-2
+
+    def test_cli_compare_interpolates_across_n(self, tmp_path, capsys):
+        import json
+
+        from drops2d.cli import main
+
+        dirs = []
+        for n in (64, 96):
+            cfg = preset("pair_clean", n=n)
+            cfg = replace(cfg, run=replace(cfg.run, t_end=0.01, fixed_dt=2e-3))
+            dirs.append(str(tmp_path / str(n)))
+            run_scenario(cfg, out_dir=dirs[-1])
+        a, b = (read_snapshot(sorted(glob.glob(d + "/snapshot_*.csv"))[-1])
+                for d in dirs)
+        main(["compare", *dirs])
+        got = json.loads(capsys.readouterr().out)["drops"]
+        for k, d in enumerate(a["drops"]):
+            want = compare_to_oracle(b, {"alphaV": d["alpha"],
+                                         "z": d["x"] + 1j * d["y"],
+                                         "rho": d["rho"]},
+                                     window=(2 * np.pi / 3, 4 * np.pi / 3),
+                                     drop=k)
+            assert got[str(k)] == {"e_z_max": want["e_z_max"],
+                                   "e_rho_max": want["e_rho_max"]}
+            assert 0.0 < want["e_z_max"] < 1e-2
 
     def test_cli_compare_refuses_unmatched_directories(self, tmp_path):
         from drops2d.cli import main

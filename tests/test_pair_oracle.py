@@ -262,6 +262,16 @@ def test_state_rejects_pe_as_flow_config_does(Pe):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+def test_state_rejects_e_as_flow_config_does(E):
+    # E nan once failed later, as "phi left (0,1): nan"
+    with pytest.raises(ValueError) as want:
+        FlowConfig(E=E)
+    with pytest.raises(ValueError) as got:
+        pair_from_circles(16, phi=0.35, rho0=1.0, E=E)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("nv", [0, -1])
 def test_pair_from_circles_refuses_nv_below_one(nv):
     # nv 0 ran on a 1-point grid; nv -1 failed building an array

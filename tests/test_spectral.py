@@ -250,6 +250,64 @@ def test_complex_input_acts_on_real_and_imaginary_parts(fn):
     assert np.abs(fn(vals) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("fn", [
+    lambda v: spectral.spectral_derivatives(v, (1, 2)),
+    lambda v: resample(v, 96),
+    krasny_filter,
+    lambda v: fourier_interp(v, np.linspace(0.0, 6.0, 7)),
+    lambda v: spectral.uniform_to_gl(v, 4),
+    spectral.antiderivative,
+], ids=["spectral_derivatives", "resample", "krasny_filter", "fourier_interp",
+        "uniform_to_gl", "antiderivative"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_real_input_gives_real_output(fn, dtype):
+    out = fn(_stack(64, 1, dtype, 3)[:, 0])
+    for arr in (out if isinstance(out, tuple) else (out,)):
+        assert arr.dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("new_n", [32, 33])
+def test_resample_pads_even_n_splitting_its_nyquist_mode(new_n):
+    # random samples of even n carry a Nyquist mode, which the padded
+    # samples evaluate as cos(n/2 alpha), as fourier_interp does
+    vals = _stack(16, 1, complex, 5)[:, 0] + 0.3 * (-1.0) ** np.arange(16)
+    want = fourier_interp(vals, uniform_alpha(new_n))
+    assert np.abs(resample(vals, new_n) - want).max() < 1e-14
+    want = fourier_interp(vals.real, uniform_alpha(new_n))
+    assert np.abs(resample(vals.real, new_n) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_resample_truncates_to_even_n_folding_its_nyquist_mode(n):
+    # modes |k| <= 8 survive on 16 points, where e^{8i alpha} and
+    # e^{-8i alpha} take the same values; every higher mode is dropped
+    rng = np.random.default_rng(n)
+    k = np.arange(-((n - 1) // 2), (n - 1) // 2 + 1)
+    c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+
+    def series(modes, alpha):
+        return np.exp(1j * np.outer(alpha, k[modes])) @ c[modes]
+
+    want = series(np.abs(k) <= 8, uniform_alpha(16))
+    got = resample(series(np.abs(k) >= 0, uniform_alpha(n)), 16)
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_read_only_is_the_package_rule():
+    from drops2d.geometry import Interface
+    from drops2d.pair_oracle import pair_from_circles
+
+    a = np.arange(3.0)
+    assert spectral.read_only(a) is a and not a.flags.writeable
+    iface = Interface(z=np.exp(-1j * uniform_alpha(32)))
+    st = pair_from_circles(16, phi=0.35, rho0=1.0)
+    for arr in (iface.z_alpha(), iface.z_alpha2(), st.a_pos, st.rho, st.zeta,
+                st.nu, *st.geometry, st.diffusion):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_cached_multipliers_are_read_only():
     assert spectral.modes(64) is spectral.modes(64)
     with pytest.raises(ValueError):

@@ -63,6 +63,19 @@ class TestSteadySolution:
         assert np.all(np.diff(D) > 0)
 
 
+@pytest.mark.parametrize("E", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda E: steady_q(0.2, E),
+    lambda E: steady_solution(0.2, E),
+    lambda E: b_from_q(0.05, E),
+    lambda E: b_from_q(0.0, E),
+], ids=["steady_q", "steady_solution", "b_from_q", "b_from_q-at-0"])
+def test_refuses_e_outside_its_formulas(entry, E):
+    # E = 0 divided by zero, and E < 0 or nan gave an oracle state
+    with pytest.raises(ValueError, match=f"finite E > 0, not {E}"):
+        entry(E)
+
+
 def test_b_from_q_round_trip():
     for E in (0.5, 0.9):
         assert b_from_q(0.0, E) == 0.0
